@@ -47,7 +47,6 @@ from .lll import (
 )
 from .rng import derive_seed
 from .streams import (
-    KIND_SETS,
     format_coloring,
     format_manifest,
     parse_coloring,
@@ -218,21 +217,16 @@ def cmd_verify(coloring_path: Path, stream_path: Path) -> int:
             f"match stream {stream.fingerprint()}",
             file=sys.stderr,
         )
+    bits = coloring.bits[: coloring.committed_len].encode("ascii")
     per_size: dict[int, list[int]] = {}
     violated: list[int] = []
     for j in range(len(stream)):
         dom = stream.dom(j)
         if dom[-1] >= coloring.committed_len:
             continue
-        m = len(dom)
-        stat = per_size.setdefault(m, [0, 0])
+        stat = per_size.setdefault(len(dom), [0, 0])
         stat[0] += 1
-        if stream.kind == KIND_SETS:
-            ok = len({coloring.bits[n] for n in dom}) == 2
-        else:
-            word = stream.item(j)
-            ok = any(coloring.bit(dom[p]) == word.vals[p] for p in range(len(dom)))
-        if not ok:
+        if stream.is_violated(j, bits):
             stat[1] += 1
             violated.append(j)
     for m in sorted(per_size):

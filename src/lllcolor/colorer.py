@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lll import Event, _trusted_event, default_budget, fair_bit, solve_moser_tardos
 from .rng import derive_seed
-from .streams import KIND_SETS, Coloring, ConstraintStream
+from .streams import Coloring, ConstraintStream
 
 _ZERO = ord("0")
 
@@ -39,14 +39,6 @@ _ZERO = ord("0")
 def phase_base(M: int) -> int:
     """First window size n0 = max(64, 4M)."""
     return max(64, 4 * M)
-
-
-def _row_cache_get(cache: dict, size: int, bit: int) -> tuple[int, ...]:
-    key = (size, bit)
-    row = cache.get(key)
-    if row is None:
-        row = cache[key] = (bit,) * size
-    return row
 
 
 def _phase_events(
@@ -57,60 +49,36 @@ def _phase_events(
     doms: list[tuple[int, ...]],
     maxs: list[int],
     phase: int,
-    row_cache: dict,
 ) -> list[Event]:
-    """Restricted bad events for every unresolved constraint inside the window."""
+    """Restricted bad events for every unresolved constraint inside the window.
+
+    A constraint's bad event keeps the forbidden rows that agree with the
+    committed bits, restricted to its uncommitted tail.
+    """
     events: list[Event] = []
     pinned: dict[int, tuple[int, int]] = {}
+    # equal restricted rows are built once per phase and shared by events,
+    # which keeps the phase's memory bounded by distinct rows
+    shared: dict[tuple[bytes, ...], tuple[tuple[int, ...], ...]] = {}
     prefix = len(committed)
-    is_sets = stream.kind == KIND_SETS
     for j in range(len(stream)):
         if resolved[j] or maxs[j] >= window:
             continue
         dom = doms[j]
         cut = bisect_left(dom, prefix)
-        if is_sets:
-            saw0 = saw1 = False
-            for n in dom[:cut]:
-                if committed[n] == _ZERO:
-                    saw0 = True
-                else:
-                    saw1 = True
-                if saw0 and saw1:
-                    break
-            if saw0 and saw1:
-                resolved[j] = 1
-                continue
-            tail = dom[cut:]
-            if not tail:
-                raise ConstructionFailureError(
-                    phase, (j,), "constraint committed single-colored"
-                )
-            if saw0:
-                rows = (_row_cache_get(row_cache, len(tail), 0),)
-            elif saw1:
-                rows = (_row_cache_get(row_cache, len(tail), 1),)
-            else:
-                rows = (
-                    _row_cache_get(row_cache, len(tail), 0),
-                    _row_cache_get(row_cache, len(tail), 1),
-                )
-        else:
-            word = stream.item(j)
-            agreed = False
-            for pos in range(cut):
-                if committed[dom[pos]] - _ZERO == word.vals[pos]:
-                    agreed = True
-                    break
-            if agreed:
-                resolved[j] = 1
-                continue
-            tail = dom[cut:]
-            if not tail:
-                raise ConstructionFailureError(
-                    phase, (j,), "constraint disagreed on every committed position"
-                )
-            rows = (tuple(1 - word.vals[pos] for pos in range(cut, len(dom))),)
+        live = stream.live_rows(j, committed, cut)
+        if not live:
+            resolved[j] = 1
+            continue
+        tail = dom[cut:]
+        if not tail:
+            raise ConstructionFailureError(
+                phase, (j,), "constraint violated on its committed positions"
+            )
+        key = tuple([row[cut:] for row in live])
+        rows = shared.get(key)
+        if rows is None:
+            rows = shared[key] = tuple(tuple(b - _ZERO for b in row) for row in key)
         if len(tail) == 1:
             if len(rows) == 2:
                 raise ConstructionFailureError(
@@ -125,8 +93,8 @@ def _phase_events(
                     f"constraints pin position {tail[0]} to opposite bits",
                 )
             pinned[tail[0]] = (forced, j)
-        # tail is a slice of a sorted duplicate-free domain and rows are
-        # canonical, so the trusted constructor is safe here.
+        # tail is a slice of a sorted duplicate-free domain and the rows are
+        # distinct and sorted, so the trusted constructor is safe here.
         events.append(_trusted_event(j, tail, rows))
     return events
 
@@ -147,12 +115,11 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     resolved = bytearray(len(stream))
     doms = [stream.dom(j) for j in range(len(stream))]
     maxs = [d[-1] for d in doms]
-    row_cache: dict = {}
     k = 1
     while len(committed) < horizon:
         window = n0 << k
         target = n0 << (k - 1)
-        events = _phase_events(stream, committed, window, resolved, doms, maxs, k, row_cache)
+        events = _phase_events(stream, committed, window, resolved, doms, maxs, k)
         assignment: dict[int, int] = {}
         if events:
             var_ids = sorted({n for e in events for n in e.vbl})

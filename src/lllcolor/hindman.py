@@ -230,17 +230,6 @@ def choose_M(b: int, q: Fraction, mode: str) -> int:
     return max(last_fail + 1, doubling_floor)
 
 
-def cantor_pair(i: int, s: int) -> int:
-    t = i + s
-    return t * (t + 1) // 2 + s
-
-
-def cantor_unpair(p: int) -> tuple[int, int]:
-    t = (math.isqrt(8 * p + 1) - 1) // 2
-    s = p - t * (t + 1) // 2
-    return t - s, s
-
-
 def _diagonal_pairs(count: int, stage_count: int) -> Iterator[tuple[int, int]]:
     # (i, s) in ascending Cantor index over the finite rectangle.
     for total in range(count + stage_count - 1):
@@ -270,24 +259,25 @@ def build_translate_stream(
             least_valid=least,
         )
     count, stages = family.count, family.stage_count
-    base: list[tuple[frozenset[int], int] | None] = []
+    base: list[tuple[tuple[int, ...], int] | None] = []
     for i in range(count):
         found = None
         for s, selection, _ in _member_scan(family, i, M + i):
             if selection:
-                found = (selection, s)
+                found = (tuple(sorted(selection)), s)
                 break
         base.append(found)
 
-    items: list[frozenset[int]] = []
+    items: list[tuple[int, ...]] = []
     prov: list[tuple[int, int]] = []
     index: dict[tuple[int, int], int] = {}
-    seen: set[frozenset[int]] = set()
+    seen: set[tuple[int, ...]] = set()
     for i, s in _diagonal_pairs(count, stages):
         got = base[i]
         if got is None or s < got[1]:
             continue
-        translate = frozenset(x + s for x in got[0])
+        # shifting keeps the base sorted
+        translate = tuple(x + s for x in got[0])
         if translate in seen:
             continue
         seen.add(translate)
@@ -363,7 +353,9 @@ def build_image_stream(
         min_image.append(mins)
         running_max.append(runmax)
 
-    items: list[frozenset[int]] = []
+    items: list[tuple[int, ...]] = []
+    # the oracle's own membership index: one frozenset per item
+    images: list[frozenset[int]] = []
     prov: list[tuple[int, int]] = []
     records: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     seen: dict[frozenset[int], int] = {}
@@ -389,7 +381,8 @@ def build_image_stream(
         if j is None:
             j = len(items)
             seen[image] = j
-            items.append(image)
+            images.append(image)
+            items.append(tuple(sorted(image)))
             prov.append((i, s))
         records[i].append((s, j))
 
@@ -416,7 +409,7 @@ def build_image_stream(
             for t, j in recs:
                 if t >= bound:
                     break
-                if sizes[j] == m and n in items[j]:
+                if sizes[j] == m and n in images[j]:
                     out.add(j)
         return tuple(sorted(out))
 

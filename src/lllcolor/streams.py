@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -28,6 +29,9 @@ from .rng import u64
 
 KIND_SETS = "sets"
 KIND_PARTIALS = "partials"
+
+# bit values 0/1 to the ASCII digits of their complements
+_COMPLEMENT = bytes.maketrans(b"\x00\x01", b"10")
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,23 @@ class PartialWord:
         return len(self.dom)
 
 
+def _sorted_domain(item) -> tuple[int, ...]:
+    # A strictly increasing tuple already is its own sorted domain.
+    if type(item) is tuple and all(map(operator.lt, item, item[1:])):
+        return item
+    return tuple(sorted(set(item)))
+
+
 @dataclass
 class ConstraintStream:
     """A finite, indexable constraint family with a locality oracle.
+
+    A sets stream stores each item once, as its sorted domain tuple (any
+    iterable of positions is accepted); a partials stream stores
+    ``PartialWord`` items.  Either way a constraint is a domain plus the
+    rows it forbids there (:meth:`forbidden_rows`), and :meth:`live_rows`
+    is the one check of which of those rows the bits on a prefix of the
+    domain leave open.
 
     ``locality(m, n)`` lists exactly the indices whose item has size ``m``
     and touches position ``n``.  Builders install a procedural oracle; when
@@ -92,9 +110,7 @@ class ConstraintStream:
         doms = []
         for j, item in enumerate(self.items):
             if self.kind == KIND_SETS:
-                if not isinstance(item, frozenset):
-                    item = frozenset(item)
-                dom = tuple(sorted(item))
+                item = dom = _sorted_domain(item)
             else:
                 if not isinstance(item, PartialWord):
                     raise InvalidInputError(f"item {j}: partials stream needs PartialWord items")
@@ -144,10 +160,34 @@ class ConstraintStream:
             self._index = {key: tuple(v) for key, v in index.items()}
         return self._index.get((m, n), ())
 
+    def forbidden_rows(self, j: int) -> tuple[bytes, ...]:
+        """The assignments of ``dom(j)`` that violate constraint j, sorted,
+        as ASCII 0/1 rows aligned with the domain: ``0^m`` and ``1^m`` for a
+        set, the complement of its bits for a partial word."""
+        if self.kind == KIND_SETS:
+            m = len(self._doms[j])
+            return (b"0" * m, b"1" * m)
+        return (bytes(self.items[j].vals).translate(_COMPLEMENT),)
+
+    def live_rows(self, j: int, bits, cut: int) -> tuple[bytes, ...]:
+        """Forbidden rows of constraint j that agree with ``bits`` (ASCII 0/1
+        by position) on the first ``cut`` positions of its domain.  None
+        left means those positions already meet the constraint."""
+        head = self._doms[j][:cut]
+        bit = bits.__getitem__
+        rows = self.forbidden_rows(j)
+        return tuple([row for row in rows if not any(map(operator.ne, map(bit, head), row))])
+
+    def is_violated(self, j: int, bits) -> bool:
+        """True iff ``bits`` (ASCII 0/1 by position, covering the whole
+        domain) assign ``dom(j)`` one of its forbidden rows."""
+        return bool(self.live_rows(j, bits, len(self._doms[j])))
+
     def fingerprint(self) -> str:
+        """First 16 hex digits of the sha256 of the manifest text; filled
+        in by :func:`format_manifest`, which formats at most once for it."""
         if self._fp is None:
-            digest = hashlib.sha256(format_manifest(self).encode("utf-8")).hexdigest()
-            self._fp = digest[:16]
+            format_manifest(self)
         return self._fp
 
 
@@ -389,8 +429,8 @@ def gen_sets_stream(
         raise InvalidParameterError("count must be >= 0 and M >= 1")
     if window < 4 * (M + spread):
         raise InvalidParameterError("window too small for the requested sizes")
-    items: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
+    items: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     attempt = 0
     for j in range(count):
         while True:
@@ -401,10 +441,10 @@ def gen_sets_stream(
                 elems.add(u64(seed, 9200, j, attempt, k) % window)
                 k += 1
             attempt += 1
-            fs = frozenset(elems)
-            if fs not in seen:
-                seen.add(fs)
-                items.append(fs)
+            dom = tuple(sorted(elems))
+            if dom not in seen:
+                seen.add(dom)
+                items.append(dom)
                 break
     return ConstraintStream(KIND_SETS, M, q, tuple(items))
 
@@ -485,6 +525,7 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def format_manifest(stream: ConstraintStream) -> str:
+    """The manifest text; the stream's fingerprint is taken from it."""
     lines = [f"stream {stream.kind} M {stream.M} q {frac_str(stream.q)}"]
     for j in range(len(stream)):
         if stream.provenance is not None:
@@ -494,7 +535,10 @@ def format_manifest(stream: ConstraintStream) -> str:
         lines.append(f"item {j} {len(dom)} " + " ".join(str(n) for n in dom))
         if stream.kind == KIND_PARTIALS:
             lines.append("bits " + " ".join(str(v) for v in stream.item(j).vals))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if stream._fp is None:
+        stream._fp = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return text
 
 
 def parse_manifest(text: str) -> ConstraintStream:
@@ -552,6 +596,6 @@ def parse_manifest(text: str) -> ConstraintStream:
         else:
             if bits[j] is not None:
                 raise ParseError(f"item {j}: sets stream item carries bits")
-            items.append(frozenset(dom))
+            items.append(dom)
     provenance = tuple(p for p in prov) if all(p is not None for p in prov) and prov else None
     return ConstraintStream(kind, M, q, tuple(items), provenance)

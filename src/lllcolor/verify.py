@@ -211,19 +211,13 @@ def audit_solution(
         k = (M + i) if mode == "comp" else b * (M + i)
         final_sel: frozenset[int] = frozenset()
         final_since = 0
-        for _s, selection, since in _member_scan(family, i, k):
+        first_stage = None
+        for s, selection, since in _member_scan(family, i, k):
+            if selection and first_stage is None:
+                first_stage = s
             final_sel, final_since = selection, since
-        if mode == "comp":
-            defined = bool(final_sel)
-            active_from = None
-            if defined:
-                for s, selection, _ in _member_scan(family, i, k):
-                    if selection:
-                        active_from = s
-                        break
-        else:
-            defined = bool(final_sel)
-            active_from = final_since if defined else None
+        defined = bool(final_sel)
+        active_from = first_stage if mode == "comp" else final_since
         if not defined:
             verdicts.append(
                 MemberVerdict(i, k, False, True, (), None, None, 0, ()))

@@ -1,0 +1,88 @@
+"""Golden bytes: sha256 digests of pipeline artifacts and colorer output,
+recorded from a known-good build.
+
+Reruns of one build are compared byte for byte by the acceptance suite;
+these digests pin the bytes across code changes.  A change that is meant
+to alter artifacts must say why and re-record the digests here.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from lllcolor.cli import main
+from lllcolor.colorer import color_prefix
+from lllcolor.streams import (
+    KIND_PARTIALS,
+    ConstraintStream,
+    PartialWord,
+    gen_sets_stream,
+    sets_to_partials,
+)
+
+PIPELINES = {
+    "comp-sum-s7": (
+        ["run", "--mode", "comp", "--f", "sum", "--seed", "7",
+         "--horizon", "2048", "--members", "12"],
+        {
+            "stream.txt": "8edd093c6e462d07fdd642442e10104441f14136a4700c7d4368797c7fe82453",
+            "coloring.txt": "6e8894026ffd559f479e1b1ed551c842c7490c0bc779f80fa20ad8efdd2ad5b1",
+            "audit.json": "5d251b01c20d43b1410bd928690ef0ef3fdb828e00755a9d193e1620ced7c063",
+            "sparsity.csv": "05518e87ceb9837cf60362cf481fb354c782b1fdcf7340ba3913c45917ea0823",
+        },
+    ),
+    "main-absdiff-s9": (
+        ["run", "--mode", "main", "--f", "absdiff", "--seed", "9",
+         "--horizon", "2048", "--members", "4"],
+        {
+            "stream.txt": "589fd55e2c3e54f841b105df71699069864465416093a4725e1d67e9aef62f9d",
+            "coloring.txt": "dcfe5a73f7c3fb31da16d3474979ce89b3b66020ef06a758b35863d7b9fdf332",
+            "audit.json": "ae2dbba66672e0e23bb28742c24582a475c3e76b0c68382b3aab4d330db53e07",
+            "sparsity.csv": "4cf8c9d9374e91dd0ac3900298f3e78a04e4d2d3067ae04956cd2c45ec6c54e4",
+        },
+    ),
+}
+
+EXPANDED_SETS_BITS = "fcdce5371e7c9b804fbfd151a53f9efe9259602e96a6eb8a4ac27fe2927f24b4"
+HAND_WORDS_BITS = "856f307c103c06e647ff0a6f7aa30de22ceac662efd2db8da1261cd47c87bc3b"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Both colorer inputs use short, overlapping constraints: a random start
+# violates many of them, so the bits depend on the restricted events the
+# resampler is handed, not only on its first samples.
+
+
+def hand_words() -> ConstraintStream:
+    """Overlapping 4-position words with mixed bits, some straddling the
+    colorer's commit boundaries."""
+    words = []
+    for j in range(160):
+        start = 3 * j + j % 2
+        dom = (start, start + 2, start + 5, start + 7)
+        vals = tuple(((5 * j + 3 * p) >> 1) & 1 for p in range(4))
+        words.append(PartialWord(j, dom, vals))
+    return ConstraintStream(KIND_PARTIALS, 4, Fraction(1, 2), tuple(words))
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_pipeline_artifacts(name, tmp_path):
+    argv, digests = PIPELINES[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    got = {f: sha256((tmp_path / f).read_bytes()) for f in digests}
+    assert got == digests
+
+
+def test_expanded_sets_coloring():
+    words = sets_to_partials(gen_sets_stream(5, 150, 512, 4, spread=2))
+    col = color_prefix(words, 512, 7)
+    assert sha256(col.bits.encode("ascii")) == EXPANDED_SETS_BITS
+
+
+def test_hand_words_coloring():
+    col = color_prefix(hand_words(), 512, 11)
+    assert sha256(col.bits.encode("ascii")) == HAND_WORDS_BITS

@@ -4,8 +4,6 @@ stream builders, and the warm-up demonstrations."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lllcolor.errors import (
     InvalidInputError,
@@ -15,13 +13,12 @@ from lllcolor.errors import (
 )
 from lllcolor.hindman import (
     StagedFamily,
+    _diagonal_pairs,
     baseline_coloring,
     build_image_stream,
     build_translate_stream,
     builtin_addition_like,
     candidate_state,
-    cantor_pair,
-    cantor_unpair,
     choose_M,
     format_family,
     gen_family,
@@ -223,18 +220,12 @@ class TestChooseM:
 
 
 class TestCantorPairing:
-    @settings(max_examples=60, deadline=None)
-    @given(p=st.integers(0, 10**6))
-    def test_bijection(self, p):
-        i, s = cantor_unpair(p)
-        assert cantor_pair(i, s) == p
-
     def test_order_matches_diagonals(self):
-        seq = sorted(
-            ((cantor_pair(i, s), (i, s)) for i in range(6) for s in range(6))
-        )
-        totals = [i + s for _, (i, s) in seq]
-        assert totals == sorted(totals)
+        # the builders' pair order: every (i, s) of the rectangle once, by
+        # ascending Cantor index (diagonal i + s, then s)
+        seq = list(_diagonal_pairs(6, 4))
+        assert sorted(seq) == [(i, s) for i in range(6) for s in range(4)]
+        assert seq == sorted(seq, key=lambda p: (p[0] + p[1], p[1]))
 
 
 class TestGenFamily:
@@ -307,7 +298,7 @@ class TestBuildTranslateStream:
         )
         stream = build_translate_stream(fam, 4)
         assert stream.provenance == tuple((0, s) for s in range(6, 10))
-        assert stream.item(0) == frozenset({6, 8, 11, 7})
+        assert stream.item(0) == (6, 7, 8, 11)
 
     def test_sizes_are_member_thresholds(self):
         fam, stream = self.small()

@@ -68,6 +68,50 @@ class TestConstraintStream:
         assert a.fingerprint() != c.fingerprint()
 
 
+    def test_set_items_stored_as_sorted_domains(self):
+        s = sets_stream([{9, 3, 5}, (1, 4)])
+        assert s.item(0) == s.dom(0) == (3, 5, 9)
+        assert s.item(1) == (1, 4)
+        assert ConstraintStream(KIND_SETS, 2, F(1, 2), ([4, 1, 4, 2],)).item(0) == (1, 2, 4)
+
+    def test_fingerprint_comes_from_manifest_text(self):
+        import hashlib
+
+        s = sets_stream([{0, 1}, {2, 5}])
+        text = format_manifest(s)
+        assert s.fingerprint() == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestForbiddenRows:
+    def words(self):
+        return ConstraintStream(
+            KIND_PARTIALS, 2, F(1, 2), (PartialWord(0, (1, 3, 4), (0, 1, 1)),)
+        )
+
+    def test_rows_of_each_kind(self):
+        assert sets_stream([{2, 0, 1}]).forbidden_rows(0) == (b"000", b"111")
+        assert self.words().forbidden_rows(0) == (b"100",)
+
+    def test_live_rows_on_a_prefix(self):
+        sets = sets_stream([{0, 1, 2, 3}])
+        assert sets.live_rows(0, b"00", 0) == (b"0000", b"1111")
+        assert sets.live_rows(0, b"00", 2) == (b"0000",)
+        assert sets.live_rows(0, b"01", 2) == ()
+        words = self.words()
+        assert words.live_rows(0, b"00000", 1) == ()
+        assert words.live_rows(0, b"01000", 2) == (b"100",)
+
+    def test_is_violated_matches_direct_scan(self):
+        sets = sets_stream([{0, 2, 4}])
+        words = self.words()
+        for mask in range(32):
+            bits = bytes(48 + ((mask >> n) & 1) for n in range(5))
+            constant = len({bits[n] for n in (0, 2, 4)}) == 1
+            assert sets.is_violated(0, bits) == constant
+            agrees = any(bits[n] - 48 == v for n, v in zip((1, 3, 4), (0, 1, 1)))
+            assert words.is_violated(0, bits) == (not agrees)
+
+
 class TestPartialWord:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
