@@ -159,9 +159,7 @@ def cmd_run(cfg: RunConfig) -> int:
     (out / "coloring.txt").write_text(format_coloring(coloring), encoding="utf-8")
 
     guard = cfg.guard if cfg.guard is not None else phase_base(M)
-    audit = audit_solution(
-        coloring, family, fn, M, cfg.mode, guard, stream=stream, q=cfg.q
-    )
+    audit = audit_solution(coloring, family, fn, M, cfg.mode, guard, stream=stream)
     (out / "audit.json").write_text(audit.to_json(), encoding="utf-8")
 
     print(

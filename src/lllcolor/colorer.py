@@ -79,11 +79,8 @@ def _phase_events(
         rows = shared.get(key)
         if rows is None:
             rows = shared[key] = tuple(tuple(b - _ZERO for b in row) for row in key)
-        if len(tail) == 1:
-            if len(rows) == 2:
-                raise ConstructionFailureError(
-                    phase, (j,), "single uncommitted position forced both ways"
-                )
+        # a two-row single-position tail forbids its whole cube: the resampler rejects it
+        if len(tail) == 1 and len(rows) == 1:
             forced = 1 - rows[0][0]
             prior = pinned.get(tail[0])
             if prior is not None and prior[0] != forced:

@@ -140,39 +140,41 @@ class CandidateState:
     stable_since: int | None
 
 
-def _member_scan(
+def _selection_timeline(
     family: StagedFamily, i: int, k: int
-) -> Iterator[tuple[int, frozenset[int], int]]:
-    """Yield (stage, selection, selection-change stage) for one member.
+) -> list[tuple[frozenset[int], int]]:
+    """Member i's ``(selection, since)`` at every stage, indexed by stage.
 
-    The selection keeps the k longest-tenured present elements, ordering by
-    (tenure start, value); tenure resets when an element leaves and
-    re-enters.  Selections are recomputed only at membership change points.
+    The selection keeps the k longest-tenured present elements (none while
+    fewer are present), ordering by (tenure start, value); tenure resets
+    when an element leaves and re-enters.  ``since`` is the stage the
+    selection last changed; stages between change points share one entry.
     """
-    points = family.changes[i]
-    ci = 0
+    timeline: list[tuple[frozenset[int], int]] = []
+    entry: tuple[frozenset[int], int] = (frozenset(), 0)
     present: frozenset[int] = frozenset()
     tenure: dict[int, int] = {}
-    selection: frozenset[int] = frozenset()
-    since = 0
-    for s in range(family.stage_count):
-        if ci < len(points) and points[ci][0] == s:
-            incoming = points[ci][1]
-            ci += 1
-            for x in incoming - present:
-                tenure[x] = s
-            for x in present - incoming:
-                del tenure[x]
-            present = incoming
-            if len(present) < k:
-                chosen: frozenset[int] = frozenset()
-            else:
-                ranked = sorted(present, key=lambda x: (tenure[x], x))
-                chosen = frozenset(ranked[:k])
-            if chosen != selection:
-                selection = chosen
-                since = s
-        yield s, selection, since
+    for s, incoming in family.changes[i]:
+        timeline.extend([entry] * (s - len(timeline)))
+        for x in incoming - present:
+            tenure[x] = s
+        for x in present - incoming:
+            del tenure[x]
+        present = incoming
+        if len(present) < k:
+            chosen: frozenset[int] = frozenset()
+        else:
+            ranked = sorted(present, key=lambda x: (tenure[x], x))
+            chosen = frozenset(ranked[:k])
+        if chosen != entry[0]:
+            entry = (chosen, s)
+    timeline.extend([entry] * (family.stage_count - len(timeline)))
+    return timeline
+
+
+def _first_selected(timeline: list[tuple[frozenset[int], int]]) -> int | None:
+    """The first stage with a nonempty selection, or None."""
+    return next((s for s, (selection, _) in enumerate(timeline) if selection), None)
 
 
 def candidate_state(
@@ -186,10 +188,8 @@ def candidate_state(
     if not 0 <= s < family.stage_count:
         raise InvalidParameterError(f"stage {s} out of range")
     k = (M + i) if family.mode == MODE_CE else fn.mult_bound * (M + i)
-    for stage, selection, since in _member_scan(family, i, k):
-        if stage == s:
-            return CandidateState(i, s, selection, since if selection else None)
-    raise AssertionError("unreachable")
+    selection, since = _selection_timeline(family, i, k)[s]
+    return CandidateState(i, s, selection, since if selection else None)
 
 
 def choose_M(b: int, q: Fraction, mode: str) -> int:
@@ -261,12 +261,9 @@ def build_translate_stream(
     count, stages = family.count, family.stage_count
     base: list[tuple[tuple[int, ...], int] | None] = []
     for i in range(count):
-        found = None
-        for s, selection, _ in _member_scan(family, i, M + i):
-            if selection:
-                found = (tuple(sorted(selection)), s)
-                break
-        base.append(found)
+        timeline = _selection_timeline(family, i, M + i)
+        s = _first_selected(timeline)
+        base.append(None if s is None else (tuple(sorted(timeline[s][0])), s))
 
     items: list[tuple[int, ...]] = []
     prov: list[tuple[int, int]] = []
@@ -327,19 +324,15 @@ def build_image_stream(
     b = fn.mult_bound
     count, stages = family.count, family.stage_count
 
-    selections: list[list[frozenset[int]]] = []
-    stable_from: list[list[int]] = []
+    timelines: list[list[tuple[frozenset[int], int]]] = []
     min_image: list[list[int | None]] = []
     running_max: list[list[int | None]] = []
     for i in range(count):
-        sel_row: list[frozenset[int]] = []
-        since_row: list[int] = []
+        timeline = _selection_timeline(family, i, b * (M + i))
         mins: list[int | None] = []
         runmax: list[int | None] = []
         run: int | None = None
-        for s, selection, since in _member_scan(family, i, b * (M + i)):
-            sel_row.append(selection)
-            since_row.append(since)
+        for s, (selection, _) in enumerate(timeline):
             if selection:
                 values = [fn.pair(x, s) for x in selection]
                 mins.append(min(values))
@@ -348,8 +341,7 @@ def build_image_stream(
             else:
                 mins.append(None)
             runmax.append(run)
-        selections.append(sel_row)
-        stable_from.append(since_row)
+        timelines.append(timeline)
         min_image.append(mins)
         running_max.append(runmax)
 
@@ -360,10 +352,9 @@ def build_image_stream(
     records: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     seen: dict[frozenset[int], int] = {}
     for i, s in _diagonal_pairs(count, stages):
-        selection = selections[i][s]
+        selection, s0 = timelines[i][s]
         if not selection:
             continue
-        s0 = stable_from[i][s]
         lo = min_image[i][s]
         if lo <= s0:
             continue
@@ -398,7 +389,7 @@ def build_image_stream(
             if not recs or m not in member_sizes[i]:
                 continue
             if n < stages:
-                selection = selections[i][n]
+                selection = timelines[i][n][0]
                 if selection:
                     bound = max(n, max(fn.growth(x, n) for x in selection)) + 1
                 else:
@@ -617,6 +608,7 @@ def parse_family(text: str) -> StagedFamily:
     count = None
     stage_count = None
     per_member: dict[int, list[tuple[int, frozenset[int]]]] = {}
+    first_line: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -629,11 +621,15 @@ def parse_family(text: str) -> StagedFamily:
                 i, s = int(toks[1]), int(toks[2])
                 members = frozenset(int(t) for t in toks[3:])
                 per_member.setdefault(i, []).append((s, members))
+                first_line.setdefault(i, lineno)
             else:
                 raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
         except (ValueError, IndexError) as exc:
             raise ParseError(f"line {lineno}: malformed record {raw!r}") from exc
     if mode is None or count is None or stage_count is None:
         raise ParseError("missing family header")
+    for i, lineno in first_line.items():
+        if not 0 <= i < count:
+            raise ParseError(f"line {lineno}: member {i} outside [0, {count})")
     changes = tuple(tuple(per_member.get(i, [])) for i in range(count))
     return StagedFamily(mode, count, stage_count, changes)

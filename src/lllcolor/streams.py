@@ -33,6 +33,10 @@ KIND_PARTIALS = "partials"
 # bit values 0/1 to the ASCII digits of their complements
 _COMPLEMENT = bytes.maketrans(b"\x00\x01", b"10")
 
+# validate_sparsity checks up to this many nonzero cells, else samples per size
+_FULL_CHECK_CELLS = 20000
+_SAMPLE_PER_SIZE = 12
+
 
 @dataclass(frozen=True)
 class PartialWord:
@@ -49,6 +53,8 @@ class PartialWord:
             raise InvalidInputError(f"word {self.id}: domain must be nonempty")
         if list(dom) != sorted(set(dom)):
             raise InvalidInputError(f"word {self.id}: domain must be sorted, duplicate-free")
+        if dom[0] < 0:
+            raise InvalidInputError(f"word {self.id}: negative position {dom[0]}")
         if len(vals) != len(dom):
             raise InvalidInputError(f"word {self.id}: {len(vals)} values for {len(dom)} positions")
         if any(v not in (0, 1) for v in vals):
@@ -121,6 +127,8 @@ class ConstraintStream:
                 raise StreamIntegrityError(
                     f"item {j} has size {len(dom)} below the minimum {self.M}", witness=(j,)
                 )
+            if dom[0] < 0:
+                raise InvalidInputError(f"item {j}: negative position {dom[0]}")
             items.append(item)
             doms.append(dom)
         object.__setattr__(self, "items", tuple(items))
@@ -184,11 +192,15 @@ class ConstraintStream:
         return bool(self.live_rows(j, bits, len(self._doms[j])))
 
     def fingerprint(self) -> str:
-        """First 16 hex digits of the sha256 of the manifest text; filled
-        in by :func:`format_manifest`, which formats at most once for it."""
+        """First 16 hex digits of the sha256 of the manifest text the stream
+        was parsed from, or else of the one :func:`format_manifest` gives."""
         if self._fp is None:
             format_manifest(self)
         return self._fp
+
+
+def _text_fingerprint(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def sets_to_partials(stream: ConstraintStream) -> ConstraintStream:
@@ -303,7 +315,7 @@ class SparsityReport:
 
 
 def _chosen_cells(
-    counts: dict[int, list[int]], window: int, mode: str, per_size: int
+    counts: dict[int, list[int]], window: int, mode: str
 ) -> list[tuple[int, int]]:
     cells: list[tuple[int, int]] = []
     for m in sorted(counts):
@@ -313,8 +325,8 @@ def _chosen_cells(
             cells.extend((m, n) for n in nonzero)
         elif nonzero:
             picks = {nonzero[0], nonzero[-1], max(nonzero, key=lambda n: (arr[n], -n))}
-            stride = max(1, len(nonzero) // per_size)
-            picks.update(nonzero[::stride][:per_size])
+            stride = max(1, len(nonzero) // _SAMPLE_PER_SIZE)
+            picks.update(nonzero[::stride][:_SAMPLE_PER_SIZE])
             cells.extend((m, n) for n in sorted(picks))
         for probe in (0, window // 2, window - 1):
             if arr[probe] == 0:
@@ -322,27 +334,19 @@ def _chosen_cells(
     return sorted(set(cells))
 
 
-def validate_sparsity(
-    stream: ConstraintStream,
-    window: int,
-    *,
-    cross_check: str = "auto",
-    sample_per_size: int = 12,
-) -> SparsityReport:
+def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     """Check the point bound ``count <= 2**(q*m)`` over the window and
     cross-check the locality oracle against the enumeration.
 
     Counts come from one pass over the enumerated items, so the bound check
     is complete for every cell with ``m <= window`` and ``n < window``.
-    The locality cross-check runs on every nonzero cell when the window is
-    small ("full"), otherwise on a deterministic stratified sample plus
-    zero-count probes ("sampled"); any disagreement raises
+    The locality cross-check runs on every nonzero cell up to 20 000 of them
+    ("full"), else on a deterministic stratified sample of 12 per size
+    ("sampled"), plus zero-count probes either way; any disagreement raises
     ``StreamIntegrityError`` with a ``(j, m, n)`` witness.
     """
     if window < 1:
         raise InvalidParameterError("window must be at least 1")
-    if cross_check not in ("auto", "full", "sampled"):
-        raise InvalidParameterError(f"unknown cross_check mode {cross_check!r}")
     counts: dict[int, list[int]] = {}
     relevant: list[int] = []
     max_size = 0
@@ -377,11 +381,8 @@ def validate_sparsity(
             elif 2 * c > bound:
                 near.append((m, n, c, bound))
 
-    if cross_check == "auto":
-        mode = "full" if total_nonzero <= 20000 else "sampled"
-    else:
-        mode = cross_check
-    cells = _chosen_cells(counts, window, mode, sample_per_size)
+    mode = "full" if total_nonzero <= _FULL_CHECK_CELLS else "sampled"
+    cells = _chosen_cells(counts, window, mode)
     want: dict[tuple[int, int], list[int]] = {cell: [] for cell in cells}
     for j in relevant:
         m = stream.size(j)
@@ -506,7 +507,10 @@ def parse_coloring(text: str) -> Coloring:
             if toks[:1] == ["stream"] and len(toks) == 2:
                 fingerprint = toks[1]
             elif toks[:1] == ["phases"] and len(toks) == 3:
-                n0, phases = int(toks[1]), int(toks[2])
+                try:
+                    n0, phases = int(toks[1]), int(toks[2])
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: malformed phases comment {raw!r}") from exc
             continue
         toks = line.split()
         if toks[0] == "coloring":
@@ -537,11 +541,13 @@ def format_manifest(stream: ConstraintStream) -> str:
             lines.append("bits " + " ".join(str(v) for v in stream.item(j).vals))
     text = "\n".join(lines) + "\n"
     if stream._fp is None:
-        stream._fp = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        stream._fp = _text_fingerprint(text)
     return text
 
 
 def parse_manifest(text: str) -> ConstraintStream:
+    """The stream a manifest describes, fingerprinted by the hash of
+    ``text`` itself: verifying a coloring formats nothing."""
     kind = None
     M = None
     q = None
@@ -553,13 +559,13 @@ def parse_manifest(text: str) -> ConstraintStream:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            toks = line[1:].split()
-            if len(toks) == 4 and toks[0] == "by" and toks[2] == "at":
-                pending_prov = (int(toks[1]), int(toks[3]))
-            continue
-        toks = line.split()
         try:
+            if line.startswith("#"):
+                toks = line[1:].split()
+                if len(toks) == 4 and toks[0] == "by" and toks[2] == "at":
+                    pending_prov = (int(toks[1]), int(toks[3]))
+                continue
+            toks = line.split()
             if toks[0] == "stream":
                 kind = toks[1]
                 if toks[2] != "M" or toks[4] != "q":
@@ -573,6 +579,8 @@ def parse_manifest(text: str) -> ConstraintStream:
                 dom = tuple(int(t) for t in toks[3:])
                 if len(dom) != k:
                     raise ParseError(f"line {lineno}: item arity mismatch")
+                if dom and (dom[0] < 0 or not all(map(operator.lt, dom, dom[1:]))):
+                    raise ParseError(f"line {lineno}: positions must be nonnegative, increasing")
                 doms.append(dom)
                 bits.append(None)
                 prov.append(pending_prov)
@@ -598,4 +606,6 @@ def parse_manifest(text: str) -> ConstraintStream:
                 raise ParseError(f"item {j}: sets stream item carries bits")
             items.append(dom)
     provenance = tuple(p for p in prov) if all(p is not None for p in prov) and prov else None
-    return ConstraintStream(kind, M, q, tuple(items), provenance)
+    stream = ConstraintStream(kind, M, q, tuple(items), provenance)
+    stream._fp = _text_fingerprint(text)
+    return stream

@@ -24,9 +24,8 @@ from .hindman import (
     MODE_SIGMA2,
     AdditionLike,
     StagedFamily,
-    _member_scan,
-    build_image_stream,
-    build_translate_stream,
+    _first_selected,
+    _selection_timeline,
 )
 from .rng import u64
 from .streams import Coloring, ConstraintStream, SparsityReport
@@ -166,8 +165,7 @@ def audit_solution(
     mode: str,
     guard: int,
     *,
-    stream: ConstraintStream | None = None,
-    q: Fraction = Fraction(1, 2),
+    stream: ConstraintStream,
 ) -> AuditReport:
     """Re-check every emitted constraint of a pipeline against the coloring.
 
@@ -175,7 +173,8 @@ def audit_solution(
     settled by the final stage (image mode), every emitted set lying fully
     inside [guard, committed_len) must carry both colors.  Members that never
     reach their size threshold get a vacuous verdict: they are already
-    smaller than the reported bound.
+    smaller than the reported bound.  ``stream`` is the stream the coloring
+    was built against; it must carry emission provenance.
     """
     if not 0 <= guard < coloring.committed_len:
         raise InvalidParameterError("guard must lie inside the committed prefix")
@@ -184,52 +183,44 @@ def audit_solution(
             raise WrongStreamError("translate audits require a ce-mode family")
         if fn.name != "sum":
             raise WrongStreamError("translate audits run over the sum pair function")
-        built = stream if stream is not None else build_translate_stream(family, M, q)
         b = 1
         bound_rule = "M+i"
     elif mode == "main":
         if family.mode != MODE_SIGMA2:
             raise WrongStreamError("image audits require a sigma2-mode family")
-        built = stream if stream is not None else build_image_stream(family, fn, M, q)
         b = fn.mult_bound
         bound_rule = f"{b}*(M+i)"
     else:
         raise InvalidParameterError(f"unknown audit mode {mode!r}")
-    if built.fingerprint() != coloring.stream_fingerprint:
+    if stream.fingerprint() != coloring.stream_fingerprint:
         raise WrongStreamError("coloring was produced against a different stream")
-    if built.provenance is None:
+    if stream.provenance is None:
         raise WrongStreamError("audited stream lacks emission provenance")
 
     by_member: dict[int, list[int]] = {}
-    for j, (i, _s) in enumerate(built.provenance):
+    for j, (i, _s) in enumerate(stream.provenance):
         by_member.setdefault(i, []).append(j)
 
     verdicts: list[MemberVerdict] = []
     total_checked = 0
     total_violations = 0
     for i in range(family.count):
-        k = (M + i) if mode == "comp" else b * (M + i)
-        final_sel: frozenset[int] = frozenset()
-        final_since = 0
-        first_stage = None
-        for s, selection, since in _member_scan(family, i, k):
-            if selection and first_stage is None:
-                first_stage = s
-            final_sel, final_since = selection, since
-        defined = bool(final_sel)
-        active_from = first_stage if mode == "comp" else final_since
-        if not defined:
+        k = b * (M + i)
+        timeline = _selection_timeline(family, i, k)
+        final_sel, final_since = timeline[-1]
+        if not final_sel:
             verdicts.append(
                 MemberVerdict(i, k, False, True, (), None, None, 0, ()))
             continue
+        active_from = _first_selected(timeline) if mode == "comp" else final_since
         checked = 0
         violations: list[tuple[int, tuple[int, ...]]] = []
         first_emission = None
         for j in by_member.get(i, ()):
-            stage = built.provenance[j][1]
+            stage = stream.provenance[j][1]
             if stage < active_from:
                 continue
-            positions = built.dom(j)
+            positions = stream.dom(j)
             if first_emission is None or stage < first_emission:
                 first_emission = stage
             if positions[0] < guard or positions[-1] >= coloring.committed_len:

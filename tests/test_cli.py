@@ -187,6 +187,31 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "fingerprint" in err
 
+    def test_verify_formats_nothing(self, artifacts, monkeypatch):
+        # the parsed stream's fingerprint is the hash of the manifest text
+        def refuse(stream):
+            raise AssertionError("verify formatted the manifest")
+
+        monkeypatch.setattr("lllcolor.streams.format_manifest", refuse)
+        monkeypatch.setattr("lllcolor.cli.format_manifest", refuse)
+        assert run_cli("verify", "--coloring", artifacts / "coloring.txt",
+                       "--stream", artifacts / "stream.txt") == 0
+
+    @pytest.mark.parametrize("lineno, bad", [(2, "# by x at 8"), (3, "item 0 4 -1 13 14 15")])
+    def test_malformed_record_names_its_line(self, artifacts, capsys, lineno, bad):
+        # a provenance comment with a bad integer, and a negative position
+        # that would otherwise be read as the coloring's last bit
+        lines = (artifacts / "stream.txt").read_text().splitlines(keepends=True)
+        lines[lineno - 1] = bad + "\n"
+        (artifacts / "stream.txt").write_text("".join(lines))
+        capsys.readouterr()
+        rc = run_cli("verify", "--coloring", artifacts / "coloring.txt",
+                     "--stream", artifacts / "stream.txt")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"line {lineno}:")
+
     def test_truncated_stream_is_parse_error(self, artifacts, capsys):
         text = (artifacts / "stream.txt").read_text().splitlines()
         (artifacts / "stream.txt").write_text("\n".join(text[: len(text) // 2]) + " 1\n")

@@ -56,6 +56,15 @@ class TestColorPrefix:
             col = color_prefix(stream, 1024, seed)
             assert scan_sets(stream, col) == []
 
+    def test_generated_4_position_streams_fully_satisfied(self):
+        # a random start leaves 1/8 of 4-position sets constant, and most
+        # of these sets straddle a commit boundary, so the resampler and
+        # the committed-prefix restriction both do real work
+        for seed in (0, 1):
+            stream = gen_sets_stream(seed, 150, 1024, 4, spread=0)
+            col = color_prefix(stream, 1024, seed)
+            assert scan_sets(stream, col) == []
+
     def test_partial_words_get_agreement(self):
         words = tuple(
             PartialWord(j, tuple(range(4 * j, 4 * j + 4)), ((0, 1, 0, 1), (1, 0, 1, 0))[j % 2])
@@ -65,6 +74,19 @@ class TestColorPrefix:
         col = color_prefix(stream, 64, 9)
         for w in words:
             assert any(col.bit(n) == w.vals[p] for p, n in enumerate(w.dom))
+
+    def test_scattered_4_position_words_get_agreement(self):
+        # every bit pattern over scattered, boundary-straddling domains
+        base = gen_sets_stream(2, 150, 1024, 4, spread=0)
+        words = tuple(
+            PartialWord(j, base.dom(j), tuple((j >> p) & 1 for p in range(4)))
+            for j in range(len(base))
+        )
+        stream = ConstraintStream(KIND_PARTIALS, 4, F(1, 2), words)
+        for seed in (0, 1):
+            col = color_prefix(stream, 1024, seed)
+            for w in words:
+                assert any(col.bit(n) == w.vals[p] for p, n in enumerate(w.dom))
 
     def test_expanded_words_break_their_sets(self):
         from lllcolor.streams import sets_to_partials
@@ -76,6 +98,13 @@ class TestColorPrefix:
             dom = base.dom(j)
             if dom[-1] < col.committed_len:
                 assert len({col.bits[n] for n in dom}) == 2
+
+    def test_expanded_4_position_words_break_their_sets(self):
+        from lllcolor.streams import sets_to_partials
+
+        base = gen_sets_stream(3, 150, 1024, 4, spread=0)
+        col = color_prefix(sets_to_partials(base), 1024, 7)
+        assert scan_sets(base, col) == []
 
     def test_determinism(self):
         stream = gen_sets_stream(7, 50, 512, 16)
@@ -178,7 +207,8 @@ class TestConstructionFailures:
         stream = ConstraintStream(KIND_SETS, 1, F(1, 2), (frozenset({3}),))
         with pytest.raises(ConstructionFailureError) as exc:
             color_prefix(stream, 8, 0)
-        assert exc.value.constraint_ids == (3,) or exc.value.constraint_ids == (0,)
+        assert exc.value.constraint_ids == (0,)
+        assert "restricted constraint forbids its whole cube" in str(exc.value)
 
 
 def test_phase_base():

@@ -130,6 +130,9 @@ class TestStagedFamily:
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             parse_family("at 0 3 1 2\n")
+        for i in (2, -1):
+            with pytest.raises(ParseError, match="line 3"):
+                parse_family(f"family ce 2 10\nat 0 3 1 2\nat {i} 4 1 2\n")
 
 
 class TestCandidateState:
@@ -318,13 +321,14 @@ class TestBuildTranslateStream:
 
     def test_locality_consistent(self):
         fam, stream = self.small()
-        assert validate_sparsity(stream, 256, cross_check="full").ok
+        rep = validate_sparsity(stream, 256)
+        assert rep.ok and rep.cross_check == "full"
 
     def test_point_counts_reach_size(self):
         # five size-5 translates can stack on one point: within the exact
         # bound 2^2.5 = 5.65.. even though 2^floor(2.5) = 4 would reject
         fam, stream = self.small(members=2, stages=128)
-        rep = validate_sparsity(stream, 256, cross_check="full")
+        rep = validate_sparsity(stream, 256)
         assert rep.ok
         arr = rep.counts.get(5)
         assert arr is not None and max(arr) == 5
@@ -363,7 +367,7 @@ class TestBuildImageStream:
     @pytest.mark.parametrize("fname", ["sum", "absdiff"])
     def test_counts_within_bm_squared(self, fname):
         fn, M, fam, stream = self.build(fname)
-        rep = validate_sparsity(stream, 1024, cross_check="full")
+        rep = validate_sparsity(stream, 1024)
         assert rep.ok
         for m, arr in rep.counts.items():
             assert max(arr) <= fn.mult_bound * m * m

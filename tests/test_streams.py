@@ -55,6 +55,10 @@ class TestConstraintStream:
         with pytest.raises(StreamIntegrityError):
             sets_stream([{1}], M=2)
 
+    def test_negative_position_rejected(self):
+        with pytest.raises(InvalidInputError, match="negative position -1"):
+            sets_stream([{-1, 3}])
+
     def test_partials_need_matching_ids(self):
         w = PartialWord(3, (0, 1), (0, 1))
         with pytest.raises(InvalidInputError):
@@ -120,6 +124,8 @@ class TestPartialWord:
             PartialWord(0, (1, 0), (0, 0))
         with pytest.raises(InvalidInputError):
             PartialWord(0, (0, 1), (0, 2))
+        with pytest.raises(InvalidInputError):
+            PartialWord(0, (-1, 3), (0, 1))
 
     def test_size(self):
         assert PartialWord(0, (2, 5, 9), (1, 0, 1)).size == 3
@@ -173,7 +179,7 @@ class TestSetsToPartials:
     def test_expanded_stream_passes_validation(self):
         base = gen_sets_stream(6, 30, 512, 16)
         out = sets_to_partials(base)
-        rep = validate_sparsity(out, 512, cross_check="full")
+        rep = validate_sparsity(out, 512)
         assert rep.ok
         assert rep.items_in_window == 60
 
@@ -275,6 +281,10 @@ class TestColoringFormat:
         with pytest.raises(ParseError):
             parse_coloring("coloring 8 0\n0101\n")
 
+    def test_bad_phases_comment_names_its_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_coloring("# stream abcd\n# phases a b\ncoloring 2 0\n01\n")
+
     def test_bit_accessor_guards_horizon(self):
         from lllcolor.errors import InsufficientHorizonError
 
@@ -309,3 +319,24 @@ class TestManifestFormat:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_manifest("item 0 2 0 1\n")
+
+    def test_bad_provenance_integers_name_their_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_manifest("stream sets M 2 q 1/2\n# by x at 3\nitem 0 2 0 1\n")
+
+    @pytest.mark.parametrize("item", ["item 0 2 -1 3", "item 0 3 1 1 2", "item 0 2 3 1"])
+    def test_positions_must_increase_from_zero(self, item):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_manifest(f"stream sets M 2 q 1/2\n{item}\n")
+
+    def test_parsed_fingerprint_hashes_the_text_read(self):
+        import hashlib
+
+        s = sets_stream([{0, 1}, {2, 5}])
+        text = format_manifest(s)
+        assert parse_manifest(text).fingerprint() == s.fingerprint()
+        respaced = text.replace("item 1 2", "item 1  2")
+        back = parse_manifest(respaced)
+        assert back == s
+        assert back.fingerprint() == hashlib.sha256(respaced.encode()).hexdigest()[:16]
+        assert back.fingerprint() != s.fingerprint()

@@ -185,11 +185,6 @@ class TestAuditSolution:
         with pytest.raises(InvalidParameterError):
             audit_solution(col, fam, SUM, M, "comp", col.committed_len, stream=stream)
 
-    def test_rebuilds_stream_when_not_given(self):
-        fam, stream, col, M = self.comp_setup()
-        report = audit_solution(col, fam, SUM, M, "comp", 64)
-        assert report.ok
-
     def test_json_shape(self):
         fam, stream, col, M = self.comp_setup()
         text = audit_solution(col, fam, SUM, M, "comp", 64, stream=stream).to_json()
