@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .lll import (
     condition_report_json,
     frac_str,
     LLLCertificate,
+    parse_frac,
     parse_instance,
 )
 from .rng import derive_seed
@@ -73,74 +73,60 @@ f 0 1 0
 """
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    f_name: str
-    M: int | None
-    q: Fraction
-    seed: int
-    horizon: int
-    members: int
-    stages: int | None
-    guard: int | None
-    out_dir: Path
-
-
-def _resolve_run(cfg: RunConfig):
-    if cfg.mode not in ("comp", "main"):
-        raise InvalidParameterError(f"unknown mode {cfg.mode!r}")
-    fn = builtin_addition_like(cfg.f_name)
-    if cfg.mode == "comp" and fn.name != "sum":
+def _resolve_run(args: argparse.Namespace, q: Fraction):
+    fn = builtin_addition_like(args.f)
+    if args.mode == "comp" and fn.name != "sum":
         raise InvalidParameterError("comp mode diagonalizes sum translates; use --f sum")
-    if not 0 < cfg.q < 1:
-        raise InvalidParameterError(f"q must lie in (0, 1), got {cfg.q}")
-    b = 1 if cfg.mode == "comp" else fn.mult_bound
-    least = choose_M(b, cfg.q, cfg.mode)
-    M = cfg.M if cfg.M is not None else least
+    b = 1 if args.mode == "comp" else fn.mult_bound
+    least = choose_M(b, q, args.mode)
+    M = args.M if args.M is not None else least
     if M < least:
         raise InvalidParameterError(
             f"M={M} is below the least admissible value {least}", least_valid=least
         )
-    if cfg.horizon < 4 * M:
+    if args.horizon < 4 * M:
         raise InvalidParameterError(f"horizon must be at least 4*M = {4 * M}")
-    if cfg.members < 1:
+    if args.members < 1:
         raise InvalidParameterError("members must be at least 1")
-    if cfg.stages is not None:
-        stages = cfg.stages
-    elif cfg.mode == "comp":
-        stages = min(512, max(128, cfg.horizon // 32))
+    if args.stages is not None:
+        stages = args.stages
+    elif args.mode == "comp":
+        stages = min(512, max(128, args.horizon // 32))
     else:
         # sigma2 families need churn room up front regardless of horizon
         stages = 512
     return fn, b, M, stages
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    fn, b, M, stages = _resolve_run(cfg)
-    out = cfg.out_dir
+def cmd_run(args: argparse.Namespace) -> int:
+    q = parse_frac(args.q)
+    fn, b, M, stages = _resolve_run(args, q)
+    guard = args.guard if args.guard is not None else phase_base(M)
+    out = Path(args.out or os.environ.get(ENV_OUT) or "runs")
+    if args.out is None:
+        out = out / f"{args.mode}-{args.f}-s{args.seed}-h{args.horizon}"
     out.mkdir(parents=True, exist_ok=True)
 
     extra = 8
-    if cfg.mode == "comp":
-        sizes = tuple(M + i + extra for i in range(cfg.members))
-        family = gen_family(derive_seed(cfg.seed, 1), cfg.members, stages, "ce", sizes)
-        stream = build_translate_stream(family, M, cfg.q)
+    if args.mode == "comp":
+        sizes = tuple(M + i + extra for i in range(args.members))
+        family = gen_family(derive_seed(args.seed, 1), args.members, stages, "ce", sizes)
+        stream = build_translate_stream(family, M, q)
     else:
-        sizes = tuple(b * (M + i) + extra for i in range(cfg.members))
-        family = gen_family(derive_seed(cfg.seed, 1), cfg.members, stages, "sigma2", sizes)
-        stream = build_image_stream(family, fn, M, cfg.q)
+        sizes = tuple(b * (M + i) + extra for i in range(args.members))
+        family = gen_family(derive_seed(args.seed, 1), args.members, stages, "sigma2", sizes)
+        stream = build_image_stream(family, fn, M, q)
 
     config_echo = {
-        "mode": cfg.mode,
+        "mode": args.mode,
         "f": fn.name,
         "M": M,
-        "q": frac_str(cfg.q),
-        "seed": cfg.seed,
-        "horizon": cfg.horizon,
-        "members": cfg.members,
+        "q": frac_str(q),
+        "seed": args.seed,
+        "horizon": args.horizon,
+        "members": args.members,
         "stages": stages,
-        "guard": cfg.guard if cfg.guard is not None else phase_base(M),
+        "guard": guard,
     }
     (out / "config.json").write_text(
         json.dumps(config_echo, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -148,22 +134,21 @@ def cmd_run(cfg: RunConfig) -> int:
     (out / "family.txt").write_text(format_family(family), encoding="utf-8")
     (out / "stream.txt").write_text(format_manifest(stream), encoding="utf-8")
 
-    sparsity = validate_sparsity(stream, cfg.horizon)
+    sparsity = validate_sparsity(stream, args.horizon)
     (out / "sparsity.csv").write_text(sparsity_counts_csv(sparsity), encoding="utf-8")
     (out / "sparsity.json").write_text(sparsity.summary_json(), encoding="utf-8")
     if not sparsity.ok:
         print(f"sparsity violations: {len(sparsity.violations)}", file=sys.stderr)
         return 1
 
-    coloring = color_prefix(stream, cfg.horizon, derive_seed(cfg.seed, 2))
+    coloring = color_prefix(stream, args.horizon, derive_seed(args.seed, 2))
     (out / "coloring.txt").write_text(format_coloring(coloring), encoding="utf-8")
 
-    guard = cfg.guard if cfg.guard is not None else phase_base(M)
-    audit = audit_solution(coloring, family, fn, M, cfg.mode, guard, stream=stream)
+    audit = audit_solution(coloring, family, fn, M, guard, stream=stream)
     (out / "audit.json").write_text(audit.to_json(), encoding="utf-8")
 
     print(
-        f"{cfg.mode}/{fn.name}: {len(stream)} constraints, committed "
+        f"{args.mode}/{fn.name}: {len(stream)} constraints, committed "
         f"{coloring.committed_len} bits, audited {audit.translates_checked} "
         f"translates, {audit.violations_total} violations"
     )
@@ -215,7 +200,7 @@ def cmd_verify(coloring_path: Path, stream_path: Path) -> int:
             f"match stream {stream.fingerprint()}",
             file=sys.stderr,
         )
-    bits = coloring.bits[: coloring.committed_len].encode("ascii")
+    bits = coloring.bits.encode("ascii")
     per_size: dict[int, list[int]] = {}
     violated: list[int] = []
     for j in range(len(stream)):
@@ -271,23 +256,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.cmd == "run":
-            base = args.out or os.environ.get(ENV_OUT) or "runs"
-            out_dir = Path(base)
-            if args.out is None:
-                out_dir = out_dir / f"{args.mode}-{args.f}-s{args.seed}-h{args.horizon}"
-            cfg = RunConfig(
-                mode=args.mode,
-                f_name=args.f,
-                M=args.M,
-                q=Fraction(args.q),
-                seed=args.seed,
-                horizon=args.horizon,
-                members=args.members,
-                stages=args.stages,
-                guard=args.guard,
-                out_dir=out_dir,
-            )
-            return cmd_run(cfg)
+            return cmd_run(args)
         if args.cmd == "demo":
             return cmd_demo(args.name)
         if args.cmd == "verify":

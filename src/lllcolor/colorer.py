@@ -142,7 +142,7 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
             committed.append(_ZERO + assignment.get(n, 0))
         k += 1
     bits = committed.decode("ascii")
-    return Coloring(bits, len(bits), seed, stream.fingerprint(), n0, k - 1)
+    return Coloring(bits, seed, stream.fingerprint(), n0, k - 1)
 
 
 def extend_coloring(
@@ -158,6 +158,6 @@ def extend_coloring(
     if new_horizon <= coloring.committed_len:
         raise InvalidParameterError("new horizon must exceed the committed length")
     out = color_prefix(stream, new_horizon, coloring.seed)
-    if not out.bits.startswith(coloring.bits[: coloring.committed_len]):
+    if not out.bits.startswith(coloring.bits):
         raise LLLColorError("prefix stability violated; this is a bug")
     return out

@@ -268,19 +268,16 @@ def build_translate_stream(
     items: list[tuple[int, ...]] = []
     prov: list[tuple[int, int]] = []
     index: dict[tuple[int, int], int] = {}
-    seen: set[tuple[int, ...]] = set()
+    # Bases of different members differ in size and the shifts of one base
+    # are distinct, so every translate is new.
     for i, s in _diagonal_pairs(count, stages):
         got = base[i]
         if got is None or s < got[1]:
             continue
-        # shifting keeps the base sorted
-        translate = tuple(x + s for x in got[0])
-        if translate in seen:
-            continue
-        seen.add(translate)
         index[(i, s)] = len(items)
         prov.append((i, s))
-        items.append(translate)
+        # shifting keeps the base sorted
+        items.append(tuple(x + s for x in got[0]))
 
     def locality(m: int, n: int) -> tuple[int, ...]:
         i = m - M
@@ -483,8 +480,6 @@ def gen_family(
     mode: str,
     target_sizes: Sequence[int],
     *,
-    rate: int = 2,
-    churn_cutoff: int | None = None,
     max_mind_changes: int = 3,
     unstable_members: Sequence[int] = (),
 ) -> StagedFamily:
@@ -493,9 +488,11 @@ def gen_family(
     ``target_sizes[i]`` is the membership size member i is guaranteed to
     reach (and, in sigma2 mode, to hold permanently unless listed in
     ``unstable_members``).  ce mode enumerates elements one way, never
-    retracting; sigma2 mode gives each element at most ``max_mind_changes``
-    membership toggles, all before ``churn_cutoff`` for stable members, so
-    their candidate sets settle early in the stage range.
+    retracting, at most two new elements per stage; sigma2 mode gives each
+    element at most ``max_mind_changes`` membership toggles, all before a
+    churn cutoff (a quarter of the stage range, or ``target + 20`` if that
+    is larger) for stable members, so their candidate sets settle early in
+    the stage range.
     """
     if count < 1 or stage_count < 1:
         raise InvalidParameterError("count and stage_count must be at least 1")
@@ -503,8 +500,6 @@ def gen_family(
         raise InvalidParameterError("need one target size per member")
     if mode not in (MODE_CE, MODE_SIGMA2):
         raise InvalidParameterError(f"unknown family mode {mode!r}")
-    if rate < 1:
-        raise InvalidParameterError("rate must be at least 1")
     unstable = set(unstable_members)
 
     members: list[tuple[tuple[int, frozenset[int]], ...]] = []
@@ -530,7 +525,7 @@ def gen_family(
 
         if mode == MODE_CE:
             for jx, v in enumerate(values[:need]):
-                entry = max(v + 1, 1 + jx // rate)
+                entry = max(v + 1, 1 + jx // 2)
                 if entry >= stage_count:
                     raise InvalidParameterError(
                         f"member {i}: stage_count {stage_count} too small for "
@@ -538,17 +533,7 @@ def gen_family(
                     )
                 toggle(entry, v)
         else:
-            if churn_cutoff is not None:
-                cutoff = churn_cutoff
-            else:
-                cutoff = max(2, stage_count // 4, span + 4)
-            if cutoff > stage_count:
-                raise InvalidParameterError("churn cutoff exceeds the stage range")
-            if span + 2 >= cutoff:
-                raise InvalidParameterError(
-                    f"member {i}: churn cutoff {cutoff} too small for value span "
-                    f"{span}; raise stage_count"
-                )
+            cutoff = max(2, stage_count // 4, span + 4)
             if cutoff + span >= stage_count // 2:
                 # stabilization plus image clearance must finish before the
                 # top half of the stage range
@@ -608,7 +593,6 @@ def parse_family(text: str) -> StagedFamily:
     count = None
     stage_count = None
     per_member: dict[int, list[tuple[int, frozenset[int]]]] = {}
-    first_line: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -620,16 +604,18 @@ def parse_family(text: str) -> StagedFamily:
             elif toks[0] == "at":
                 i, s = int(toks[1]), int(toks[2])
                 members = frozenset(int(t) for t in toks[3:])
+                if count is None or stage_count is None:
+                    raise ParseError(f"line {lineno}: at record before the family header")
+                if not 0 <= i < count:
+                    raise ParseError(f"line {lineno}: member {i} outside [0, {count})")
+                if not 0 <= s < stage_count:
+                    raise ParseError(f"line {lineno}: stage {s} outside [0, {stage_count})")
                 per_member.setdefault(i, []).append((s, members))
-                first_line.setdefault(i, lineno)
             else:
                 raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
         except (ValueError, IndexError) as exc:
             raise ParseError(f"line {lineno}: malformed record {raw!r}") from exc
     if mode is None or count is None or stage_count is None:
         raise ParseError("missing family header")
-    for i, lineno in first_line.items():
-        if not 0 <= i < count:
-            raise ParseError(f"line {lineno}: member {i} outside [0, {count})")
     changes = tuple(tuple(per_member.get(i, [])) for i in range(count))
     return StagedFamily(mode, count, stage_count, changes)

@@ -478,7 +478,10 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
             elif kind == "v":
                 idx, rng = int(toks[1]), int(toks[2])
                 weights = tuple(parse_frac(t) for t in toks[3:])
-                variables.append(VarSpec(idx, rng, weights))
+                try:
+                    variables.append(VarSpec(idx, rng, weights))
+                except InvalidInstanceError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from exc
             elif kind == "e":
                 flush()
                 eid, k = int(toks[1]), int(toks[2])
@@ -489,7 +492,13 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
             elif kind == "f":
                 if pending is None:
                     raise ParseError(f"line {lineno}: forbidden row before any event")
-                pending[2].append(tuple(int(t) for t in toks[1:]))
+                row = tuple(int(t) for t in toks[1:])
+                if len(row) != len(pending[1]):
+                    raise ParseError(
+                        f"line {lineno}: forbidden row arity {len(row)} != "
+                        f"support size {len(pending[1])}"
+                    )
+                pending[2].append(row)
             else:
                 raise ParseError(f"line {lineno}: unknown record {kind!r}")
         except (ValueError, IndexError) as exc:

@@ -142,9 +142,6 @@ class ConstraintStream:
     def __len__(self) -> int:
         return len(self.items)
 
-    def has_index(self, j: int) -> bool:
-        return 0 <= j < len(self.items)
-
     def item(self, j: int):
         return self.items[j]
 
@@ -153,9 +150,6 @@ class ConstraintStream:
 
     def size(self, j: int) -> int:
         return len(self._doms[j])
-
-    def sizes_present(self) -> tuple[int, ...]:
-        return tuple(sorted({len(d) for d in self._doms}))
 
     def locality(self, m: int, n: int) -> tuple[int, ...]:
         if self.locality_fn is not None:
@@ -459,17 +453,18 @@ class Coloring:
     """
 
     bits: str
-    committed_len: int
     seed: int
     stream_fingerprint: str
     n0: int
     phases: int
 
     def __post_init__(self):
-        if self.committed_len > len(self.bits):
-            raise InvalidInputError("committed_len exceeds available bits")
         if any(ch not in "01" for ch in self.bits):
             raise InvalidInputError("coloring bits must be 0/1 characters")
+
+    @property
+    def committed_len(self) -> int:
+        return len(self.bits)
 
     def bit(self, n: int) -> int:
         if not 0 <= n < self.committed_len:
@@ -485,9 +480,8 @@ def format_coloring(coloring: Coloring) -> str:
         f"# phases {coloring.n0} {coloring.phases}",
         f"coloring {coloring.committed_len} {coloring.seed}",
     ]
-    bits = coloring.bits[: coloring.committed_len]
-    for start in range(0, len(bits), 64):
-        lines.append(bits[start : start + 64])
+    for start in range(0, len(coloring.bits), 64):
+        lines.append(coloring.bits[start : start + 64])
     return "\n".join(lines) + "\n"
 
 
@@ -518,6 +512,8 @@ def parse_coloring(text: str) -> Coloring:
                 committed, seed = int(toks[1]), int(toks[2])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"line {lineno}: malformed coloring header") from exc
+        elif line.strip("01"):
+            raise ParseError(f"line {lineno}: bit line holds a character other than 0/1")
         else:
             chunks.append(line)
     if committed is None:
@@ -525,7 +521,7 @@ def parse_coloring(text: str) -> Coloring:
     bits = "".join(chunks)
     if len(bits) != committed:
         raise ParseError(f"header declares {committed} bits, found {len(bits)}")
-    return Coloring(bits, committed, seed, fingerprint, n0, phases)
+    return Coloring(bits, seed, fingerprint, n0, phases)
 
 
 def format_manifest(stream: ConstraintStream) -> str:
@@ -552,7 +548,7 @@ def parse_manifest(text: str) -> ConstraintStream:
     M = None
     q = None
     doms: list[tuple[int, ...]] = []
-    bits: list[tuple[int, ...] | None] = []
+    words: list[PartialWord | None] = []
     prov: list[tuple[int, int] | None] = []
     pending_prov: tuple[int, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -582,13 +578,17 @@ def parse_manifest(text: str) -> ConstraintStream:
                 if dom and (dom[0] < 0 or not all(map(operator.lt, dom, dom[1:]))):
                     raise ParseError(f"line {lineno}: positions must be nonnegative, increasing")
                 doms.append(dom)
-                bits.append(None)
+                words.append(None)
                 prov.append(pending_prov)
                 pending_prov = None
             elif toks[0] == "bits":
-                if not doms or bits[-1] is not None:
+                if not doms or words[-1] is not None:
                     raise ParseError(f"line {lineno}: stray bits record")
-                bits[-1] = tuple(int(t) for t in toks[1:])
+                vals = tuple(int(t) for t in toks[1:])
+                try:
+                    words[-1] = PartialWord(len(doms) - 1, doms[-1], vals)
+                except InvalidInputError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from exc
             else:
                 raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
         except (ValueError, IndexError) as exc:
@@ -598,11 +598,11 @@ def parse_manifest(text: str) -> ConstraintStream:
     items: list = []
     for j, dom in enumerate(doms):
         if kind == KIND_PARTIALS:
-            if bits[j] is None:
+            if words[j] is None:
                 raise ParseError(f"item {j}: partials stream item lacks bits")
-            items.append(PartialWord(j, dom, bits[j]))
+            items.append(words[j])
         else:
-            if bits[j] is not None:
+            if words[j] is not None:
                 raise ParseError(f"item {j}: sets stream item carries bits")
             items.append(dom)
     provenance = tuple(p for p in prov) if all(p is not None for p in prov) and prov else None

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .hindman import (
     MODE_CE,
-    MODE_SIGMA2,
     AdditionLike,
     StagedFamily,
     _first_selected,
@@ -162,36 +161,32 @@ def audit_solution(
     family: StagedFamily,
     fn: AdditionLike,
     M: int,
-    mode: str,
     guard: int,
     *,
     stream: ConstraintStream,
 ) -> AuditReport:
     """Re-check every emitted constraint of a pipeline against the coloring.
 
-    For each member whose candidate set is defined (translate mode) or has
-    settled by the final stage (image mode), every emitted set lying fully
-    inside [guard, committed_len) must carry both colors.  Members that never
+    The rule follows ``family.mode``: a ce family gives a translate
+    ("comp") audit with bound ``M + i``, a sigma2 family an image ("main")
+    audit with bound ``fn.mult_bound * (M + i)``.  For each member whose
+    candidate set is defined (translate mode, from its first selected
+    stage) or has settled by the final stage (image mode, from that
+    settling stage), every emitted set lying fully inside
+    [guard, committed_len) must carry both colors.  Members that never
     reach their size threshold get a vacuous verdict: they are already
     smaller than the reported bound.  ``stream`` is the stream the coloring
     was built against; it must carry emission provenance.
     """
     if not 0 <= guard < coloring.committed_len:
         raise InvalidParameterError("guard must lie inside the committed prefix")
-    if mode == "comp":
-        if family.mode != MODE_CE:
-            raise WrongStreamError("translate audits require a ce-mode family")
+    if family.mode == MODE_CE:
         if fn.name != "sum":
             raise WrongStreamError("translate audits run over the sum pair function")
-        b = 1
-        bound_rule = "M+i"
-    elif mode == "main":
-        if family.mode != MODE_SIGMA2:
-            raise WrongStreamError("image audits require a sigma2-mode family")
-        b = fn.mult_bound
-        bound_rule = f"{b}*(M+i)"
+        mode, b, bound_rule = "comp", 1, "M+i"
     else:
-        raise InvalidParameterError(f"unknown audit mode {mode!r}")
+        b = fn.mult_bound
+        mode, bound_rule = "main", f"{b}*(M+i)"
     if stream.fingerprint() != coloring.stream_fingerprint:
         raise WrongStreamError("coloring was produced against a different stream")
     if stream.provenance is None:

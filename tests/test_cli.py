@@ -95,6 +95,15 @@ class TestRun:
         assert run_cli("verify", "--coloring", out / "coloring.txt",
                        "--stream", out / "stream.txt") == 0
 
+    @pytest.mark.parametrize("q", ["1/0", "abc", "3/2"])
+    def test_bad_q_is_a_configuration_error(self, tmp_path, capsys, q):
+        rc = run_cli("run", "--mode", "comp", "--f", "sum", "--q", q, "--seed", "1",
+                     "--horizon", "2048", "--members", "3", "--out", tmp_path / "x")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == ("InvalidParameterError" if q == "3/2" else "ParseError")
+        assert not (tmp_path / "x").exists()
+
     def test_construction_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         import lllcolor.cli as cli
         from lllcolor.errors import ConstructionFailureError
@@ -211,6 +220,19 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError"
         assert err["message"].startswith(f"line {lineno}:")
+
+    def test_bad_coloring_bit_line_names_its_line(self, artifacts, capsys):
+        lines = (artifacts / "coloring.txt").read_text().splitlines(keepends=True)
+        assert lines[2].startswith("coloring ")
+        lines[4] = lines[4][:10] + "x" + lines[4][11:]
+        (artifacts / "coloring.txt").write_text("".join(lines))
+        capsys.readouterr()
+        rc = run_cli("verify", "--coloring", artifacts / "coloring.txt",
+                     "--stream", artifacts / "stream.txt")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("line 5:")
 
     def test_truncated_stream_is_parse_error(self, artifacts, capsys):
         text = (artifacts / "stream.txt").read_text().splitlines()

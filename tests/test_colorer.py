@@ -183,6 +183,16 @@ class TestExtendColoring:
         with pytest.raises(InvalidParameterError):
             extend_coloring(col, stream, col.committed_len)
 
+    @pytest.mark.parametrize("h1, h2", [(128, 1024), (256, 512)])
+    def test_resume_from_file_matches_rebuild(self, h1, h2):
+        # a coloring saved to text and read back extends to the bits a
+        # fresh run to the larger horizon commits
+        from lllcolor.streams import format_coloring, parse_coloring
+
+        stream = gen_sets_stream(0, 150, 1024, 4, spread=0)
+        saved = parse_coloring(format_coloring(color_prefix(stream, h1, 5)))
+        assert extend_coloring(saved, stream, h2) == color_prefix(stream, h2, 5)
+
     def test_extend_empty_stream_appends_zeros(self):
         stream = empty_stream()
         col = color_prefix(stream, 64, 0)

@@ -26,20 +26,40 @@ PIPELINES = {
         ["run", "--mode", "comp", "--f", "sum", "--seed", "7",
          "--horizon", "2048", "--members", "12"],
         {
+            "config.json": "d8416841d6c73afda8352c3eb6fe093104c87e2e4d840ef008692e81bb7cb9e3",
+            "family.txt": "24bc23af55ae94a587fc4201defc8e326678f1fb94fd58fa4ce0694086f51fd2",
             "stream.txt": "8edd093c6e462d07fdd642442e10104441f14136a4700c7d4368797c7fe82453",
+            "sparsity.csv": "05518e87ceb9837cf60362cf481fb354c782b1fdcf7340ba3913c45917ea0823",
+            "sparsity.json": "6627f9cd32ffae121c465d1664ab732951331703659747a8abdd7719b7f5711e",
             "coloring.txt": "6e8894026ffd559f479e1b1ed551c842c7490c0bc779f80fa20ad8efdd2ad5b1",
             "audit.json": "5d251b01c20d43b1410bd928690ef0ef3fdb828e00755a9d193e1620ced7c063",
-            "sparsity.csv": "05518e87ceb9837cf60362cf481fb354c782b1fdcf7340ba3913c45917ea0823",
         },
     ),
     "main-absdiff-s9": (
         ["run", "--mode", "main", "--f", "absdiff", "--seed", "9",
          "--horizon", "2048", "--members", "4"],
         {
+            "config.json": "866432f0e52200a87f575c2fbdcbddd9d46aed5551bfe48b10371083eff88985",
+            "family.txt": "354d7a4e6fbb8dbb171630380839c56f01a8cca67fa9c3b8ef454090fddd2f69",
             "stream.txt": "589fd55e2c3e54f841b105df71699069864465416093a4725e1d67e9aef62f9d",
+            "sparsity.csv": "4cf8c9d9374e91dd0ac3900298f3e78a04e4d2d3067ae04956cd2c45ec6c54e4",
+            "sparsity.json": "6eb51c97951284f91bf10ed59a8c00f5fc3d4c39a04353c8ad7d12311d7e271c",
             "coloring.txt": "dcfe5a73f7c3fb31da16d3474979ce89b3b66020ef06a758b35863d7b9fdf332",
             "audit.json": "ae2dbba66672e0e23bb28742c24582a475c3e76b0c68382b3aab4d330db53e07",
-            "sparsity.csv": "4cf8c9d9374e91dd0ac3900298f3e78a04e4d2d3067ae04956cd2c45ec6c54e4",
+        },
+    ),
+    # a non-default q and an explicit guard go through config.json and the audit
+    "comp-sum-s7-q2_5-g100": (
+        ["run", "--mode", "comp", "--f", "sum", "--seed", "7",
+         "--horizon", "2048", "--members", "12", "--q", "2/5", "--guard", "100"],
+        {
+            "config.json": "23dedfbf87925ccff23e5dfcfc372d4a10acb64aadfa1a5a2f086fe50b74c951",
+            "family.txt": "7e9d18a2a4ecb69754dec1521ee3df083749eb63a451646f2ac6032a140744d7",
+            "stream.txt": "351c5ac104c47f2520ef8163e302271a818396112da0baaa491a8507a48acd5c",
+            "sparsity.csv": "44639d4ef3489c44169290bc1f70cc2f1f0d2c6b753e62cb183166c7b030526f",
+            "sparsity.json": "5af6f145696456650df1bd64c1a45a0ffe301cf7e76bb898b13fe3473febe731",
+            "coloring.txt": "49491766e90293cdc340d90b46d8bc71daf014c5d63701bd07bb4e8f06ce6294",
+            "audit.json": "d82e3356e808edde1925bee035eb3529070ee21d63572d0d22f1dfd30daebc56",
         },
     ),
 }
@@ -73,6 +93,7 @@ def hand_words() -> ConstraintStream:
 def test_pipeline_artifacts(name, tmp_path):
     argv, digests = PIPELINES[name]
     assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
     got = {f: sha256((tmp_path / f).read_bytes()) for f in digests}
     assert got == digests
 

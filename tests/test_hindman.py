@@ -134,6 +134,15 @@ class TestStagedFamily:
             with pytest.raises(ParseError, match="line 3"):
                 parse_family(f"family ce 2 10\nat 0 3 1 2\nat {i} 4 1 2\n")
 
+    @pytest.mark.parametrize("stage", [99, 10, -1])
+    def test_stage_outside_header_names_its_line(self, stage):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_family(f"family ce 1 10\nat 0 {stage} 1\n")
+
+    def test_at_record_needs_the_header_first(self):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_family("at 0 3 1 2\nfamily ce 1 10\n")
+
 
 class TestCandidateState:
     def fam_ce(self):
@@ -315,7 +324,7 @@ class TestBuildTranslateStream:
 
     def test_locality_counts_at_most_m(self):
         fam, stream = self.small()
-        for m in stream.sizes_present():
+        for m in {stream.size(j) for j in range(len(stream))}:
             for n in range(0, 200, 7):
                 assert len(stream.locality(m, n)) <= m
 

@@ -365,6 +365,14 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance("v zero 2 1/2 1/2\n")
 
+    def test_bad_weights_name_their_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_instance("vars 1\nv 0 2 1/2 1/3\n")
+
+    def test_row_arity_names_its_line(self):
+        with pytest.raises(ParseError, match="line 4"):
+            parse_instance("vars 1\nv 0 2 1/2 1/2\ne 0 1 0\nf 0 1\n")
+
 
 def test_default_budget_grows():
     assert default_budget(0) == 1

@@ -41,8 +41,6 @@ class TestConstraintStream:
         assert len(s) == 2
         assert s.dom(0) == (1, 2, 3)
         assert s.size(1) == 2
-        assert s.has_index(1) and not s.has_index(2)
-        assert s.sizes_present() == (2, 3)
 
     def test_derived_locality(self):
         s = sets_stream([{0, 1, 2}, {1, 2}, {2, 3}])
@@ -163,7 +161,7 @@ class TestSetsToPartials:
         base = ConstraintStream(KIND_SETS, 4, F(1, 2), (frozenset({0, 1, 2, 3}),))
         out = sets_to_partials(base)
         for bits in ("0101", "0000", "1111"):
-            col = Coloring(bits, 4, 0, "", 64, 0)
+            col = Coloring(bits, 0, "", 64, 0)
             dichromatic = len(set(bits)) == 2
             w0, w1 = out.item(0), out.item(1)
             agrees0 = any(col.bit(n) == w0.vals[p] for p, n in enumerate(w0.dom))
@@ -272,10 +270,11 @@ class TestGenSetsStream:
 
 class TestColoringFormat:
     def test_round_trip(self):
-        col = Coloring("0110" * 40, 160, 77, "abcd1234abcd1234", 64, 3)
+        col = Coloring("0110" * 40, 77, "abcd1234abcd1234", 64, 3)
         text = format_coloring(col)
         back = parse_coloring(text)
         assert back == col
+        assert back.committed_len == 160
 
     def test_length_mismatch(self):
         with pytest.raises(ParseError):
@@ -285,10 +284,14 @@ class TestColoringFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_coloring("# stream abcd\n# phases a b\ncoloring 2 0\n01\n")
 
+    def test_bad_bit_line_names_its_line(self):
+        with pytest.raises(ParseError, match="line 3"):
+            parse_coloring("# stream abcd\ncoloring 8 0\n01x1\n0101\n")
+
     def test_bit_accessor_guards_horizon(self):
         from lllcolor.errors import InsufficientHorizonError
 
-        col = Coloring("01", 2, 0, "", 64, 1)
+        col = Coloring("01", 0, "", 64, 1)
         assert col.bit(1) == 1
         with pytest.raises(InsufficientHorizonError):
             col.bit(2)
@@ -328,6 +331,10 @@ class TestManifestFormat:
     def test_positions_must_increase_from_zero(self, item):
         with pytest.raises(ParseError, match="line 2"):
             parse_manifest(f"stream sets M 2 q 1/2\n{item}\n")
+
+    def test_non_bit_word_value_names_its_line(self):
+        with pytest.raises(ParseError, match="line 3"):
+            parse_manifest("stream partials M 2 q 1/2\nitem 0 2 1 3\nbits 0 2\n")
 
     def test_parsed_fingerprint_hashes_the_text_read(self):
         import hashlib

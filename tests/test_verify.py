@@ -36,7 +36,7 @@ ABSDIFF = builtin_addition_like("absdiff")
 
 
 def coloring_of(bits):
-    return Coloring(bits, len(bits), 0, "", 64, 0)
+    return Coloring(bits, 0, "", 64, 0)
 
 
 class TestIsHomogeneous:
@@ -126,7 +126,7 @@ class TestAuditSolution:
 
     def test_comp_zero_violations(self):
         fam, stream, col, M = self.comp_setup()
-        report = audit_solution(col, fam, SUM, M, "comp", 64, stream=stream)
+        report = audit_solution(col, fam, SUM, M, 64, stream=stream)
         assert report.ok
         assert report.translates_checked > 100
         assert report.bound_rule == "M+i"
@@ -151,7 +151,7 @@ class TestAuditSolution:
         )
         stream = build_translate_stream(fam, 4)
         col = color_prefix(stream, 256, 1)
-        report = audit_solution(col, fam, SUM, 4, "comp", 64, stream=stream)
+        report = audit_solution(col, fam, SUM, 4, 64, stream=stream)
         assert report.members[1].vacuous
         assert report.members[1].bound == 5
 
@@ -162,7 +162,7 @@ class TestAuditSolution:
         fam = gen_family(8, members, 512, "sigma2", sizes)
         stream = build_image_stream(fam, ABSDIFF, M)
         col = color_prefix(stream, 1024, 2)
-        report = audit_solution(col, fam, ABSDIFF, M, "main", 64, stream=stream)
+        report = audit_solution(col, fam, ABSDIFF, M, 64, stream=stream)
         assert report.ok
         assert report.bound_rule == "2*(M+i)"
         assert [v.bound for v in report.members] == [38, 40]
@@ -171,23 +171,22 @@ class TestAuditSolution:
         fam, stream, col, M = self.comp_setup(seed=6)
         fam2, stream2, _, _ = self.comp_setup(seed=7)
         with pytest.raises(WrongStreamError):
-            audit_solution(col, fam2, SUM, M, "comp", 64, stream=stream2)
+            audit_solution(col, fam2, SUM, M, 64, stream=stream2)
 
     def test_mode_mismatch_detected(self):
+        # a ce family is audited by translates, which run over sum only
         fam, stream, col, M = self.comp_setup()
         with pytest.raises(WrongStreamError):
-            audit_solution(col, fam, ABSDIFF, M, "comp", 64, stream=stream)
-        with pytest.raises(WrongStreamError):
-            audit_solution(col, fam, SUM, M, "main", 64, stream=stream)
+            audit_solution(col, fam, ABSDIFF, M, 64, stream=stream)
 
     def test_guard_validation(self):
         fam, stream, col, M = self.comp_setup()
         with pytest.raises(InvalidParameterError):
-            audit_solution(col, fam, SUM, M, "comp", col.committed_len, stream=stream)
+            audit_solution(col, fam, SUM, M, col.committed_len, stream=stream)
 
     def test_json_shape(self):
         fam, stream, col, M = self.comp_setup()
-        text = audit_solution(col, fam, SUM, M, "comp", 64, stream=stream).to_json()
+        text = audit_solution(col, fam, SUM, M, 64, stream=stream).to_json()
         assert '"violations_total": 0' in text
         assert '"bound_rule": "M+i"' in text
 
