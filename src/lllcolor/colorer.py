@@ -117,7 +117,8 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
         window = n0 << k
         target = n0 << (k - 1)
         events = _phase_events(stream, committed, window, resolved, doms, maxs, k)
-        assignment: dict[int, int] = {}
+        prefix = len(committed)
+        committed += b"0" * (target - prefix)
         if events:
             var_ids = sorted({n for e in events for n in e.vbl})
             variables = [fair_bit(n) for n in var_ids]
@@ -136,10 +137,9 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
                     tuple(exc.violated),
                     f"resampling budget exhausted after {exc.resamplings} steps",
                 ) from exc
-            assignment = dict(result.values)
-        prefix = len(committed)
-        for n in range(prefix, target):
-            committed.append(_ZERO + assignment.get(n, 0))
+            for n, v in result.values.items():
+                if prefix <= n < target:
+                    committed[n] = _ZERO + v
         k += 1
     bits = committed.decode("ascii")
     return Coloring(bits, seed, stream.fingerprint(), n0, k - 1)

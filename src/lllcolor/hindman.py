@@ -75,6 +75,30 @@ def pair_image(fn: AdditionLike, base: frozenset[int] | set[int], y: int) -> fro
     return frozenset(fn.pair(x, y) for x in base)
 
 
+def _check_change(
+    mode: str,
+    stage_count: int,
+    i: int,
+    prev: tuple[int, frozenset[int]] | None,
+    point: tuple[int, frozenset[int]],
+) -> None:
+    """Raise unless change point ``point`` may follow ``prev`` (None for
+    the first) in member i's change list."""
+    s, members = point
+    if not 0 <= s < stage_count:
+        raise InvalidInputError(f"member {i}: change stage {s} out of range")
+    if prev is not None and s <= prev[0]:
+        raise InvalidInputError(f"member {i}: change stages must increase")
+    for x in members:
+        if x < 0 or x >= s:
+            raise StreamIntegrityError(
+                f"member {i}: element {x} present at stage {s} violates x < s",
+                witness=(i, s, x),
+            )
+    if mode == MODE_CE and prev is not None and not prev[1] <= members:
+        raise InvalidInputError(f"member {i}: ce families must grow monotonically")
+
+
 @dataclass(frozen=True)
 class StagedFamily:
     """Stagewise approximations of ``count`` enumerated sets.
@@ -100,22 +124,10 @@ class StagedFamily:
         canon = []
         for i, points in enumerate(self.changes):
             pts = tuple((int(s), frozenset(p)) for s, p in points)
-            prev_stage = -1
-            prev_set: frozenset[int] = frozenset()
-            for s, members in pts:
-                if not 0 <= s < self.stage_count:
-                    raise InvalidInputError(f"member {i}: change stage {s} out of range")
-                if s <= prev_stage:
-                    raise InvalidInputError(f"member {i}: change stages must increase")
-                for x in members:
-                    if x < 0 or x >= s:
-                        raise StreamIntegrityError(
-                            f"member {i}: element {x} present at stage {s} violates x < s",
-                            witness=(i, s, x),
-                        )
-                if self.mode == MODE_CE and not prev_set <= members:
-                    raise InvalidInputError(f"member {i}: ce families must grow monotonically")
-                prev_stage, prev_set = s, members
+            prev = None
+            for point in pts:
+                _check_change(self.mode, self.stage_count, i, prev, point)
+                prev = point
             canon.append(pts)
         object.__setattr__(self, "changes", tuple(canon))
 
@@ -608,9 +620,13 @@ def parse_family(text: str) -> StagedFamily:
                     raise ParseError(f"line {lineno}: at record before the family header")
                 if not 0 <= i < count:
                     raise ParseError(f"line {lineno}: member {i} outside [0, {count})")
-                if not 0 <= s < stage_count:
-                    raise ParseError(f"line {lineno}: stage {s} outside [0, {stage_count})")
-                per_member.setdefault(i, []).append((s, members))
+                points = per_member.setdefault(i, [])
+                prev = points[-1] if points else None
+                try:
+                    _check_change(mode, stage_count, i, prev, (s, members))
+                except (InvalidInputError, StreamIntegrityError) as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from exc
+                points.append((s, members))
             else:
                 raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
         except (ValueError, IndexError) as exc:

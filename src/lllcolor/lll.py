@@ -457,13 +457,17 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
     variables: list[VarSpec] = []
     events: list[Event] = []
     declared: int | None = None
-    pending: tuple[int, tuple[int, ...], list[tuple[int, ...]]] | None = None
+    # (line of the e record, event id, support, forbidden rows so far)
+    pending: tuple[int, int, tuple[int, ...], list[tuple[int, ...]]] | None = None
 
     def flush():
         nonlocal pending
         if pending is not None:
-            eid, vbl, rows = pending
-            events.append(Event(eid, vbl, tuple(rows)))
+            lineno, eid, vbl, rows = pending
+            try:
+                events.append(Event(eid, vbl, tuple(rows)))
+            except InvalidInstanceError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
             pending = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -488,17 +492,17 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
                 sup = tuple(int(t) for t in toks[3:])
                 if len(sup) != k:
                     raise ParseError(f"line {lineno}: support arity mismatch")
-                pending = (eid, sup, [])
+                pending = (lineno, eid, sup, [])
             elif kind == "f":
                 if pending is None:
                     raise ParseError(f"line {lineno}: forbidden row before any event")
                 row = tuple(int(t) for t in toks[1:])
-                if len(row) != len(pending[1]):
+                if len(row) != len(pending[2]):
                     raise ParseError(
                         f"line {lineno}: forbidden row arity {len(row)} != "
-                        f"support size {len(pending[1])}"
+                        f"support size {len(pending[2])}"
                     )
-                pending[2].append(row)
+                pending[3].append(row)
             else:
                 raise ParseError(f"line {lineno}: unknown record {kind!r}")
         except (ValueError, IndexError) as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -309,21 +310,22 @@ class SparsityReport:
 
 
 def _chosen_cells(
-    counts: dict[int, list[int]], window: int, mode: str
+    counts: dict[int, list[int]], nonzero: dict[int, list[int]], window: int, mode: str
 ) -> list[tuple[int, int]]:
     cells: list[tuple[int, int]] = []
     for m in sorted(counts):
         arr = counts[m]
-        nonzero = [n for n, c in enumerate(arr) if c]
+        hits = nonzero[m]
         if mode == "full":
-            cells.extend((m, n) for n in nonzero)
-        elif nonzero:
-            picks = {nonzero[0], nonzero[-1], max(nonzero, key=lambda n: (arr[n], -n))}
-            stride = max(1, len(nonzero) // _SAMPLE_PER_SIZE)
-            picks.update(nonzero[::stride][:_SAMPLE_PER_SIZE])
+            cells.extend((m, n) for n in hits)
+        else:
+            picks = {hits[0], hits[-1], max(hits, key=lambda n: (arr[n], -n))}
+            stride = max(1, len(hits) // _SAMPLE_PER_SIZE)
+            picks.update(hits[::stride][:_SAMPLE_PER_SIZE])
             cells.extend((m, n) for n in sorted(picks))
         for probe in (0, window // 2, window - 1):
-            if arr[probe] == 0:
+            # every cell past the end of arr counts zero
+            if probe >= len(arr) or arr[probe] == 0:
                 cells.append((m, probe))
     return sorted(set(cells))
 
@@ -334,6 +336,9 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
 
     Counts come from one pass over the enumerated items, so the bound check
     is complete for every cell with ``m <= window`` and ``n < window``.
+    ``counts[m]`` covers ``[0, len(counts[m]))``, up to the last position
+    an item of size m touches; every cell beyond it is zero, so the
+    report's size follows the stream, not the window.
     The locality cross-check runs on every nonzero cell up to 20 000 of them
     ("full"), else on a deterministic stratified sample of 12 per size
     ("sampled"), plus zero-count probes either way; any disagreement raises
@@ -349,34 +354,33 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         max_size = max(max_size, m)
         if m > window:
             continue
-        pos = [n for n in stream.dom(j) if n < window]
+        dom = stream.dom(j)
+        pos = dom[: bisect_left(dom, window)]
         if not pos:
             continue
-        arr = counts.get(m)
-        if arr is None:
-            arr = counts[m] = [0] * window
+        arr = counts.setdefault(m, [])
+        if pos[-1] >= len(arr):
+            arr.extend([0] * (pos[-1] + 1 - len(arr)))
         for n in pos:
             arr[n] += 1
         relevant.append(j)
 
-    bounds = {m: point_bound(stream.q, m) for m in counts}
+    nonzero = {m: [n for n, c in enumerate(arr) if c] for m, arr in counts.items()}
     violations = []
     near = []
-    total_nonzero = 0
     for m in sorted(counts):
         arr = counts[m]
-        bound = bounds[m]
-        for n, c in enumerate(arr):
-            if not c:
-                continue
-            total_nonzero += 1
+        bound = point_bound(stream.q, m)
+        for n in nonzero[m]:
+            c = arr[n]
             if c > bound:
                 violations.append((m, n, c, bound))
             elif 2 * c > bound:
                 near.append((m, n, c, bound))
 
+    total_nonzero = sum(map(len, nonzero.values()))
     mode = "full" if total_nonzero <= _FULL_CHECK_CELLS else "sampled"
-    cells = _chosen_cells(counts, window, mode)
+    cells = _chosen_cells(counts, nonzero, window, mode)
     want: dict[tuple[int, int], list[int]] = {cell: [] for cell in cells}
     for j in relevant:
         m = stream.size(j)
@@ -459,7 +463,7 @@ class Coloring:
     phases: int
 
     def __post_init__(self):
-        if any(ch not in "01" for ch in self.bits):
+        if self.bits.strip("01"):
             raise InvalidInputError("coloring bits must be 0/1 characters")
 
     @property
@@ -577,6 +581,10 @@ def parse_manifest(text: str) -> ConstraintStream:
                     raise ParseError(f"line {lineno}: item arity mismatch")
                 if dom and (dom[0] < 0 or not all(map(operator.lt, dom, dom[1:]))):
                     raise ParseError(f"line {lineno}: positions must be nonnegative, increasing")
+                if M is None:
+                    raise ParseError(f"line {lineno}: item record before the stream header")
+                if k < M:
+                    raise ParseError(f"line {lineno}: item {j} has size {k} below the minimum {M}")
                 doms.append(dom)
                 words.append(None)
                 prov.append(pending_prov)

@@ -143,6 +143,19 @@ class TestStagedFamily:
         with pytest.raises(ParseError, match="line 1"):
             parse_family("at 0 3 1 2\nfamily ce 1 10\n")
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ("at 0 3 7", "line 2: member 0: element 7 present at stage 3 violates x < s"),
+            ("at 0 5 1\nat 0 3 1", "line 3: member 0: change stages must increase"),
+            ("at 0 3 1 2\nat 0 5 1", "line 3: member 0: ce families must grow monotonically"),
+        ],
+        ids=["element", "stages", "shrink"],
+    )
+    def test_member_errors_name_their_line(self, records, message):
+        with pytest.raises(ParseError, match=message):
+            parse_family(f"family ce 1 10\n{records}\n")
+
 
 class TestCandidateState:
     def fam_ce(self):

@@ -373,6 +373,12 @@ class TestInstanceFormat:
         with pytest.raises(ParseError, match="line 4"):
             parse_instance("vars 1\nv 0 2 1/2 1/2\ne 0 1 0\nf 0 1\n")
 
+    @pytest.mark.parametrize("support", ["2 1 0", "2 0 0"], ids=["unsorted", "duplicate"])
+    def test_bad_support_names_its_line(self, support):
+        text = f"vars 2\nv 0 2 1/2 1/2\nv 1 2 1/2 1/2\ne 0 {support}\nf 0 0\ne 1 1 0\n"
+        with pytest.raises(ParseError, match="line 4: event 0: support must be sorted"):
+            parse_instance(text)
+
 
 def test_default_budget_grows():
     assert default_budget(0) == 1

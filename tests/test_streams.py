@@ -26,6 +26,7 @@ from lllcolor.streams import (
     sets_to_partials,
     validate_sparsity,
 )
+from lllcolor.verify import sparsity_counts_csv
 
 F = Fraction
 
@@ -243,6 +244,32 @@ class TestValidateSparsity:
         with pytest.raises(InvalidParameterError):
             validate_sparsity(sets_stream([], M=2), 0)
 
+    def test_counts_follow_the_stream_not_the_window(self):
+        s = gen_sets_stream(9, 25, 256, 4)
+        small = validate_sparsity(s, 2**12)
+        large = validate_sparsity(s, 2**22)
+        assert small.counts == large.counts
+        assert (small.violations, small.near) == (large.violations, large.near)
+        assert sparsity_counts_csv(small) == sparsity_counts_csv(large)
+        top = max(s.dom(j)[-1] for j in range(len(s)))
+        cells = sum(len(arr) for arr in large.counts.values())
+        assert cells <= len(large.counts) * (top + 1)
+        assert all(arr[-1] for arr in large.counts.values())
+
+    def test_locality_lie_past_every_touched_position_raises(self):
+        # the probe at window - 1 lies past the end of every trimmed count
+        # list; it must still be checked, and read as zero
+        window = 1024
+        honest = sets_stream([{0, 1, 5}, {2, 3}])
+
+        def lying(m, n):
+            return (0,) if n == window - 1 else honest.locality(m, n)
+
+        s = sets_stream([{0, 1, 5}, {2, 3}], locality=lying)
+        with pytest.raises(StreamIntegrityError) as exc:
+            validate_sparsity(s, window)
+        assert exc.value.witness == (0, 2, window - 1)
+
     def test_counts_match_direct_recount(self):
         s = gen_sets_stream(9, 25, 256, 4)
         rep = validate_sparsity(s, 256)
@@ -279,6 +306,11 @@ class TestColoringFormat:
     def test_length_mismatch(self):
         with pytest.raises(ParseError):
             parse_coloring("coloring 8 0\n0101\n")
+
+    def test_bits_must_be_binary(self):
+        with pytest.raises(InvalidInputError, match="coloring bits must be 0/1 characters"):
+            Coloring("0120", 0, "", 64, 1)
+        assert Coloring("", 0, "", 64, 0).committed_len == 0
 
     def test_bad_phases_comment_names_its_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -331,6 +363,14 @@ class TestManifestFormat:
     def test_positions_must_increase_from_zero(self, item):
         with pytest.raises(ParseError, match="line 2"):
             parse_manifest(f"stream sets M 2 q 1/2\n{item}\n")
+
+    def test_item_below_M_names_its_line(self):
+        with pytest.raises(ParseError, match="line 3: item 1 has size 2 below the minimum 3"):
+            parse_manifest("stream sets M 3 q 1/2\nitem 0 3 0 1 2\nitem 1 2 1 3\n")
+
+    def test_item_before_header_names_its_line(self):
+        with pytest.raises(ParseError, match="line 1: item record before the stream header"):
+            parse_manifest("item 0 3 0 1 2\nstream sets M 3 q 1/2\n")
 
     def test_non_bit_word_value_names_its_line(self):
         with pytest.raises(ParseError, match="line 3"):
