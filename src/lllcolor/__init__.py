@@ -22,16 +22,13 @@ from .errors import (
 )
 from .hindman import (
     AdditionLike,
-    CandidateState,
     StagedFamily,
     baseline_coloring,
     build_image_stream,
     build_translate_stream,
     builtin_addition_like,
-    candidate_state,
     choose_M,
     gen_family,
-    pair_image,
     pigeonhole_check,
 )
 from .lll import (
@@ -61,8 +58,6 @@ from .streams import (
 from .verify import (
     AuditReport,
     audit_solution,
-    find_homogeneous_subset,
-    is_homogeneous,
     monte_carlo_homogeneity,
     sparsity_counts_csv,
 )

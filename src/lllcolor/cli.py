@@ -88,6 +88,8 @@ def _resolve_run(args: argparse.Namespace, q: Fraction):
         raise InvalidParameterError(f"horizon must be at least 4*M = {4 * M}")
     if args.members < 1:
         raise InvalidParameterError("members must be at least 1")
+    if args.guard is not None and args.guard < 0:
+        raise InvalidParameterError("guard must be nonnegative")
     if args.stages is not None:
         stages = args.stages
     elif args.mode == "comp":

@@ -68,13 +68,6 @@ def builtin_addition_like(name: str) -> AdditionLike:
     raise InvalidParameterError(f"unknown addition-like function {name!r}")
 
 
-def pair_image(fn: AdditionLike, base: frozenset[int] | set[int], y: int) -> frozenset[int]:
-    """The image {pair(x, y) : x in base}; y must avoid the base set."""
-    if y in base:
-        raise InvalidInputError(f"image point {y} lies inside the base set")
-    return frozenset(fn.pair(x, y) for x in base)
-
-
 def _check_change(
     mode: str,
     stage_count: int,
@@ -141,17 +134,6 @@ class StagedFamily:
         return points[pos - 1][1] if pos else frozenset()
 
 
-@dataclass(frozen=True)
-class CandidateState:
-    """The stage-s candidate subset of one member: its longest-tenured
-    elements (ties by value), or empty below the size threshold."""
-
-    member: int
-    stage: int
-    elements: frozenset[int]
-    stable_since: int | None
-
-
 def _selection_timeline(
     family: StagedFamily, i: int, k: int
 ) -> list[tuple[frozenset[int], int]]:
@@ -187,21 +169,6 @@ def _selection_timeline(
 def _first_selected(timeline: list[tuple[frozenset[int], int]]) -> int | None:
     """The first stage with a nonempty selection, or None."""
     return next((s for s, (selection, _) in enumerate(timeline) if selection), None)
-
-
-def candidate_state(
-    family: StagedFamily, fn: AdditionLike, M: int, i: int, s: int
-) -> CandidateState:
-    """Candidate set of member i at stage s: the first ``M + i`` elements in
-    enumeration order for ce families, the ``mult_bound * (M + i)``
-    longest-tenured ones for sigma2 families."""
-    if not 0 <= i < family.count:
-        raise InvalidParameterError(f"member {i} out of range")
-    if not 0 <= s < family.stage_count:
-        raise InvalidParameterError(f"stage {s} out of range")
-    k = (M + i) if family.mode == MODE_CE else fn.mult_bound * (M + i)
-    selection, since = _selection_timeline(family, i, k)[s]
-    return CandidateState(i, s, selection, since if selection else None)
 
 
 def choose_M(b: int, q: Fraction, mode: str) -> int:
@@ -612,6 +579,8 @@ def parse_family(text: str) -> StagedFamily:
         toks = line.split()
         try:
             if toks[0] == "family":
+                if mode is not None:
+                    raise ParseError(f"line {lineno}: repeated family header")
                 mode, count, stage_count = toks[1], int(toks[2]), int(toks[3])
             elif toks[0] == "at":
                 i, s = int(toks[1]), int(toks[2])

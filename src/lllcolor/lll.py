@@ -478,6 +478,8 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
         kind = toks[0]
         try:
             if kind == "vars":
+                if declared is not None:
+                    raise ParseError(f"line {lineno}: repeated vars header")
                 declared = int(toks[1])
             elif kind == "v":
                 idx, rng = int(toks[1]), int(toks[2])

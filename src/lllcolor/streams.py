@@ -174,15 +174,18 @@ class ConstraintStream:
 
     def live_rows(self, j: int, bits, cut: int) -> tuple[bytes, ...]:
         """Forbidden rows of constraint j that agree with ``bits`` (ASCII 0/1
-        by position) on the first ``cut`` positions of its domain.  None
-        left means those positions already meet the constraint."""
+        by position, as bytes or a bytearray) on the first ``cut`` positions
+        of its domain.  None left means those positions already meet the
+        constraint."""
+        if isinstance(bits, str):
+            raise InvalidInputError("bits must be ASCII bytes, not str; encode them first")
         head = self._doms[j][:cut]
         bit = bits.__getitem__
         rows = self.forbidden_rows(j)
         return tuple([row for row in rows if not any(map(operator.ne, map(bit, head), row))])
 
     def is_violated(self, j: int, bits) -> bool:
-        """True iff ``bits`` (ASCII 0/1 by position, covering the whole
+        """True iff ``bits`` (ASCII 0/1 bytes by position, covering the whole
         domain) assign ``dom(j)`` one of its forbidden rows."""
         return bool(self.live_rows(j, bits, len(self._doms[j])))
 
@@ -512,6 +515,8 @@ def parse_coloring(text: str) -> Coloring:
             continue
         toks = line.split()
         if toks[0] == "coloring":
+            if committed is not None:
+                raise ParseError(f"line {lineno}: repeated coloring header")
             try:
                 committed, seed = int(toks[1]), int(toks[2])
             except (ValueError, IndexError) as exc:
@@ -567,6 +572,8 @@ def parse_manifest(text: str) -> ConstraintStream:
                 continue
             toks = line.split()
             if toks[0] == "stream":
+                if kind is not None:
+                    raise ParseError(f"line {lineno}: repeated stream header")
                 kind = toks[1]
                 if toks[2] != "M" or toks[4] != "q":
                     raise ParseError(f"line {lineno}: malformed stream header")

@@ -1,10 +1,9 @@
-"""Independent oracles and audits.
+"""Audits and sanity checks.
 
-Everything here re-derives its verdicts from first principles: homogeneity
-is checked by scanning pairs, subset search is exhaustive backtracking, the
-probability sanity check is honest Monte Carlo, and the solution audit
-re-walks every emitted constraint of a pipeline and inspects the coloring
-bits directly.
+The solution audit re-derives each member's candidate set from the family,
+re-walks every constraint the stream emitted for it, and judges each one
+with ``ConstraintStream.is_violated``, the check ``lllcolor verify`` runs.
+The probability sanity check is honest Monte Carlo.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InsufficientHorizonError,
-    InvalidInputError,
-    InvalidParameterError,
-    WrongStreamError,
-)
+from .errors import InvalidParameterError, WrongStreamError
 from .hindman import (
     MODE_CE,
     AdditionLike,
@@ -28,73 +22,6 @@ from .hindman import (
 )
 from .rng import u64
 from .streams import Coloring, ConstraintStream, SparsityReport
-
-
-def is_homogeneous(H, fn: AdditionLike, coloring: Coloring) -> bool:
-    """True iff all pair values of H share one color; needs |H| >= 2 and
-    every pair value inside the committed prefix."""
-    elems = sorted(H)
-    if len(elems) < 2:
-        raise InvalidInputError("homogeneity needs at least two elements")
-    first: int | None = None
-    for ai, x in enumerate(elems):
-        for y in elems[ai + 1 :]:
-            value = fn.pair(x, y)
-            if value >= coloring.committed_len:
-                raise InsufficientHorizonError(
-                    f"pair value {value} lies beyond the committed prefix"
-                )
-            bit = coloring.bit(value)
-            if first is None:
-                first = bit
-            elif bit != first:
-                return False
-    return True
-
-
-def find_homogeneous_subset(
-    window: int, fn: AdditionLike, coloring: Coloring, target_size: int
-):
-    """Lexicographically least homogeneous subset of [0, window) of the given
-    size, or None; exhaustive backtracking, not a heuristic."""
-    if target_size < 1:
-        raise InvalidParameterError("target size must be positive")
-    if window < target_size:
-        return None
-    if target_size == 1:
-        return (0,)
-    color_of: dict[tuple[int, int], int] = {}
-    for x in range(window):
-        for y in range(x + 1, window):
-            value = fn.pair(x, y)
-            if value >= coloring.committed_len:
-                raise InsufficientHorizonError(
-                    f"pair value {value} lies beyond the committed prefix"
-                )
-            color_of[(x, y)] = coloring.bit(value)
-
-    def extend(chosen: list[int], color: int | None, start: int):
-        if len(chosen) == target_size:
-            return tuple(chosen)
-        for x in range(start, window):
-            if window - x < target_size - len(chosen):
-                break
-            col = color
-            ok = True
-            for y in chosen:
-                bit = color_of[(y, x)]
-                if col is None:
-                    col = bit
-                elif bit != col:
-                    ok = False
-                    break
-            if ok:
-                found = extend(chosen + [x], col, x + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return extend([], None, 0)
 
 
 @dataclass(frozen=True)
@@ -172,8 +99,9 @@ def audit_solution(
     audit with bound ``fn.mult_bound * (M + i)``.  For each member whose
     candidate set is defined (translate mode, from its first selected
     stage) or has settled by the final stage (image mode, from that
-    settling stage), every emitted set lying fully inside
-    [guard, committed_len) must carry both colors.  Members that never
+    settling stage), no emitted set lying fully inside
+    [guard, committed_len) may be violated in the sense of
+    ``stream.is_violated``: each must carry both colors.  Members that never
     reach their size threshold get a vacuous verdict: they are already
     smaller than the reported bound.  ``stream`` is the stream the coloring
     was built against; it must carry emission provenance.
@@ -192,6 +120,7 @@ def audit_solution(
     if stream.provenance is None:
         raise WrongStreamError("audited stream lacks emission provenance")
 
+    bits = coloring.bits.encode("ascii")
     by_member: dict[int, list[int]] = {}
     for j, (i, _s) in enumerate(stream.provenance):
         by_member.setdefault(i, []).append(j)
@@ -221,8 +150,7 @@ def audit_solution(
             if positions[0] < guard or positions[-1] >= coloring.committed_len:
                 continue
             checked += 1
-            colors = {coloring.bits[n] for n in positions}
-            if len(colors) == 1:
+            if stream.is_violated(j, bits):
                 violations.append((stage, positions))
         total_checked += checked
         total_violations += len(violations)

@@ -104,6 +104,18 @@ class TestRun:
         assert err["error"] == ("InvalidParameterError" if q == "3/2" else "ParseError")
         assert not (tmp_path / "x").exists()
 
+    def test_negative_guard_fails_before_the_pipeline(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        out.mkdir()
+        rc = run_cli("run", "--mode", "comp", "--f", "sum", "--seed", "7",
+                     "--horizon", "2048", "--members", "12", "--guard", "-1",
+                     "--out", out)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "InvalidParameterError",
+                       "message": "guard must be nonnegative"}
+        assert list(out.iterdir()) == []
+
     def test_construction_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         import lllcolor.cli as cli
         from lllcolor.errors import ConstructionFailureError

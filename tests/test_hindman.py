@@ -14,15 +14,14 @@ from lllcolor.errors import (
 from lllcolor.hindman import (
     StagedFamily,
     _diagonal_pairs,
+    _selection_timeline,
     baseline_coloring,
     build_image_stream,
     build_translate_stream,
     builtin_addition_like,
-    candidate_state,
     choose_M,
     format_family,
     gen_family,
-    pair_image,
     parse_family,
     pigeonhole_check,
 )
@@ -76,25 +75,6 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(InvalidParameterError):
             builtin_addition_like("product")
-
-
-class TestPairImage:
-    def test_sum_translate(self):
-        fn = builtin_addition_like("sum")
-        assert pair_image(fn, {1, 2, 3}, 10) == frozenset({11, 12, 13})
-
-    def test_absdiff_collision_collapses(self):
-        fn = builtin_addition_like("absdiff")
-        assert pair_image(fn, {1, 9}, 5) == frozenset({4})
-
-    def test_empty_base(self):
-        fn = builtin_addition_like("sum")
-        assert pair_image(fn, frozenset(), 4) == frozenset()
-
-    def test_rejects_inside_point(self):
-        fn = builtin_addition_like("sum")
-        with pytest.raises(InvalidInputError):
-            pair_image(fn, {1, 2}, 2)
 
 
 class TestStagedFamily:
@@ -167,13 +147,10 @@ class TestCandidateState:
         )
 
     def test_ce_first_k_in_enumeration_order(self):
-        fn = builtin_addition_like("sum")
-        st_ = candidate_state(self.fam_ce(), fn, 3, 0, 12)
-        assert st_.elements == {5, 3, 9}
+        assert _selection_timeline(self.fam_ce(), 0, 3)[12][0] == {5, 3, 9}
 
     def test_ce_below_threshold_empty(self):
-        fn = builtin_addition_like("sum")
-        assert candidate_state(self.fam_ce(), fn, 3, 0, 7).elements == frozenset()
+        assert _selection_timeline(self.fam_ce(), 0, 3)[7][0] == frozenset()
 
     def test_sigma2_tenure_ordering(self):
         # x enters at 2 and stays; y enters at 1, leaves at 4, re-enters at 6;
@@ -183,27 +160,18 @@ class TestCandidateState:
             (((1, frozenset({0})), (2, frozenset({0, 1})), (4, frozenset({1})),
               (6, frozenset({1, 0})), (8, frozenset({1, 0, 7}))),),
         )
-        fn = builtin_addition_like("sum")
-        # M=2, i=0, b=1: keep the 2 longest-tenured of {x=1, y=0, z=7}
-        st_ = candidate_state(fam, fn, 2, 0, 9)
-        assert st_.elements == {1, 0}
-        st3 = candidate_state(fam, fn, 3, 0, 9)
-        assert st3.elements == {1, 0, 7}
+        # k=2: keep the 2 longest-tenured of {x=1, y=0, z=7}
+        assert _selection_timeline(fam, 0, 2)[9][0] == {1, 0}
+        assert _selection_timeline(fam, 0, 3)[9][0] == {1, 0, 7}
 
     def test_stable_since_tracks_last_change(self):
         fam = StagedFamily(
             "sigma2", 1, 12,
             (((2, frozenset({1})), (5, frozenset({1, 3})),),),
         )
-        fn = builtin_addition_like("sum")
-        st_ = candidate_state(fam, fn, 2, 0, 9)
-        assert st_.elements == {1, 3}
-        assert st_.stable_since == 5
-
-    def test_stage_out_of_range(self):
-        fn = builtin_addition_like("sum")
-        with pytest.raises(InvalidParameterError):
-            candidate_state(self.fam_ce(), fn, 3, 0, 99)
+        selection, since = _selection_timeline(fam, 0, 2)[9]
+        assert selection == {1, 3}
+        assert since == 5
 
 
 class TestChooseM:
@@ -424,8 +392,8 @@ class TestBuildImageStream:
         fn, M, fam, stream = self.build()
         for j in range(len(stream)):
             i, s = stream.provenance[j]
-            state = candidate_state(fam, fn, M, i, s)
-            assert min(stream.item(j)) > state.stable_since
+            _, since = _selection_timeline(fam, i, fn.mult_bound * (M + i))[s]
+            assert min(stream.item(j)) > since
 
     def test_m_validated(self):
         fn = builtin_addition_like("absdiff")

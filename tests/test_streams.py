@@ -1,5 +1,6 @@
 """Constraint streams: the set-to-word expansion, exact sparsity checking,
-and the text interchange formats."""
+and the text interchange formats (with the header rule every parser
+shares)."""
 
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from lllcolor.errors import (
     ParseError,
     StreamIntegrityError,
 )
+from lllcolor.hindman import parse_family
+from lllcolor.lll import parse_instance
 from lllcolor.streams import (
     KIND_PARTIALS,
     KIND_SETS,
@@ -113,6 +116,18 @@ class TestForbiddenRows:
             assert sets.is_violated(0, bits) == constant
             agrees = any(bits[n] - 48 == v for n, v in zip((1, 3, 4), (0, 1, 1)))
             assert words.is_violated(0, bits) == (not agrees)
+
+
+    def test_str_bits_rejected(self):
+        # a str never equals a bytes row, so it would read as "never violated"
+        sets = sets_stream([{0, 1, 2}])
+        words = self.words()
+        for stream, bits in ((sets, "000"), (words, "01000")):
+            with pytest.raises(InvalidInputError, match="not str"):
+                stream.is_violated(0, bits)
+            with pytest.raises(InvalidInputError, match="not str"):
+                stream.live_rows(0, bits, 1)
+            assert stream.is_violated(0, bits.encode("ascii"))
 
 
 class TestPartialWord:
@@ -387,3 +402,19 @@ class TestManifestFormat:
         assert back == s
         assert back.fingerprint() == hashlib.sha256(respaced.encode()).hexdigest()[:16]
         assert back.fingerprint() != s.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "parse, text, header",
+    [
+        (parse_family, "family ce 2 10\nat 1 3 1\nfamily ce 1 10\n", "family"),
+        (parse_manifest, "stream sets M 2 q 1/2\nitem 0 2 0 1\nstream sets M 5 q 1/2\n",
+         "stream"),
+        (parse_coloring, "coloring 2 1\n01\ncoloring 2 9\n", "coloring"),
+        (parse_instance, "vars 1\nv 0 2 1/2 1/2\nvars 2\n", "vars"),
+    ],
+    ids=["family", "manifest", "coloring", "instance"],
+)
+def test_repeated_header_names_its_line(parse, text, header):
+    with pytest.raises(ParseError, match=f"line 3: repeated {header} header"):
+        parse(text)

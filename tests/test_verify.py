@@ -1,31 +1,28 @@
-"""Audit-side oracles: pair homogeneity, exhaustive subset search, the
-pipeline audit, and Monte Carlo probability sanity."""
+"""The pipeline audit, its agreement with ``lllcolor verify``, and Monte
+Carlo probability sanity."""
 
-import itertools
+import json
 import math
 import statistics
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from lllcolor.cli import main
 from lllcolor.colorer import color_prefix
-from lllcolor.errors import (
-    InsufficientHorizonError,
-    InvalidInputError,
-    InvalidParameterError,
-    WrongStreamError,
-)
+from lllcolor.errors import InvalidParameterError, WrongStreamError
 from lllcolor.hindman import (
+    _first_selected,
+    _selection_timeline,
     build_image_stream,
     build_translate_stream,
     builtin_addition_like,
     gen_family,
 )
-from lllcolor.streams import Coloring
+from lllcolor.streams import format_coloring, format_manifest
 from lllcolor.verify import (
     audit_solution,
-    find_homogeneous_subset,
-    is_homogeneous,
     monte_carlo_homogeneity,
     sparsity_counts_csv,
 )
@@ -33,87 +30,6 @@ from lllcolor.verify import (
 F = Fraction
 SUM = builtin_addition_like("sum")
 ABSDIFF = builtin_addition_like("absdiff")
-
-
-def coloring_of(bits):
-    return Coloring(bits, 0, "", 64, 0)
-
-
-class TestIsHomogeneous:
-    def test_pairs_always_homogeneous(self):
-        col = coloring_of("0110011001")
-        assert is_homogeneous({1, 4}, SUM, col)
-
-    def test_three_elements_pattern(self):
-        # pair sums of {0,1,2} are 1, 2, 3 with colors 0, 1, 1
-        col = coloring_of("0011" * 4)
-        assert not is_homogeneous({0, 1, 2}, SUM, col)
-
-    def test_constant_region_homogeneous(self):
-        col = coloring_of("1" * 32)
-        assert is_homogeneous({0, 1, 2, 3, 4}, SUM, col)
-
-    def test_listing_order_invariance(self):
-        col = coloring_of("01101001" * 8)
-        for perm in itertools.permutations((2, 5, 9)):
-            assert is_homogeneous(list(perm), SUM, col) == is_homogeneous(
-                (2, 5, 9), SUM, col
-            )
-
-    def test_needs_two_elements(self):
-        with pytest.raises(InvalidInputError):
-            is_homogeneous({3}, SUM, coloring_of("0000"))
-
-    def test_horizon_guard(self):
-        with pytest.raises(InsufficientHorizonError):
-            is_homogeneous({3, 4}, SUM, coloring_of("0000"))
-
-
-class TestFindHomogeneousSubset:
-    def exhaustive(self, window, fn, col, size):
-        for combo in itertools.combinations(range(window), size):
-            if size < 2 or is_homogeneous(combo, fn, col):
-                return combo
-        return None
-
-    def test_constant_coloring_returns_prefix(self):
-        col = coloring_of("0" * 64)
-        assert find_homogeneous_subset(8, SUM, col, 5) == (0, 1, 2, 3, 4)
-
-    def test_pairs_always_found(self):
-        col = coloring_of("0110100110010110" * 4)
-        assert find_homogeneous_subset(4, SUM, col, 2) == (0, 1)
-
-    def test_agrees_with_exhaustive_enumeration(self):
-        for pattern in ("0011011000111001", "0101101001011010"):
-            col = coloring_of(pattern * 4)
-            for window, size in ((8, 3), (10, 4), (12, 4)):
-                got = find_homogeneous_subset(window, SUM, col, size)
-                brute = self.exhaustive(window, SUM, col, size)
-                assert (got is None) == (brute is None)
-                if got is not None:
-                    assert got == brute  # both scan lexicographically
-                    assert is_homogeneous(got, SUM, col)
-
-    def test_every_audited_translate_is_broken(self):
-        from lllcolor.hindman import candidate_state
-
-        fam = gen_family(4, 1, 128, "ce", (20,))
-        stream = build_translate_stream(fam, 16)
-        col = color_prefix(stream, 512, 3)
-        core = candidate_state(fam, SUM, 16, 0, 127).elements
-        emitted = {s for _, s in stream.provenance}
-        translates_ok = 0
-        for s in sorted(emitted):
-            positions = [x + s for x in core]
-            if min(positions) >= 64 and max(positions) < col.committed_len:
-                assert len({col.bits[n] for n in positions}) == 2
-                translates_ok += 1
-        assert translates_ok > 50
-
-    def test_horizon_guard(self):
-        with pytest.raises(InsufficientHorizonError):
-            find_homogeneous_subset(10, SUM, coloring_of("0000"), 3)
 
 
 class TestAuditSolution:
@@ -138,6 +54,70 @@ class TestAuditSolution:
                 dom = stream.dom(j)
                 if dom[0] >= 64 and dom[-1] < col.committed_len:
                     assert len({col.bits[n] for n in dom}) == 2
+
+    def test_every_audited_translate_is_broken(self):
+        fam = gen_family(4, 1, 128, "ce", (20,))
+        stream = build_translate_stream(fam, 16)
+        col = color_prefix(stream, 512, 3)
+        timeline = _selection_timeline(fam, 0, 16)
+        core = timeline[_first_selected(timeline)][0]
+        emitted = {s for _, s in stream.provenance}
+        translates_ok = 0
+        for s in sorted(emitted):
+            positions = [x + s for x in core]
+            if min(positions) >= 64 and max(positions) < col.committed_len:
+                assert len({col.bits[n] for n in positions}) == 2
+                translates_ok += 1
+        assert translates_ok > 50
+
+    def test_planted_violation_agrees_with_verify(self, tmp_path, capsys):
+        fam, stream, col, M = self.comp_setup()
+        guard = 64
+        # the first translate inside [guard, committed_len) emitted at or
+        # after its member's first selected stage
+        for j, (i, s) in enumerate(stream.provenance):
+            timeline = _selection_timeline(fam, i, M + i)
+            dom = stream.dom(j)
+            if s >= _first_selected(timeline) and dom[0] >= guard and dom[-1] < col.committed_len:
+                break
+        bits = list(col.bits)
+        for n in dom:
+            bits[n] = "0"
+        bad = replace(col, bits="".join(bits))
+
+        report = audit_solution(bad, fam, SUM, M, guard, stream=stream)
+        assert not report.ok
+        assert (s, dom) in report.members[i].violations
+
+        (tmp_path / "stream.txt").write_text(format_manifest(stream))
+        (tmp_path / "coloring.txt").write_text(format_coloring(bad))
+        capsys.readouterr()
+        rc = main(["verify", "--coloring", str(tmp_path / "coloring.txt"),
+                   "--stream", str(tmp_path / "stream.txt")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        total = captured.out.strip().splitlines()[-1]
+        listed = captured.err.strip().splitlines()[-1]
+        assert listed.startswith("violated constraint ids: ")
+        verify_ids = set(json.loads(listed.split(": ", 1)[1]))
+        # verify prints at most ten ids; the comparison needs all of them
+        assert total.endswith(f", {len(verify_ids)} violated")
+
+        # every constraint the audit checks, and the ones it flags
+        audited = set()
+        flagged = set()
+        for k, (member, stage) in enumerate(stream.provenance):
+            verdict = report.members[member]
+            positions = stream.dom(k)
+            if (not verdict.vacuous and stage >= verdict.stable_since
+                    and positions[0] >= guard and positions[-1] < bad.committed_len):
+                audited.add(k)
+                if (stage, positions) in verdict.violations:
+                    flagged.add(k)
+        assert len(audited) == report.translates_checked
+        assert j in flagged
+        assert flagged == verify_ids & audited
+        assert len(flagged) == report.violations_total
 
     def test_vacuous_member_reported(self):
         from lllcolor.hindman import StagedFamily
