@@ -2,8 +2,8 @@
 validate sparsity, run the colorer, audit the result, and write every
 artifact as plain diffable text.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 construction failure (colorer non-convergence).
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+malformed input, 3 construction failure (colorer non-convergence).
 """
 
 from __future__ import annotations
@@ -15,17 +15,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .colorer import color_prefix, phase_base
+from .colorer import color_prefix, committed_length, phase_base
 from .errors import (
     ConstructionFailureError,
-    InvalidInputError,
-    InvalidInstanceError,
     InvalidParameterError,
+    LLLColorError,
     NonConvergenceError,
     ParseError,
-    StreamIntegrityError,
     UnsatisfiableEventError,
-    WrongStreamError,
 )
 from .hindman import (
     baseline_coloring,
@@ -42,7 +39,6 @@ from .lll import (
     condition_report_json,
     frac_str,
     LLLCertificate,
-    parse_frac,
     parse_instance,
 )
 from .rng import derive_seed
@@ -88,8 +84,11 @@ def _resolve_run(args: argparse.Namespace, q: Fraction):
         raise InvalidParameterError(f"horizon must be at least 4*M = {4 * M}")
     if args.members < 1:
         raise InvalidParameterError("members must be at least 1")
-    if args.guard is not None and args.guard < 0:
+    guard = args.guard if args.guard is not None else phase_base(M)
+    if guard < 0:
         raise InvalidParameterError("guard must be nonnegative")
+    if guard >= (length := committed_length(M, args.horizon)):
+        raise InvalidParameterError(f"guard must lie inside the committed prefix of {length} bits")
     if args.stages is not None:
         stages = args.stages
     elif args.mode == "comp":
@@ -97,13 +96,15 @@ def _resolve_run(args: argparse.Namespace, q: Fraction):
     else:
         # sigma2 families need churn room up front regardless of horizon
         stages = 512
-    return fn, b, M, stages
+    return fn, b, M, stages, guard
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    q = parse_frac(args.q)
-    fn, b, M, stages = _resolve_run(args, q)
-    guard = args.guard if args.guard is not None else phase_base(M)
+    try:
+        q = Fraction(args.q)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {args.q!r}") from exc
+    fn, b, M, stages, guard = _resolve_run(args, q)
     out = Path(args.out or os.environ.get(ENV_OUT) or "runs")
     if args.out is None:
         out = out / f"{args.mode}-{args.f}-s{args.seed}-h{args.horizon}"
@@ -264,20 +265,12 @@ def main(argv=None) -> int:
         if args.cmd == "verify":
             return cmd_verify(Path(args.coloring), Path(args.stream))
         raise InvalidParameterError(f"unknown command {args.cmd!r}")
-    except (
-        InvalidParameterError,
-        InvalidInputError,
-        InvalidInstanceError,
-        ParseError,
-        StreamIntegrityError,
-        WrongStreamError,
-        ValueError,
-    ) as exc:
-        _emit_error(exc)
-        return 2
     except (ConstructionFailureError, NonConvergenceError, UnsatisfiableEventError) as exc:
         _emit_error(exc)
         return 3
+    except (LLLColorError, ValueError) as exc:
+        _emit_error(exc)
+        return 2
 
 
 def _emit_error(exc: Exception) -> None:

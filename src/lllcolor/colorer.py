@@ -41,6 +41,12 @@ def phase_base(M: int) -> int:
     return max(64, 4 * M)
 
 
+def committed_length(M: int, horizon: int) -> int:
+    """The prefix length color_prefix commits: the least n0 * 2**j >= horizon."""
+    n0 = phase_base(M)
+    return n0 << (max(0, horizon - 1) // n0).bit_length()
+
+
 def _phase_events(
     stream: ConstraintStream,
     committed: bytearray,
@@ -107,13 +113,14 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     if horizon < 1:
         raise InvalidParameterError("horizon must be at least 1")
     n0 = phase_base(stream.M)
+    final = committed_length(stream.M, horizon)
     slack = math.ceil(1 / (1 - stream.q))
     committed = bytearray()
     resolved = bytearray(len(stream))
     doms = [stream.dom(j) for j in range(len(stream))]
     maxs = [d[-1] for d in doms]
     k = 1
-    while len(committed) < horizon:
+    while len(committed) < final:
         window = n0 << k
         target = n0 << (k - 1)
         events = _phase_events(stream, committed, window, resolved, doms, maxs, k)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the record reader that
+turns a bad record of a text artifact into a line-numbered ``ParseError``."""
 
 from __future__ import annotations
 
@@ -79,3 +80,33 @@ class WrongStreamError(LLLColorError):
 
 class ParseError(LLLColorError):
     """A text artifact does not follow its interchange format."""
+
+
+class RecordReader:
+    """The nonblank, stripped lines of an artifact's text.  Read inside ``with``,
+    a ValueError, IndexError or ZeroDivisionError from a record becomes a ParseError
+    "line N: malformed record '<raw>'", any other package error "line N: <message>"."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.lineno = 0
+        self.raw = ""
+
+    def __iter__(self):
+        for self.lineno, self.raw in enumerate(self.text.splitlines(), start=1):
+            if line := self.raw.strip():
+                yield line
+
+    def error(self, message: str, lineno: int = 0) -> ParseError:
+        return ParseError(f"line {lineno or self.lineno}: {message}")
+
+    def __enter__(self) -> RecordReader:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None or issubclass(kind, ParseError):
+            return
+        if issubclass(kind, (ValueError, IndexError, ZeroDivisionError)):
+            raise self.error(f"malformed record {self.raw!r}") from exc
+        if issubclass(kind, LLLColorError):
+            raise self.error(str(exc)) from exc

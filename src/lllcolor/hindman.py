@@ -34,6 +34,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     ParseError,
+    RecordReader,
     StreamIntegrityError,
 )
 from .rng import u64
@@ -568,39 +569,31 @@ def format_family(family: StagedFamily) -> str:
 
 
 def parse_family(text: str) -> StagedFamily:
-    mode = None
-    count = None
-    stage_count = None
+    mode = count = stage_count = None
     per_member: dict[int, list[tuple[int, frozenset[int]]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        try:
+    with RecordReader(text) as records:
+        for line in records:
+            if line[0] == "#":
+                continue
+            toks = line.split()
             if toks[0] == "family":
                 if mode is not None:
-                    raise ParseError(f"line {lineno}: repeated family header")
+                    raise records.error("repeated family header")
                 mode, count, stage_count = toks[1], int(toks[2]), int(toks[3])
+                StagedFamily(mode, 0, stage_count, ())  # checks the mode and stage count
             elif toks[0] == "at":
                 i, s = int(toks[1]), int(toks[2])
-                members = frozenset(int(t) for t in toks[3:])
-                if count is None or stage_count is None:
-                    raise ParseError(f"line {lineno}: at record before the family header")
+                members = frozenset(map(int, toks[3:]))
+                if count is None:
+                    raise records.error("at record before the family header")
                 if not 0 <= i < count:
-                    raise ParseError(f"line {lineno}: member {i} outside [0, {count})")
+                    raise records.error(f"member {i} outside [0, {count})")
                 points = per_member.setdefault(i, [])
-                prev = points[-1] if points else None
-                try:
-                    _check_change(mode, stage_count, i, prev, (s, members))
-                except (InvalidInputError, StreamIntegrityError) as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from exc
+                _check_change(mode, stage_count, i, points[-1] if points else None, (s, members))
                 points.append((s, members))
             else:
-                raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"line {lineno}: malformed record {raw!r}") from exc
-    if mode is None or count is None or stage_count is None:
+                raise records.error(f"unknown record {toks[0]!r}")
+    if mode is None:
         raise ParseError("missing family header")
     changes = tuple(tuple(per_member.get(i, [])) for i in range(count))
     return StagedFamily(mode, count, stage_count, changes)

@@ -27,6 +27,7 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
     ParseError,
+    RecordReader,
     UnsatisfiableEventError,
 )
 from .rng import u64
@@ -36,13 +37,6 @@ def frac_str(x: Fraction) -> str:
     """Render a rational as an unambiguous ``p/q`` token."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -131,13 +125,23 @@ class ConditionRefusal:
     margins: tuple[Fraction, ...]
 
 
+def _add_var(table: dict[int, VarSpec], v: VarSpec) -> None:
+    if v.index in table:
+        raise InvalidInstanceError(f"duplicate specification for variable {v.index}")
+    table[v.index] = v
+
+
 def _var_table(variables: Sequence[VarSpec]) -> dict[int, VarSpec]:
     table: dict[int, VarSpec] = {}
     for v in variables:
-        if v.index in table:
-            raise InvalidInstanceError(f"duplicate specification for variable {v.index}")
-        table[v.index] = v
+        _add_var(table, v)
     return table
+
+
+def _add_id(ids: set[int], eid: int) -> None:
+    if eid in ids:
+        raise InvalidInstanceError("event ids must be distinct")
+    ids.add(eid)
 
 
 def _check_event_ranges(event: Event, table: dict[int, VarSpec]) -> None:
@@ -147,16 +151,21 @@ def _check_event_ranges(event: Event, table: dict[int, VarSpec]) -> None:
                 f"event {event.id} references variable {n} with no specification"
             )
     for row in event.forbidden:
-        for n, val in zip(event.vbl, row):
-            if not 0 <= val < table[n].range_size:
-                raise InvalidInstanceError(
-                    f"event {event.id}: value {val} out of range for variable {n}"
-                )
+        _check_row(event, row, table)
+
+
+def _check_row(e: Event, row: tuple[int, ...], table: dict[int, VarSpec]) -> None:
+    for n, val in zip(e.vbl, row):
+        if not 0 <= val < table[n].range_size:
+            raise InvalidInstanceError(f"event {e.id}: value {val} out of range for variable {n}")
 
 
 def event_probability(event: Event, variables: Sequence[VarSpec]) -> Fraction:
     """Exact product-measure of the event's forbidden set."""
-    table = _var_table(variables)
+    return _probability(event, _var_table(variables))
+
+
+def _probability(event: Event, table: dict[int, VarSpec]) -> Fraction:
     _check_event_ranges(event, table)
     total = Fraction(0)
     for row in event.forbidden:
@@ -173,11 +182,10 @@ def dependency_neighbors(events: Sequence[Event]) -> dict[int, frozenset[int]]:
     Every event with nonempty support neighbors itself; bound products
     downstream exclude the event itself.
     """
-    ids = [e.id for e in events]
-    if len(set(ids)) != len(ids):
-        raise InvalidInstanceError("event ids must be distinct")
+    ids: set[int] = set()
     by_var: dict[int, list[int]] = {}
     for e in events:
+        _add_id(ids, e.id)
         for n in e.vbl:
             by_var.setdefault(n, []).append(e.id)
     out: dict[int, set[int]] = {e.id: set() for e in events}
@@ -207,11 +215,12 @@ def check_condition(
     if any(not 0 < x < 1 for x in rs):
         raise InvalidParameterError("every r_j must lie in (0, 1)")
     neighbors = dependency_neighbors(events)
+    table = _var_table(variables)
     r_by_id = {e.id: rs[pos] for pos, e in enumerate(events)}
     margins: list[Fraction] = []
     first: int | None = None
     for pos, e in enumerate(events):
-        prob = event_probability(e, variables)
+        prob = _probability(e, table)
         bound = q * rs[pos]
         for t in sorted(neighbors[e.id]):
             if t != e.id:
@@ -294,14 +303,13 @@ def solve_moser_tardos(
     constructed the instance themselves; behavior is otherwise identical.
     """
     table = _var_table(variables)
-    ids = [e.id for e in events]
-    if len(set(ids)) != len(ids):
-        raise InvalidInstanceError("event ids must be distinct")
     if budget is None:
         budget = default_budget(len(events))
     if budget < 1:
         raise InvalidParameterError("budget must be at least 1")
+    ids: set[int] = set()
     for e in events:
+        _add_id(ids, e.id)
         if validate:
             _check_event_ranges(e, table)
         rows_n = len(e.forbidden)
@@ -454,62 +462,45 @@ def format_instance(variables: Sequence[VarSpec], events: Sequence[Event]) -> st
 
 
 def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
-    variables: list[VarSpec] = []
-    events: list[Event] = []
+    """Variables and events of an instance text; events name variables specified above them."""
+    table: dict[int, VarSpec] = {}
+    ids: set[int] = set()
     declared: int | None = None
-    # (line of the e record, event id, support, forbidden rows so far)
-    pending: tuple[int, int, tuple[int, ...], list[tuple[int, ...]]] | None = None
-
-    def flush():
-        nonlocal pending
-        if pending is not None:
-            lineno, eid, vbl, rows = pending
-            try:
-                events.append(Event(eid, vbl, tuple(rows)))
-            except InvalidInstanceError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            pending = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        kind = toks[0]
-        try:
-            if kind == "vars":
+    # each e record's event, built without rows, and its forbidden rows
+    pending: list[tuple[Event, list[tuple[int, ...]]]] = []
+    with RecordReader(text) as records:
+        for line in records:
+            if line[0] == "#":
+                continue
+            toks = line.split()
+            if toks[0] == "vars":
                 if declared is not None:
-                    raise ParseError(f"line {lineno}: repeated vars header")
+                    raise records.error("repeated vars header")
                 declared = int(toks[1])
-            elif kind == "v":
-                idx, rng = int(toks[1]), int(toks[2])
-                weights = tuple(parse_frac(t) for t in toks[3:])
-                try:
-                    variables.append(VarSpec(idx, rng, weights))
-                except InvalidInstanceError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from exc
-            elif kind == "e":
-                flush()
+            elif toks[0] == "v":
+                _add_var(table, VarSpec(int(toks[1]), int(toks[2]), tuple(map(Fraction, toks[3:]))))
+            elif toks[0] == "e":
                 eid, k = int(toks[1]), int(toks[2])
-                sup = tuple(int(t) for t in toks[3:])
+                sup = tuple(map(int, toks[3:]))
                 if len(sup) != k:
-                    raise ParseError(f"line {lineno}: support arity mismatch")
-                pending = (lineno, eid, sup, [])
-            elif kind == "f":
-                if pending is None:
-                    raise ParseError(f"line {lineno}: forbidden row before any event")
-                row = tuple(int(t) for t in toks[1:])
-                if len(row) != len(pending[2]):
-                    raise ParseError(
-                        f"line {lineno}: forbidden row arity {len(row)} != "
-                        f"support size {len(pending[2])}"
+                    raise records.error("support arity mismatch")
+                event = Event(eid, sup, ())
+                _check_event_ranges(event, table)
+                _add_id(ids, eid)
+                pending.append((event, []))
+            elif toks[0] == "f":
+                if not pending:
+                    raise records.error("forbidden row before any event")
+                event, rows = pending[-1]
+                row = tuple(map(int, toks[1:]))
+                if len(row) != len(event.vbl):
+                    raise records.error(
+                        f"forbidden row arity {len(row)} != support size {len(event.vbl)}"
                     )
-                pending[3].append(row)
+                _check_row(event, row, table)
+                rows.append(row)
             else:
-                raise ParseError(f"line {lineno}: unknown record {kind!r}")
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"line {lineno}: malformed record {raw!r}") from exc
-    flush()
-    if declared is not None and declared != len(variables):
-        raise ParseError(f"header declares {declared} variables, found {len(variables)}")
-    return variables, events
+                raise records.error(f"unknown record {toks[0]!r}")
+    if declared is not None and declared != len(table):
+        raise ParseError(f"header declares {declared} variables, found {len(table)}")
+    return list(table.values()), [Event(e.id, e.vbl, rows) for e, rows in pending]

@@ -23,9 +23,10 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     ParseError,
+    RecordReader,
     StreamIntegrityError,
 )
-from .lll import frac_str, parse_frac
+from .lll import frac_str
 from .rng import u64
 
 KIND_SETS = "sets"
@@ -494,37 +495,27 @@ def format_coloring(coloring: Coloring) -> str:
 
 def parse_coloring(text: str) -> Coloring:
     fingerprint = ""
-    n0 = 0
-    phases = 0
+    n0 = phases = seed = 0
     committed = None
-    seed = 0
     chunks: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            toks = line[1:].split()
-            if toks[:1] == ["stream"] and len(toks) == 2:
-                fingerprint = toks[1]
-            elif toks[:1] == ["phases"] and len(toks) == 3:
-                try:
-                    n0, phases = int(toks[1]), int(toks[2])
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: malformed phases comment {raw!r}") from exc
-            continue
-        toks = line.split()
-        if toks[0] == "coloring":
-            if committed is not None:
-                raise ParseError(f"line {lineno}: repeated coloring header")
-            try:
-                committed, seed = int(toks[1]), int(toks[2])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"line {lineno}: malformed coloring header") from exc
-        elif line.strip("01"):
-            raise ParseError(f"line {lineno}: bit line holds a character other than 0/1")
-        else:
-            chunks.append(line)
+    with RecordReader(text) as records:
+        for line in records:
+            if line[0] == "#":
+                toks = line[1:].split()
+                if toks[:1] == ["stream"]:
+                    (fingerprint,) = toks[1:]
+                elif toks[:1] == ["phases"]:
+                    n0, phases = map(int, toks[1:])
+                continue
+            toks = line.split()
+            if toks[0] == "coloring":
+                if committed is not None:
+                    raise records.error("repeated coloring header")
+                committed, seed = map(int, toks[1:])
+            elif line.strip("01"):
+                raise records.error("bit line holds a character other than 0/1")
+            else:
+                chunks.append(line)
     if committed is None:
         raise ParseError("missing coloring header")
     bits = "".join(chunks)
@@ -553,74 +544,66 @@ def format_manifest(stream: ConstraintStream) -> str:
 def parse_manifest(text: str) -> ConstraintStream:
     """The stream a manifest describes, fingerprinted by the hash of
     ``text`` itself: verifying a coloring formats nothing."""
-    kind = None
-    M = None
-    q = None
+    header = None
     doms: list[tuple[int, ...]] = []
-    words: list[PartialWord | None] = []
+    words: list[PartialWord] = []
     prov: list[tuple[int, int] | None] = []
     pending_prov: tuple[int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
+    bare = 0  # line of a partials item still waiting for its bits record
+    with RecordReader(text) as records:
+        for line in records:
+            if line[0] == "#":
                 toks = line[1:].split()
-                if len(toks) == 4 and toks[0] == "by" and toks[2] == "at":
+                if toks[:1] == ["by"]:
+                    if len(toks) != 4 or toks[2] != "at":
+                        raise ValueError(line)
                     pending_prov = (int(toks[1]), int(toks[3]))
                 continue
             toks = line.split()
             if toks[0] == "stream":
-                if kind is not None:
-                    raise ParseError(f"line {lineno}: repeated stream header")
-                kind = toks[1]
-                if toks[2] != "M" or toks[4] != "q":
-                    raise ParseError(f"line {lineno}: malformed stream header")
-                M = int(toks[3])
-                q = parse_frac(toks[5])
+                if header is not None:
+                    raise records.error("repeated stream header")
+                _, kind, m_tag, M, q_tag, q = toks
+                if m_tag != "M" or q_tag != "q":
+                    raise ValueError(line)
+                header = ConstraintStream(kind, int(M), Fraction(q), ())
             elif toks[0] == "item":
+                if bare:
+                    raise records.error(
+                        f"item {len(doms) - 1}: partials stream item lacks bits", bare
+                    )
                 j, k = int(toks[1]), int(toks[2])
                 if j != len(doms):
-                    raise ParseError(f"line {lineno}: item index {j} out of order")
-                dom = tuple(int(t) for t in toks[3:])
+                    raise records.error(f"item index {j} out of order")
+                dom = tuple(map(int, toks[3:]))
                 if len(dom) != k:
-                    raise ParseError(f"line {lineno}: item arity mismatch")
+                    raise records.error("item arity mismatch")
                 if dom and (dom[0] < 0 or not all(map(operator.lt, dom, dom[1:]))):
-                    raise ParseError(f"line {lineno}: positions must be nonnegative, increasing")
-                if M is None:
-                    raise ParseError(f"line {lineno}: item record before the stream header")
-                if k < M:
-                    raise ParseError(f"line {lineno}: item {j} has size {k} below the minimum {M}")
+                    raise records.error("positions must be nonnegative, increasing")
+                if header is None:
+                    raise records.error("item record before the stream header")
+                if k < header.M:
+                    raise records.error(f"item {j} has size {k} below the minimum {header.M}")
+                if header.kind == KIND_PARTIALS:
+                    bare = records.lineno
                 doms.append(dom)
-                words.append(None)
                 prov.append(pending_prov)
                 pending_prov = None
             elif toks[0] == "bits":
-                if not doms or words[-1] is not None:
-                    raise ParseError(f"line {lineno}: stray bits record")
-                vals = tuple(int(t) for t in toks[1:])
-                try:
-                    words[-1] = PartialWord(len(doms) - 1, doms[-1], vals)
-                except InvalidInputError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from exc
+                if doms and header.kind == KIND_SETS:
+                    raise records.error(f"item {len(doms) - 1}: sets stream item carries bits")
+                if not bare:
+                    raise records.error("stray bits record")
+                words.append(PartialWord(len(doms) - 1, doms[-1], tuple(map(int, toks[1:]))))
+                bare = 0
             else:
-                raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"line {lineno}: malformed record {raw!r}") from exc
-    if kind is None or M is None or q is None:
+                raise records.error(f"unknown record {toks[0]!r}")
+    if header is None:
         raise ParseError("missing stream header")
-    items: list = []
-    for j, dom in enumerate(doms):
-        if kind == KIND_PARTIALS:
-            if words[j] is None:
-                raise ParseError(f"item {j}: partials stream item lacks bits")
-            items.append(words[j])
-        else:
-            if words[j] is not None:
-                raise ParseError(f"item {j}: sets stream item carries bits")
-            items.append(dom)
-    provenance = tuple(p for p in prov) if all(p is not None for p in prov) and prov else None
-    stream = ConstraintStream(kind, M, q, tuple(items), provenance)
+    if bare:
+        raise records.error(f"item {len(doms) - 1}: partials stream item lacks bits", bare)
+    items = tuple(words) if header.kind == KIND_PARTIALS else tuple(doms)
+    provenance = tuple(prov) if prov and None not in prov else None
+    stream = ConstraintStream(header.kind, header.M, header.q, items, provenance)
     stream._fp = _text_fingerprint(text)
     return stream

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lllcolor.colorer import color_prefix, extend_coloring, phase_base
+from lllcolor.colorer import color_prefix, committed_length, extend_coloring, phase_base
 from lllcolor.errors import (
     ConstructionFailureError,
     InvalidParameterError,
@@ -225,3 +225,10 @@ def test_phase_base():
     assert phase_base(1) == 64
     assert phase_base(16) == 64
     assert phase_base(32) == 128
+
+
+@pytest.mark.parametrize("M", [4, 20])
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 80, 81, 700, 1024])
+def test_committed_length_is_what_color_prefix_commits(M, horizon):
+    empty = ConstraintStream(KIND_SETS, M, F(1, 2), ())
+    assert committed_length(M, horizon) == color_prefix(empty, horizon, 3).committed_len

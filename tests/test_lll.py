@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lllcolor.errors import (
@@ -318,6 +318,7 @@ class TestSolver:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**9))
+    @example(seed=480)
     def test_solved_instances_verify_clean(self, seed):
         nv = 6 + seed % 6
         evs = []
@@ -325,6 +326,15 @@ class TestSolver:
             sup = tuple(sorted({u64(seed, 60, e, t) % nv for t in range(3)}))
             row = tuple(u64(seed, 61, e, p) % 2 for p in range(len(sup)))
             evs.append(Event(e, sup, [row]))
+        if all(
+            verify_assignment(Assignment(dict(enumerate(values))), evs)
+            for values in itertools.product((0, 1), repeat=nv)
+        ):
+            # about one seed in a thousand (480 among them) draws jointly
+            # unsatisfiable events; the resampler must then fail loudly
+            with pytest.raises(NonConvergenceError):
+                solve_moser_tardos(evs, bits(nv), seed)
+            return
         a = solve_moser_tardos(evs, bits(nv), seed)
         assert verify_assignment(a, evs) == []
 
@@ -378,6 +388,43 @@ class TestInstanceFormat:
         text = f"vars 2\nv 0 2 1/2 1/2\nv 1 2 1/2 1/2\ne 0 {support}\nf 0 0\ne 1 1 0\n"
         with pytest.raises(ParseError, match="line 4: event 0: support must be sorted"):
             parse_instance(text)
+
+
+# Instances the resampler and the certifier reject themselves, with the
+# messages parse_instance reports on the record at fault.
+INCONSISTENT = {
+    "value-out-of-range": (
+        [fair_bit(0)], [Event(0, (0,), [(5,)])], "event 0: value 5 out of range for variable 0"
+    ),
+    "no-varspec": (
+        [fair_bit(0)], [Event(0, (0, 7), [(0, 0)])],
+        "event 0 references variable 7 with no specification",
+    ),
+    "duplicate-varspec": (
+        [fair_bit(0), fair_bit(0)], [Event(0, (0,), [(0,)])],
+        "duplicate specification for variable 0",
+    ),
+    "duplicate-event-ids": (
+        [fair_bit(0), fair_bit(1)], [Event(0, (0,), [(0,)]), Event(0, (1,), [(0,)])],
+        "event ids must be distinct",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "variables, events, message", INCONSISTENT.values(), ids=INCONSISTENT.keys()
+)
+def test_solver_rejects_inconsistent_instance(variables, events, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        solve_moser_tardos(events, variables, seed=0)
+
+
+@pytest.mark.parametrize(
+    "variables, events, message", INCONSISTENT.values(), ids=INCONSISTENT.keys()
+)
+def test_certifier_rejects_inconsistent_instance(variables, events, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        check_condition(events, variables, [F(1, 4)] * len(events), F(1))
 
 
 def test_default_budget_grows():

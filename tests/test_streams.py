@@ -418,3 +418,56 @@ class TestManifestFormat:
 def test_repeated_header_names_its_line(parse, text, header):
     with pytest.raises(ParseError, match=f"line 3: repeated {header} header"):
         parse(text)
+
+
+INSTANCE_HEAD = "vars 2\nv 0 2 1/2 1/2\nv 1 2 1/2 1/2\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_manifest, "stream sets M 2 q 1/2\nitem 0 2 0 1\nbits 1 0\n",
+         "line 3: item 0: sets stream item carries bits"),
+        (parse_manifest, "stream partials M 2 q 1/2\nitem 0 2 0 1\n",
+         "line 2: item 0: partials stream item lacks bits"),
+        (parse_manifest, "stream partials M 2 q 1/2\nitem 0 2 0 1\n\nitem 1 2 1 3\nbits 0 1\n",
+         "line 2: item 0: partials stream item lacks bits"),
+        (parse_manifest, "stream sets M 2 q 1/2\n# by 0 2\nitem 0 2 0 1\n",
+         "line 2: malformed record '# by 0 2'"),
+        (parse_manifest, "stream sets M 2 q 1/2\n# by 0 on 2\nitem 0 2 0 1\n",
+         "line 2: malformed record"),
+        (parse_coloring, "# stream abcd\n# phases 64\ncoloring 2 0\n01\n",
+         "line 2: malformed record '# phases 64'"),
+        (parse_coloring, "# stream ab cd\ncoloring 2 0\n01\n", "line 1: malformed record"),
+        (parse_manifest, "stream words M 2 q 1/2\n", "line 1: unknown stream kind 'words'"),
+        (parse_manifest, "stream sets M 2 q 3/2\n", r"line 1: q must lie in \(0, 1\)"),
+        (parse_manifest, "stream sets M 2 q 1/0\n", "line 1: malformed record"),
+        (parse_family, "family ce 1 0\n", "line 1: stage_count must be at least 1"),
+        (parse_family, "family c.e. 1 10\n", "line 1: unknown family mode"),
+        (parse_instance, "vars 1\nv 0 2 1/0 1\n", "line 2: malformed record"),
+        (parse_instance, INSTANCE_HEAD + "v 0 2 1/2 1/2\n",
+         "line 4: duplicate specification for variable 0"),
+        (parse_instance, INSTANCE_HEAD + "e 0 1 0\nf 0\ne 0 1 1\n",
+         "line 6: event ids must be distinct"),
+        (parse_instance, INSTANCE_HEAD + "e 0 2 0 7\nf 0 0\n",
+         "line 4: event 0 references variable 7 with no specification"),
+        (parse_instance, INSTANCE_HEAD + "e 0 2 0 1\nf 0 0\nf 1 5\n",
+         "line 6: event 0: value 5 out of range for variable 1"),
+    ],
+    ids=[
+        "sets-bits", "partials-no-bits-last", "partials-no-bits-inner", "by-arity", "by-shape",
+        "phases-arity", "stream-arity", "stream-kind", "stream-q", "stream-q-zero-denominator",
+        "family-stages", "family-mode", "weight-zero-denominator", "duplicate-variable",
+        "duplicate-event-id", "undeclared-variable", "value-out-of-range",
+    ],
+)
+def test_record_fault_names_its_line(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+def test_free_form_comments_stay_ignored():
+    manifest = "# built by hand\nstream sets M 2 q 1/2\n# bylines follow\nitem 0 2 0 1\n"
+    assert parse_manifest(manifest).items == ((0, 1),)
+    coloring = "# phased in\n# streamed\ncoloring 2 0\n01\n"
+    assert parse_coloring(coloring) == Coloring("01", 0, "", 0, 0)
