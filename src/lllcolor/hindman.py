@@ -580,6 +580,8 @@ def parse_family(text: str) -> StagedFamily:
                 if mode is not None:
                     raise records.error("repeated family header")
                 mode, count, stage_count = toks[1], int(toks[2]), int(toks[3])
+                if count < 0:
+                    raise records.error(f"member count {count} is negative")
                 StagedFamily(mode, 0, stage_count, ())  # checks the mode and stage count
             elif toks[0] == "at":
                 i, s = int(toks[1]), int(toks[2])

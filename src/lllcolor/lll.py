@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -26,7 +26,6 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     NonConvergenceError,
-    ParseError,
     RecordReader,
     UnsatisfiableEventError,
 )
@@ -169,10 +168,13 @@ def _probability(event: Event, table: dict[int, VarSpec]) -> Fraction:
     _check_event_ranges(event, table)
     total = Fraction(0)
     for row in event.forbidden:
-        p = Fraction(1)
+        # a row's weight as one integer numerator and denominator, reduced once
+        num = den = 1
         for n, val in zip(event.vbl, row):
-            p *= table[n].weights[val]
-        total += p
+            w = table[n].weights[val]
+            num *= w.numerator
+            den *= w.denominator
+        total += Fraction(num, den)
     return total
 
 
@@ -204,7 +206,9 @@ def check_condition(
     """Certify ``Pr[A_j] <= q * r_j * prod_{t in N(j), t != j} (1 - r_t)``.
 
     Evaluated in exact rationals for every event; ``q = 1`` is the plain
-    asymmetric condition, ``q < 1`` the strengthened effective one.
+    asymmetric condition, ``q < 1`` the strengthened effective one.  Each
+    event's product is one integer power per distinct ``r`` among its
+    neighbours.
     """
     q = Fraction(q)
     rs = tuple(Fraction(x) for x in r)
@@ -216,16 +220,24 @@ def check_condition(
         raise InvalidParameterError("every r_j must lie in (0, 1)")
     neighbors = dependency_neighbors(events)
     table = _var_table(variables)
-    r_by_id = {e.id: rs[pos] for pos, e in enumerate(events)}
+    # slot k stands for the k-th distinct r; neighbours are counted per slot,
+    # so no Fraction is hashed or multiplied per neighbour
+    slot_of: dict[Fraction, int] = {}
+    slots = [slot_of.setdefault(x, len(slot_of)) for x in rs]
+    factors = [(x.denominator - x.numerator, x.denominator) for x in slot_of]
+    slot_by_id = dict(zip((e.id for e in events), slots)).__getitem__
     margins: list[Fraction] = []
     first: int | None = None
     for pos, e in enumerate(events):
         prob = _probability(e, table)
-        bound = q * rs[pos]
-        for t in sorted(neighbors[e.id]):
-            if t != e.id:
-                bound *= 1 - r_by_id[t]
-        margin = prob - bound
+        counts = Counter(map(slot_by_id, neighbors[e.id]))
+        counts[slots[pos]] -= 1  # the event itself is not its own neighbour
+        num = q.numerator * rs[pos].numerator
+        den = q.denominator * rs[pos].denominator
+        for k, c in counts.items():
+            num *= factors[k][0] ** c
+            den *= factors[k][1] ** c
+        margin = prob - Fraction(num, den)
         margins.append(margin)
         if margin > 0 and first is None:
             first = e.id
@@ -466,6 +478,8 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
     table: dict[int, VarSpec] = {}
     ids: set[int] = set()
     declared: int | None = None
+    header_line = 0
+    weights_of: dict[tuple[str, ...], tuple[Fraction, ...]] = {}  # each weight text parsed once
     # each e record's event, built without rows, and its forbidden rows
     pending: list[tuple[Event, list[tuple[int, ...]]]] = []
     with RecordReader(text) as records:
@@ -476,9 +490,14 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
             if toks[0] == "vars":
                 if declared is not None:
                     raise records.error("repeated vars header")
-                declared = int(toks[1])
+                declared, header_line = int(toks[1]), records.lineno
+                if declared < 0:
+                    raise records.error(f"variable count {declared} is negative")
             elif toks[0] == "v":
-                _add_var(table, VarSpec(int(toks[1]), int(toks[2]), tuple(map(Fraction, toks[3:]))))
+                key = tuple(toks[3:])
+                if key not in weights_of:
+                    weights_of[key] = tuple(map(Fraction, key))
+                _add_var(table, VarSpec(int(toks[1]), int(toks[2]), weights_of[key]))
             elif toks[0] == "e":
                 eid, k = int(toks[1]), int(toks[2])
                 sup = tuple(map(int, toks[3:]))
@@ -502,5 +521,7 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
             else:
                 raise records.error(f"unknown record {toks[0]!r}")
     if declared is not None and declared != len(table):
-        raise ParseError(f"header declares {declared} variables, found {len(table)}")
+        raise records.error(
+            f"header declares {declared} variables, found {len(table)}", header_line
+        )
     return list(table.values()), [Event(e.id, e.vbl, rows) for e, rows in pending]

@@ -495,7 +495,7 @@ def format_coloring(coloring: Coloring) -> str:
 
 def parse_coloring(text: str) -> Coloring:
     fingerprint = ""
-    n0 = phases = seed = 0
+    n0 = phases = seed = header_line = 0
     committed = None
     chunks: list[str] = []
     with RecordReader(text) as records:
@@ -512,6 +512,9 @@ def parse_coloring(text: str) -> Coloring:
                 if committed is not None:
                     raise records.error("repeated coloring header")
                 committed, seed = map(int, toks[1:])
+                header_line = records.lineno
+                if committed < 0:
+                    raise records.error(f"bit count {committed} is negative")
             elif line.strip("01"):
                 raise records.error("bit line holds a character other than 0/1")
             else:
@@ -520,7 +523,7 @@ def parse_coloring(text: str) -> Coloring:
         raise ParseError("missing coloring header")
     bits = "".join(chunks)
     if len(bits) != committed:
-        raise ParseError(f"header declares {committed} bits, found {len(bits)}")
+        raise records.error(f"header declares {committed} bits, found {len(bits)}", header_line)
     return Coloring(bits, seed, fingerprint, n0, phases)
 
 

@@ -58,6 +58,39 @@ def enum_probability(event, variables):
     return total
 
 
+def naive_condition(events, variables, r, q):
+    """Independent oracle for check_condition: enumerated probabilities
+    against ``q * r_j`` times ``1 - r_t`` over the sorted neighbours, one
+    factor at a time.  Returns the first violating id (or None) and the margins."""
+    r_by_id = {e.id: x for e, x in zip(events, r)}
+    margins = []
+    for e, x in zip(events, r):
+        bound = q * x
+        for t in sorted(f.id for f in events if f.id != e.id and set(f.vbl) & set(e.vbl)):
+            bound *= 1 - r_by_id[t]
+        margins.append(enum_probability(e, variables) - bound)
+    first = next((e.id for e, m in zip(events, margins) if m > 0), None)
+    return first, tuple(margins)
+
+
+@st.composite
+def ternary(draw, index):
+    """A ternary variable with non-uniform, mostly non-dyadic weights."""
+    a, b, c = draw(st.tuples(*[st.integers(1, 9)] * 3).filter(lambda w: len(set(w)) > 1))
+    total = a + b + c
+    return VarSpec(index, 3, (F(a, total), F(b, total), F(c, total)))
+
+
+@st.composite
+def event_over(draw, eid, variables, min_rows=1):
+    """An event on a random support of ``variables`` with up to four rows."""
+    ranges = {v.index: v.range_size for v in variables}
+    sup = tuple(sorted(draw(st.sets(st.sampled_from(sorted(ranges)), min_size=1))))
+    rows = draw(st.sets(
+        st.tuples(*[st.integers(0, ranges[n] - 1) for n in sup]), min_size=min_rows, max_size=4))
+    return Event(eid, sup, tuple(rows))
+
+
 def naive_moser_tardos(events, variables, seed, budget=100000):
     """Reference resampler: rescan all events from scratch every step."""
     cums = {v.index: _thresholds(v) for v in variables}
@@ -116,6 +149,15 @@ class TestEventProbability:
             st.tuples(*[st.integers(0, 1) for _ in sup]), min_size=0, max_size=4))
         ev = Event(0, sup, tuple(rows))
         variables = bits(nv)
+        got = event_probability(ev, variables)
+        assert got == enum_probability(ev, variables)
+        assert 0 <= got <= 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_matches_enumeration_oracle_on_ternary_weights(self, data):
+        variables = [data.draw(ternary(n)) for n in range(data.draw(st.integers(1, 4)))]
+        ev = data.draw(event_over(0, variables, min_rows=0))
         got = event_probability(ev, variables)
         assert got == enum_probability(ev, variables)
         assert 0 <= got <= 1
@@ -204,6 +246,32 @@ class TestCheckCondition:
             check_condition(evs, variables, [F(3, 2)] * 3, F(1))
         with pytest.raises(InvalidParameterError):
             check_condition(evs, variables, [F(1, 3)] * 2, F(1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_naive_oracle(self, data):
+        # an r vector over one to four distinct values (drawn first, which
+        # keeps the draw from collapsing onto one value), fair bits and
+        # ternary variables, and multi-row events with shuffled ids
+        k = data.draw(st.integers(1, 4))
+        pool = data.draw(st.lists(
+            st.fractions(F(1, 64), F(63, 64), max_denominator=64), min_size=k, max_size=k,
+            unique=True))
+        ids = data.draw(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))
+        r = data.draw(st.permutations([pool[j % k] for j in range(len(ids))]))
+        nv = data.draw(st.integers(1, 6))
+        variables = [data.draw(st.one_of(st.just(fair_bit(n)), ternary(n))) for n in range(nv)]
+        events = [data.draw(event_over(eid, variables)) for eid in ids]
+        q = data.draw(st.sampled_from([F(1), F(3, 4), F(1, 6)]))
+        got = check_condition(events, variables, r, q)
+        first, margins = naive_condition(events, variables, r, q)
+        if first is None:
+            assert isinstance(got, LLLCertificate)
+        else:
+            assert isinstance(got, ConditionRefusal)
+            assert got.first_violation == first
+        assert got.margins == margins
+        assert (got.r, got.q) == (tuple(r), q)
 
     def test_report_json_round(self):
         evs, variables = three_event_fixture()

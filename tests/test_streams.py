@@ -453,12 +453,20 @@ INSTANCE_HEAD = "vars 2\nv 0 2 1/2 1/2\nv 1 2 1/2 1/2\n"
          "line 4: event 0 references variable 7 with no specification"),
         (parse_instance, INSTANCE_HEAD + "e 0 2 0 1\nf 0 0\nf 1 5\n",
          "line 6: event 0: value 5 out of range for variable 1"),
+        (parse_family, "family ce -1 10\n", "line 1: member count -1 is negative"),
+        (parse_instance, "vars -1\n", "line 1: variable count -1 is negative"),
+        (parse_coloring, "coloring -3 0\n", "line 1: bit count -3 is negative"),
+        (parse_instance, "# by hand\nvars 2\nv 0 2 1/2 1/2\n",
+         "line 2: header declares 2 variables, found 1"),
+        (parse_coloring, "# stream abcd\ncoloring 3 0\n01\n",
+         "line 2: header declares 3 bits, found 2"),
     ],
     ids=[
         "sets-bits", "partials-no-bits-last", "partials-no-bits-inner", "by-arity", "by-shape",
         "phases-arity", "stream-arity", "stream-kind", "stream-q", "stream-q-zero-denominator",
         "family-stages", "family-mode", "weight-zero-denominator", "duplicate-variable",
-        "duplicate-event-id", "undeclared-variable", "value-out-of-range",
+        "duplicate-event-id", "undeclared-variable", "value-out-of-range", "family-count",
+        "vars-count", "coloring-count", "vars-mismatch", "coloring-mismatch",
     ],
 )
 def test_record_fault_names_its_line(parse, text, message):
