@@ -131,9 +131,7 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
             variables = [fair_bit(n) for n in var_ids]
             budget = default_budget(len(events)) * slack
             try:
-                result = solve_moser_tardos(
-                    events, variables, derive_seed(seed, k), budget, validate=False
-                )
+                result = solve_moser_tardos(events, variables, derive_seed(seed, k), budget)
             except UnsatisfiableEventError as exc:
                 raise ConstructionFailureError(
                     k, (exc.event_id,), "restricted constraint forbids its whole cube"

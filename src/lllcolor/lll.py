@@ -16,9 +16,12 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -38,10 +41,22 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+@lru_cache(maxsize=64)
+def _read_weights(weights: tuple, range_size: int) -> tuple[Fraction, ...]:
+    ws = tuple(map(Fraction, weights))
+    if len(ws) != range_size:
+        raise InvalidInstanceError(f"{len(ws)} weights for range {range_size}")
+    if any(w < 0 for w in ws):
+        raise InvalidInstanceError("negative weight")
+    if sum(ws) != 1:
+        raise InvalidInstanceError("weights must sum to exactly 1")
+    return ws
+
+
 @dataclass(frozen=True)
 class VarSpec:
     """A finitely-ranged variable: values ``0..range_size-1`` with exact
-    rational weights summing to 1."""
+    rational weights summing to 1, given as anything ``Fraction`` reads."""
 
     index: int
     range_size: int
@@ -52,21 +67,16 @@ class VarSpec:
             raise InvalidInstanceError(f"variable index must be nonnegative, got {self.index}")
         if self.range_size < 1:
             raise InvalidInstanceError(f"variable {self.index}: range_size must be >= 1")
-        ws = tuple(Fraction(w) for w in self.weights)
+        try:
+            ws = _read_weights(tuple(self.weights), self.range_size)
+        except InvalidInstanceError as exc:
+            raise InvalidInstanceError(f"variable {self.index}: {exc}") from None
         object.__setattr__(self, "weights", ws)
-        if len(ws) != self.range_size:
-            raise InvalidInstanceError(
-                f"variable {self.index}: {len(ws)} weights for range {self.range_size}"
-            )
-        if any(w < 0 for w in ws):
-            raise InvalidInstanceError(f"variable {self.index}: negative weight")
-        if sum(ws) != 1:
-            raise InvalidInstanceError(f"variable {self.index}: weights must sum to exactly 1")
 
 
 def fair_bit(index: int) -> VarSpec:
     """A fair binary variable."""
-    return VarSpec(index, 2, (Fraction(1, 2), Fraction(1, 2)))
+    return VarSpec(index, 2, ("1/2", "1/2"))
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,10 @@ class Event:
             raise InvalidInstanceError(f"event {self.id}: support must be nonempty")
         if list(vbl) != sorted(set(vbl)):
             raise InvalidInstanceError(f"event {self.id}: support must be sorted, duplicate-free")
-        rows = tuple(sorted({tuple(int(v) for v in row) for row in self.forbidden}))
+        try:
+            rows = tuple(sorted({tuple(map(operator.index, row)) for row in self.forbidden}))
+        except TypeError:
+            raise InvalidInstanceError(f"event {self.id}: values must be integers") from None
         for row in rows:
             if len(row) != len(vbl):
                 raise InvalidInstanceError(
@@ -130,19 +143,6 @@ def _add_var(table: dict[int, VarSpec], v: VarSpec) -> None:
     table[v.index] = v
 
 
-def _var_table(variables: Sequence[VarSpec]) -> dict[int, VarSpec]:
-    table: dict[int, VarSpec] = {}
-    for v in variables:
-        _add_var(table, v)
-    return table
-
-
-def _add_id(ids: set[int], eid: int) -> None:
-    if eid in ids:
-        raise InvalidInstanceError("event ids must be distinct")
-    ids.add(eid)
-
-
 def _check_event_ranges(event: Event, table: dict[int, VarSpec]) -> None:
     for n in event.vbl:
         if n not in table:
@@ -159,13 +159,32 @@ def _check_row(e: Event, row: tuple[int, ...], table: dict[int, VarSpec]) -> Non
             raise InvalidInstanceError(f"event {e.id}: value {val} out of range for variable {n}")
 
 
+def _instance_table(events: Sequence[Event], variables: Sequence[VarSpec]) -> dict[int, VarSpec]:
+    """The variables by index, once no variable is specified twice, event ids are
+    distinct, and supports and values fit the variables.  Values are bounded once
+    per distinct row set; an event those bounds miss is checked alone, to name it."""
+    table: dict[int, VarSpec] = {}
+    for v in variables:
+        _add_var(table, v)
+    if len({e.id for e in events}) != len(events):
+        raise InvalidInstanceError("event ids must be distinct")
+    specified = table.keys() >= set().union(*(e.vbl for e in events))
+    least = min((v.range_size for v in variables), default=0)
+    wide = {rows for rows in {e.forbidden for e in events}
+            if min(map(min, rows), default=0) < 0 or max(map(max, rows), default=0) >= least}
+    for e in events:
+        if not specified or (wide and e.forbidden in wide):
+            _check_event_ranges(e, table)
+    return table
+
+
 def event_probability(event: Event, variables: Sequence[VarSpec]) -> Fraction:
     """Exact product-measure of the event's forbidden set."""
-    return _probability(event, _var_table(variables))
+    return _probability(event, _instance_table((event,), variables))
 
 
 def _probability(event: Event, table: dict[int, VarSpec]) -> Fraction:
-    _check_event_ranges(event, table)
+    # pure arithmetic: _instance_table has checked every index and value used here
     total = Fraction(0)
     for row in event.forbidden:
         # a row's weight as one integer numerator and denominator, reduced once
@@ -184,17 +203,14 @@ def dependency_neighbors(events: Sequence[Event]) -> dict[int, frozenset[int]]:
     Every event with nonempty support neighbors itself; bound products
     downstream exclude the event itself.
     """
-    ids: set[int] = set()
     by_var: dict[int, list[int]] = {}
     for e in events:
-        _add_id(ids, e.id)
         for n in e.vbl:
             by_var.setdefault(n, []).append(e.id)
-    out: dict[int, set[int]] = {e.id: set() for e in events}
-    for group in by_var.values():
-        for eid in group:
-            out[eid].update(group)
-    return {eid: frozenset(s) for eid, s in out.items()}
+    out = {e.id: frozenset().union(*map(by_var.__getitem__, e.vbl)) for e in events}
+    if len(out) != len(events):
+        raise InvalidInstanceError("event ids must be distinct")
+    return out
 
 
 def check_condition(
@@ -218,8 +234,8 @@ def check_condition(
         raise InvalidParameterError(f"q must lie in (0, 1], got {q}")
     if any(not 0 < x < 1 for x in rs):
         raise InvalidParameterError("every r_j must lie in (0, 1)")
+    table = _instance_table(events, variables)
     neighbors = dependency_neighbors(events)
-    table = _var_table(variables)
     # slot k stands for the k-th distinct r; neighbours are counted per slot,
     # so no Fraction is hashed or multiplied per neighbour
     slot_of: dict[Fraction, int] = {}
@@ -270,12 +286,7 @@ def default_budget(n_events: int) -> int:
 def _thresholds(spec: VarSpec) -> list[tuple[int, int]]:
     # Cumulative weights, final 1 omitted; sample = least value whose
     # cumulative weight exceeds u / 2^64, compared in exact integers.
-    cums: list[tuple[int, int]] = []
-    acc = Fraction(0)
-    for w in spec.weights[:-1]:
-        acc += w
-        cums.append((acc.numerator, acc.denominator))
-    return cums
+    return [(acc.numerator, acc.denominator) for acc in accumulate(spec.weights[:-1])]
 
 
 def _sample(cums: list[tuple[int, int]], u: int) -> int:
@@ -300,8 +311,6 @@ def solve_moser_tardos(
     variables: Sequence[VarSpec],
     seed: int,
     budget: int | None = None,
-    *,
-    validate: bool = True,
 ) -> Assignment:
     """Resample until no event is violated; deterministic in all inputs.
 
@@ -310,27 +319,19 @@ def solve_moser_tardos(
     variable advancing its own counter.  Quiescence returns the assignment;
     exceeding ``budget`` total resamplings raises ``NonConvergenceError``
     carrying the resampled-event trace.
-
-    ``validate=False`` skips the per-row range checks for callers that just
-    constructed the instance themselves; behavior is otherwise identical.
     """
-    table = _var_table(variables)
+    table = _instance_table(events, variables)
     if budget is None:
         budget = default_budget(len(events))
     if budget < 1:
         raise InvalidParameterError("budget must be at least 1")
-    ids: set[int] = set()
     for e in events:
-        _add_id(ids, e.id)
-        if validate:
-            _check_event_ranges(e, table)
-        rows_n = len(e.forbidden)
         cube = 1
         for n in e.vbl:
             cube *= table[n].range_size
-            if cube > rows_n:
+            if cube > len(e.forbidden):
                 break
-        if cube <= rows_n:
+        else:  # the forbidden rows fill the event's whole cube
             raise UnsatisfiableEventError(e.id)
 
     cums = {v.index: _thresholds(v) for v in variables}
@@ -479,7 +480,6 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
     ids: set[int] = set()
     declared: int | None = None
     header_line = 0
-    weights_of: dict[tuple[str, ...], tuple[Fraction, ...]] = {}  # each weight text parsed once
     # each e record's event, built without rows, and its forbidden rows
     pending: list[tuple[Event, list[tuple[int, ...]]]] = []
     with RecordReader(text) as records:
@@ -494,10 +494,7 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
                 if declared < 0:
                     raise records.error(f"variable count {declared} is negative")
             elif toks[0] == "v":
-                key = tuple(toks[3:])
-                if key not in weights_of:
-                    weights_of[key] = tuple(map(Fraction, key))
-                _add_var(table, VarSpec(int(toks[1]), int(toks[2]), weights_of[key]))
+                _add_var(table, VarSpec(int(toks[1]), int(toks[2]), tuple(toks[3:])))
             elif toks[0] == "e":
                 eid, k = int(toks[1]), int(toks[2])
                 sup = tuple(map(int, toks[3:]))
@@ -505,7 +502,9 @@ def parse_instance(text: str) -> tuple[list[VarSpec], list[Event]]:
                     raise records.error("support arity mismatch")
                 event = Event(eid, sup, ())
                 _check_event_ranges(event, table)
-                _add_id(ids, eid)
+                if eid in ids:
+                    raise InvalidInstanceError("event ids must be distinct")
+                ids.add(eid)
                 pending.append((event, []))
             elif toks[0] == "f":
                 if not pending:

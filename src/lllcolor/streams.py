@@ -50,7 +50,10 @@ class PartialWord:
 
     def __post_init__(self):
         dom = tuple(self.dom)
-        vals = tuple(int(v) for v in self.vals)
+        try:
+            vals = tuple(map(operator.index, self.vals))
+        except TypeError:
+            raise InvalidInputError(f"word {self.id}: values must be bits") from None
         if not dom:
             raise InvalidInputError(f"word {self.id}: domain must be nonempty")
         if list(dom) != sorted(set(dom)):

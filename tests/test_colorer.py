@@ -7,19 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lllcolor import colorer
+from lllcolor.cli import main
 from lllcolor.colorer import color_prefix, committed_length, extend_coloring, phase_base
 from lllcolor.errors import (
     ConstructionFailureError,
     InvalidParameterError,
     WrongStreamError,
 )
+from lllcolor.lll import Event
 from lllcolor.streams import (
     KIND_PARTIALS,
     KIND_SETS,
     ConstraintStream,
     PartialWord,
     gen_sets_stream,
+    sets_to_partials,
 )
+from test_golden import PIPELINES, hand_words
 
 F = Fraction
 
@@ -232,3 +237,30 @@ def test_phase_base():
 def test_committed_length_is_what_color_prefix_commits(M, horizon):
     empty = ConstraintStream(KIND_SETS, M, F(1, 2), ())
     assert committed_length(M, horizon) == color_prefix(empty, horizon, 3).committed_len
+
+
+
+@pytest.mark.parametrize("name", [*sorted(PIPELINES), "expanded-sets", "hand-words"])
+def test_phase_events_are_canonical_bits(name, tmp_path, monkeypatch):
+    # _phase_events builds its events with _trusted_event, which skips
+    # Event's canonicalization: on the golden configs they must come out
+    # canonical and 0/1 already
+    seen = []
+    phase_events = colorer._phase_events
+
+    def spy(*args):
+        events = phase_events(*args)
+        seen.extend(events)
+        return events
+
+    monkeypatch.setattr(colorer, "_phase_events", spy)
+    if name == "expanded-sets":
+        color_prefix(sets_to_partials(gen_sets_stream(5, 150, 512, 4, spread=2)), 512, 7)
+    elif name == "hand-words":
+        color_prefix(hand_words(), 512, 11)
+    else:
+        assert main(PIPELINES[name][0] + ["--out", str(tmp_path)]) == 0
+    assert seen
+    for e in seen:
+        assert e == Event(e.id, e.vbl, e.forbidden)
+        assert {v for row in e.forbidden for v in row} <= {0, 1}

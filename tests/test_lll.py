@@ -458,11 +458,24 @@ class TestInstanceFormat:
             parse_instance(text)
 
 
-# Instances the resampler and the certifier reject themselves, with the
-# messages parse_instance reports on the record at fault.
+# Instances every door rejects itself, with the messages parse_instance
+# reports on the record at fault.
+THIRDS = VarSpec(0, 3, (F(1, 3), F(1, 3), F(1, 3)))
 INCONSISTENT = {
     "value-out-of-range": (
         [fair_bit(0)], [Event(0, (0,), [(5,)])], "event 0: value 5 out of range for variable 0"
+    ),
+    "negative-value": (
+        [fair_bit(0)], [Event(0, (0,), [(-1,)])], "event 0: value -1 out of range for variable 0"
+    ),
+    "value-equals-range": (
+        [fair_bit(0)], [Event(0, (0,), [(2,)])], "event 0: value 2 out of range for variable 0"
+    ),
+    # the row set is fine for the ternary variable and out of range for the
+    # bit: each event sharing it is judged on its own variables
+    "shared-row-set": (
+        [THIRDS, fair_bit(1)], [Event(0, (0,), [(2,)]), Event(1, (1,), [(2,)])],
+        "event 1: value 2 out of range for variable 1",
     ),
     "no-varspec": (
         [fair_bit(0)], [Event(0, (0, 7), [(0, 0)])],
@@ -477,22 +490,33 @@ INCONSISTENT = {
         "event ids must be distinct",
     ),
 }
+DOORS = {
+    "event_probability": lambda events, variables: [
+        event_probability(e, variables) for e in events
+    ],
+    "check_condition": lambda events, variables: check_condition(
+        events, variables, [F(1, 4)] * len(events), F(1)
+    ),
+    "solve_moser_tardos": lambda events, variables: solve_moser_tardos(
+        events, variables, seed=0
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "variables, events, message", INCONSISTENT.values(), ids=INCONSISTENT.keys()
+    "door, case",
+    [
+        (door, case)
+        for door in DOORS
+        for case in INCONSISTENT
+        # event_probability takes one event, so it has no ids to compare
+        if (door, case) != ("event_probability", "duplicate-event-ids")
+    ],
 )
-def test_solver_rejects_inconsistent_instance(variables, events, message):
+def test_door_rejects_inconsistent_instance(door, case):
+    variables, events, message = INCONSISTENT[case]
     with pytest.raises(InvalidInstanceError, match=message):
-        solve_moser_tardos(events, variables, seed=0)
-
-
-@pytest.mark.parametrize(
-    "variables, events, message", INCONSISTENT.values(), ids=INCONSISTENT.keys()
-)
-def test_certifier_rejects_inconsistent_instance(variables, events, message):
-    with pytest.raises(InvalidInstanceError, match=message):
-        check_condition(events, variables, [F(1, 4)] * len(events), F(1))
+        DOORS[door](events, variables)
 
 
 def test_default_budget_grows():
@@ -517,3 +541,6 @@ def test_event_validation():
         Event(0, (1, 0), [(0, 0)])
     with pytest.raises(InvalidInstanceError):
         Event(0, (0, 1), [(0,)])
+    # a non-integral value is refused, not truncated
+    with pytest.raises(InvalidInstanceError, match="event 0: values must be integers"):
+        Event(0, (0,), [(0.7,)])

@@ -140,6 +140,9 @@ class TestPartialWord:
             PartialWord(0, (0, 1), (0, 2))
         with pytest.raises(InvalidInputError):
             PartialWord(0, (-1, 3), (0, 1))
+        # a non-integral value is refused, not truncated to a bit
+        with pytest.raises(InvalidInputError, match="word 0: values must be bits"):
+            PartialWord(0, (1, 2), (0.9, 1))
 
     def test_size(self):
         assert PartialWord(0, (2, 5, 9), (1, 0, 1)).size == 3
