@@ -2,8 +2,9 @@
 validate sparsity, run the colorer, audit the result, and write every
 artifact as plain diffable text.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error or
-malformed input, 3 construction failure (colorer non-convergence).
+Exit codes: 0 success, 1 verification failure, 2 configuration error,
+malformed input or an unreadable or unwritable path, 3 construction
+failure (colorer non-convergence).
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     except (ConstructionFailureError, NonConvergenceError, UnsatisfiableEventError) as exc:
         _emit_error(exc)
         return 3
-    except (LLLColorError, ValueError) as exc:
+    except (LLLColorError, ValueError, OSError) as exc:
         _emit_error(exc)
         return 2
 

@@ -25,9 +25,10 @@ pigeonhole obstruction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice, repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -283,10 +284,20 @@ def build_image_stream(
 
     At pair (i, s) with a nonempty candidate set E and stability start s0,
     the image F = {pair(x, s) : x in E} is emitted iff min F > s0 and min F
-    exceeds every image value emitted by this member from stages before s0.
-    The gating keeps per-point counts within ``b * m**2`` items of size m and
-    makes the locality oracle computable from the growth witness: beyond the
-    stage bound it yields, images are too large to contain the queried point.
+    exceeds every image value of this member's candidate sets at stages
+    before s0.  The gate reads only member i's own earlier stages, so each
+    member's images are computed in one pass and then merged into diagonal
+    pairing order.  The gating keeps per-point counts within ``b * m**2``
+    items of size m and makes the locality oracle computable from the
+    growth witness: beyond the stage bound it yields, images are too large
+    to contain the queried point.
+
+    The oracle keeps each member's emissions per image size, in stage
+    order, and bisects them at the stage bound.  The bound is recomputed
+    for every query from the member's selection at stage n: nearly every
+    query asks about a different (member, n), and ``growth`` is an
+    arbitrary callable, so nothing about it may be cached or assumed
+    monotone.
     """
     if family.mode != MODE_SIGMA2:
         raise InvalidInputError("image streams require a sigma2-mode family")
@@ -302,83 +313,64 @@ def build_image_stream(
     count, stages = family.count, family.stage_count
 
     timelines: list[list[tuple[frozenset[int], int]]] = []
-    min_image: list[list[int | None]] = []
-    running_max: list[list[int | None]] = []
+    # (i + s, s, i, image): sorting gives the diagonal pairing order, and
+    # (i + s, s) is unique, so no two images are ever compared
+    emitted: list[tuple[int, int, int, frozenset[int]]] = []
     for i in range(count):
         timeline = _selection_timeline(family, i, b * (M + i))
-        mins: list[int | None] = []
-        runmax: list[int | None] = []
+        timelines.append(timeline)
+        # running_max[s]: the largest image value over stages up to s
+        running_max: list[int | None] = []
         run: int | None = None
-        for s, (selection, _) in enumerate(timeline):
+        for s, (selection, s0) in enumerate(timeline):
             if selection:
-                values = [fn.pair(x, s) for x in selection]
-                mins.append(min(values))
+                values = list(map(fn.pair, selection, repeat(s)))
+                lo = min(values)
+                prior = running_max[s0 - 1] if s0 > 0 else None
+                if lo > s0 and (prior is None or lo > prior):
+                    emitted.append((i + s, s, i, frozenset(values)))
                 peak = max(values)
                 run = peak if run is None else max(run, peak)
-            else:
-                mins.append(None)
-            runmax.append(run)
-        timelines.append(timeline)
-        min_image.append(mins)
-        running_max.append(runmax)
+            running_max.append(run)
+    emitted.sort()
 
     items: list[tuple[int, ...]] = []
-    # the oracle's own membership index: one frozenset per item
-    images: list[frozenset[int]] = []
     prov: list[tuple[int, int]] = []
-    records: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    # records[i][size]: (stages, ids, images) of member i's emissions
+    records: list[dict[int, tuple[list[int], list[int], list[frozenset[int]]]]] = [
+        {} for _ in range(count)
+    ]
     seen: dict[frozenset[int], int] = {}
-    for i, s in _diagonal_pairs(count, stages):
-        selection, s0 = timelines[i][s]
-        if not selection:
-            continue
-        lo = min_image[i][s]
-        if lo <= s0:
-            continue
-        prior = running_max[i][s0 - 1] if s0 > 0 else None
-        if prior is not None and lo <= prior:
-            continue
-        image = frozenset(fn.pair(x, s) for x in selection)
+    for _, s, i, image in emitted:
         if len(image) < M + i:
             raise StreamIntegrityError(
                 f"image of member {i} at stage {s} has {len(image)} values; "
                 f"multiplicity bound {b} promises at least {M + i}",
                 witness=(i, s),
             )
-        j = seen.get(image)
-        if j is None:
-            j = len(items)
-            seen[image] = j
-            images.append(image)
+        j = seen.setdefault(image, len(items))
+        if j == len(items):
             items.append(tuple(sorted(image)))
             prov.append((i, s))
-        records[i].append((s, j))
-
-    sizes = [len(f) for f in items]
-    member_sizes = [frozenset(sizes[j] for _, j in recs) for recs in records]
+        at, ids, images = records[i].setdefault(len(image), ([], [], []))
+        at.append(s)
+        ids.append(j)
+        images.append(image)
 
     def locality(m: int, n: int) -> tuple[int, ...]:
-        if m < M:
-            return ()
         out: set[int] = set()
         for i in range(min(m - M, count - 1) + 1):
-            recs = records[i]
-            if not recs or m not in member_sizes[i]:
+            record = records[i].get(m)
+            if record is None:
                 continue
+            at, ids, images = record
             if n < stages:
                 selection = timelines[i][n][0]
-                if selection:
-                    bound = max(n, max(fn.growth(x, n) for x in selection)) + 1
-                else:
-                    bound = n + 1
-                bound = min(bound, stages)
+                bound = max(n, max(map(fn.growth, selection, repeat(n)), default=n)) + 1
+                k = bisect_left(at, min(bound, stages))
             else:
-                bound = stages
-            for t, j in recs:
-                if t >= bound:
-                    break
-                if sizes[j] == m and n in images[j]:
-                    out.add(j)
+                k = len(at)
+            out.update(compress(ids, map(frozenset.__contains__, islice(images, k), repeat(n))))
         return tuple(sorted(out))
 
     return ConstraintStream(KIND_SETS, M, q, tuple(items), tuple(prov), locality)

@@ -14,8 +14,10 @@ import hashlib
 import math
 import operator
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable
 
 from .errors import (
@@ -353,26 +355,18 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     """
     if window < 1:
         raise InvalidParameterError("window must be at least 1")
+    # groups[m]: j -> the positions inside the window of each item of size m
+    groups: dict[int, dict[int, tuple[int, ...]]] = {}
+    for j, dom in enumerate(stream._doms):
+        if len(dom) <= window and dom[0] < window:
+            groups.setdefault(len(dom), {})[j] = dom[: bisect_left(dom, window)]
     counts: dict[int, list[int]] = {}
-    relevant: list[int] = []
-    max_size = 0
-    for j in range(len(stream)):
-        m = stream.size(j)
-        max_size = max(max_size, m)
-        if m > window:
-            continue
-        dom = stream.dom(j)
-        pos = dom[: bisect_left(dom, window)]
-        if not pos:
-            continue
-        arr = counts.setdefault(m, [])
-        if pos[-1] >= len(arr):
-            arr.extend([0] * (pos[-1] + 1 - len(arr)))
-        for n in pos:
-            arr[n] += 1
-        relevant.append(j)
+    nonzero: dict[int, list[int]] = {}
+    for m, group in groups.items():
+        tally = Counter(chain.from_iterable(group.values()))
+        hits = nonzero[m] = sorted(tally)
+        counts[m] = list(map(tally.get, range(hits[-1] + 1), repeat(0)))
 
-    nonzero = {m: [n for n, c in enumerate(arr) if c] for m, arr in counts.items()}
     violations = []
     near = []
     for m in sorted(counts):
@@ -388,15 +382,19 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     total_nonzero = sum(map(len, nonzero.values()))
     mode = "full" if total_nonzero <= _FULL_CHECK_CELLS else "sampled"
     cells = _chosen_cells(counts, nonzero, window, mode)
-    want: dict[tuple[int, int], list[int]] = {cell: [] for cell in cells}
-    for j in relevant:
-        m = stream.size(j)
-        for n in stream.dom(j):
-            if n < window and (m, n) in want:
-                want[(m, n)].append(j)
+    # want[m][n]: the items of size m through n, filled for the chosen cells only
+    want: dict[int, dict[int, list[int]]] = {m: {} for m in groups}
+    for m, n in cells:
+        want[m][n] = []
+    for m, group in groups.items():
+        want_m = want[m]
+        for j, pos in group.items():
+            # a full check visits every nonzero cell, so every position
+            for n in pos if mode == "full" else want_m.keys() & pos:
+                want_m[n].append(j)
     for m, n in cells:
         got = tuple(stream.locality(m, n))
-        expect = tuple(want[(m, n)])
+        expect = tuple(want[m][n])
         if got != expect:
             diff = sorted(set(got).symmetric_difference(expect))
             witness_j = diff[0] if diff else -1
@@ -415,8 +413,8 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         near=tuple(near),
         cross_check=mode,
         cells_checked=len(cells),
-        max_size_seen=max_size,
-        items_in_window=len(relevant),
+        max_size_seen=max(map(len, stream._doms), default=0),
+        items_in_window=sum(map(len, groups.values())),
     )
 
 

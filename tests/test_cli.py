@@ -155,6 +155,16 @@ class TestRun:
         assert err["error"] == "ConstructionFailureError"
         assert err["phase"] == 2
 
+    def test_unwritable_out_is_a_configuration_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        rc = run_cli("run", "--mode", "comp", "--f", "sum", "--seed", "7",
+                     "--horizon", "2048", "--members", "12", "--out", blocker / "out")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "NotADirectoryError"
+        assert str(blocker) in err["message"]
+
     def test_env_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LLLCOLOR_OUT", str(tmp_path / "envout"))
         rc = run_cli("run", "--mode", "main", "--f", "sum", "--seed", "3",
@@ -176,6 +186,18 @@ class TestVerify:
     def test_fresh_artifacts_verify(self, artifacts):
         assert run_cli("verify", "--coloring", artifacts / "coloring.txt",
                        "--stream", artifacts / "stream.txt") == 0
+
+    @pytest.mark.parametrize("missing", ["coloring", "stream"])
+    def test_unreadable_path_is_a_configuration_error(self, tmp_path, capsys, missing):
+        paths = {"coloring": tmp_path / "coloring.txt", "stream": tmp_path / "stream.txt"}
+        paths["stream"].write_text("stream sets M 2 q 1/2\nitem 0 2 0 1\n")
+        paths["coloring"].write_text("coloring 2 0\n01\n")
+        paths[missing] = tmp_path / "nonexistent"
+        rc = run_cli("verify", "--coloring", paths["coloring"], "--stream", paths["stream"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
+        assert str(tmp_path / "nonexistent") in err["message"]
 
     def test_bit_flip_detected(self, tmp_path):
         # a two-element set whose coloring is exactly dichromatic: flipping

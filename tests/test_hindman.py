@@ -12,6 +12,7 @@ from lllcolor.errors import (
     StreamIntegrityError,
 )
 from lllcolor.hindman import (
+    AdditionLike,
     StagedFamily,
     _diagonal_pairs,
     _selection_timeline,
@@ -394,6 +395,36 @@ class TestBuildImageStream:
             i, s = stream.provenance[j]
             _, since = _selection_timeline(fam, i, fn.mult_bound * (M + i))[s]
             assert min(stream.item(j)) > since
+
+    @pytest.mark.parametrize("fname, seed, unstable", [
+        ("sum", 3, ()), ("sum", 8, ()), ("absdiff", 3, ()), ("absdiff", 8, ()),
+        ("absdiff", 5, (1,)),
+    ])
+    def test_locality_matches_brute_force_on_every_cell(self, fname, seed, unstable):
+        fn, M, fam, stream = self.build(fname, seed=seed, unstable_members=unstable)
+        index = {}
+        for j in range(len(stream)):
+            for n in stream.dom(j):
+                index.setdefault((stream.size(j), n), []).append(j)
+        top = max(map(stream.size, range(len(stream))))
+        # sizes no item has, empty cells, and points past the last stage
+        window = 2 * fam.stage_count
+        for m in range(M - 1, top + 2):
+            for n in range(window):
+                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
+
+    def test_oracle_keeps_its_stage_bound(self):
+        # a growth witness that lies: its stage bound for point n is n + 1,
+        # yet absdiff images from later stages still hold n, so an oracle
+        # that honours the bound misses them and the cross-check must say
+        # so; an oracle that scanned every record would pass
+        fn = AdditionLike("absdiff-lying", lambda x, y: abs(x - y), lambda x, n: n // 2, 2)
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(3))
+        stream = build_image_stream(gen_family(3, 3, 512, "sigma2", sizes), fn, M)
+        with pytest.raises(StreamIntegrityError) as exc:
+            validate_sparsity(stream, 1024)
+        assert exc.value.witness == (0, 38, 123)
 
     def test_m_validated(self):
         fn = builtin_addition_like("absdiff")

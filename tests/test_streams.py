@@ -5,6 +5,8 @@ shares)."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lllcolor.errors import (
     InvalidInputError,
@@ -37,6 +39,61 @@ F = Fraction
 def sets_stream(items, M=2, q=F(1, 2), locality=None, provenance=None):
     return ConstraintStream(KIND_SETS, M, q, tuple(frozenset(i) for i in items),
                             provenance, locality)
+
+
+def naive_sparsity(stream, window):
+    """The sparsity sweep restated with plain loops: per-size counts as
+    lists up to the last touched position, the bound verdicts, and the
+    cells a full (every nonzero cell) or sampled (ends, first peak and a
+    stride of 12 per size) cross-check visits, zero probes included."""
+    tally = {}
+    items = 0
+    for j in range(len(stream)):
+        m = stream.size(j)
+        inside = [n for n in stream.dom(j) if n < window]
+        if m > window or not inside:
+            continue
+        items += 1
+        per = tally.setdefault(m, {})
+        for n in inside:
+            per[n] = per.get(n, 0) + 1
+    violations, near = [], []
+    for m in sorted(tally):
+        bound = point_bound(stream.q, m)
+        for n in sorted(tally[m]):
+            c = tally[m][n]
+            if c > bound:
+                violations.append((m, n, c, bound))
+            elif 2 * c > bound:
+                near.append((m, n, c, bound))
+    mode = "full" if sum(len(per) for per in tally.values()) <= 20000 else "sampled"
+    cells = set()
+    for m, per in tally.items():
+        hits = sorted(per)
+        if mode == "full":
+            picks = set(hits)
+        else:
+            peak = max(per.values())
+            picks = {hits[0], hits[-1], min(n for n in hits if per[n] == peak)}
+            picks.update(hits[:: max(1, len(hits) // 12)][:12])
+        picks.update(n for n in (0, window // 2, window - 1) if n not in per)
+        cells.update((m, n) for n in picks)
+    sizes = [stream.size(j) for j in range(len(stream))]
+    return {
+        "counts": {m: [per.get(n, 0) for n in range(max(per) + 1)] for m, per in tally.items()},
+        "violations": tuple(violations),
+        "near": tuple(near),
+        "cross_check": mode,
+        "cells_checked": len(cells),
+        "items_in_window": items,
+        "max_size_seen": max(sizes, default=0),
+    }
+
+
+def sweep_fields(report):
+    return {key: getattr(report, key) for key in (
+        "counts", "violations", "near", "cross_check", "cells_checked",
+        "items_in_window", "max_size_seen")}
 
 
 class TestConstraintStream:
@@ -298,6 +355,30 @@ class TestValidateSparsity:
                 direct[key] = direct.get(key, 0) + 1
         for (m, n), c in direct.items():
             assert rep.counts[m][n] == c
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        count=st.integers(0, 20),
+        M=st.integers(2, 6),
+        spread=st.integers(0, 8),
+        span=st.integers(8, 256),
+        window=st.one_of(st.integers(1, 16), st.integers(17, 512)),
+    )
+    def test_sweep_matches_naive_recount(self, seed, count, M, spread, span, window):
+        # windows below an item's size, windows that cut domains, and
+        # windows past every position; the generator's span holds at least
+        # 28 sets of each size, so it finds 20 distinct ones
+        s = gen_sets_stream(seed, count, max(span, 4 * (M + spread)), M, spread=spread)
+        assert sweep_fields(validate_sparsity(s, window)) == naive_sparsity(s, window)
+
+    def test_sampled_sweep_matches_naive_recount(self):
+        # more than 20 000 nonzero cells at both windows; 3600 cuts domains
+        s = gen_sets_stream(1, 3500, 4096, 8)
+        for window in (4096, 3600):
+            rep = validate_sparsity(s, window)
+            assert rep.cross_check == "sampled"
+            assert sweep_fields(rep) == naive_sparsity(s, window)
 
 
 class TestGenSetsStream:
