@@ -48,11 +48,9 @@ from .lll import (
 from .streams import (
     Coloring,
     ConstraintStream,
-    PartialWord,
     SparsityReport,
     gen_sets_stream,
     point_bound,
-    sets_to_partials,
     validate_sparsity,
 )
 from .verify import (

@@ -1,13 +1,13 @@
 """Phase-committed online 2-coloring against a sparse constraint stream.
 
 Windows double: N_k = n0 * 2**k with n0 = max(64, 4M).  Phase k gathers
-every constraint whose domain fits inside [0, N_k), drops those already
-satisfied by committed bits, restricts the rest to their uncommitted
-positions ("all uncommitted positions disagree" is the bad event), and runs
-the deterministic resampler over fair bits on the uncommitted region with a
-phase-keyed seed.  On quiescence the prefix [0, N_{k-1}) commits; bits in
-[N_{k-1}, N_k) stay resampleable for one more phase so straddling
-constraints keep a wide uncommitted margin.
+every set whose domain fits inside [0, N_k), drops those the committed bits
+already give both colors, restricts the rest to their uncommitted positions
+(the bad event: those positions complete a constant row that the committed
+bits leave open), and runs the deterministic resampler over fair bits on
+the uncommitted region with a phase-keyed seed.  On quiescence the prefix
+[0, N_{k-1}) commits; bits in [N_{k-1}, N_k) stay resampleable for one more
+phase so straddling constraints keep a wide uncommitted margin.
 
 Positions never touched by any constraint default to 0, so an empty stream
 yields the all-zero prefix.  A constraint whose uncommitted restriction
@@ -52,7 +52,6 @@ def _phase_events(
     committed: bytearray,
     window: int,
     resolved: bytearray,
-    doms: list[tuple[int, ...]],
     maxs: list[int],
     phase: int,
 ) -> list[Event]:
@@ -67,6 +66,7 @@ def _phase_events(
     # which keeps the phase's memory bounded by distinct rows
     shared: dict[tuple[bytes, ...], tuple[tuple[int, ...], ...]] = {}
     prefix = len(committed)
+    doms = stream.items
     for j in range(len(stream)):
         if resolved[j] or maxs[j] >= window:
             continue
@@ -103,9 +103,8 @@ def _phase_events(
 
 
 def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
-    """Commit a prefix of length >= horizon on which every constraint whose
-    domain fits inside the committed region is met: every partial word
-    agrees with the coloring somewhere, every set receives both colors.
+    """Commit a prefix of length >= horizon on which every set whose domain
+    fits inside the committed region receives both colors.
 
     Deterministic in (stream, seed); callers are expected to have passed
     validate_sparsity over the horizon window first.
@@ -117,13 +116,12 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     slack = math.ceil(1 / (1 - stream.q))
     committed = bytearray()
     resolved = bytearray(len(stream))
-    doms = [stream.dom(j) for j in range(len(stream))]
-    maxs = [d[-1] for d in doms]
+    maxs = [d[-1] for d in stream.items]
     k = 1
     while len(committed) < final:
         window = n0 << k
         target = n0 << (k - 1)
-        events = _phase_events(stream, committed, window, resolved, doms, maxs, k)
+        events = _phase_events(stream, committed, window, resolved, maxs, k)
         prefix = len(committed)
         committed += b"0" * (target - prefix)
         if events:

@@ -39,7 +39,7 @@ from .errors import (
     StreamIntegrityError,
 )
 from .rng import u64
-from .streams import KIND_SETS, ConstraintStream
+from .streams import ConstraintStream
 
 MODE_CE = "ce"
 MODE_SIGMA2 = "sigma2"
@@ -180,8 +180,11 @@ def choose_M(b: int, q: Fraction, mode: str) -> int:
 
     Verified by exact integer comparisons up to the point where the
     exponential's growth ratio dominates the polynomial's, then by
-    induction; combined with the set-to-word doubling floor so the result
-    is usable by sets_to_partials at the same q.
+    induction.  The result is raised to the doubling floor
+    ``ceil(2/(1-q))``, the index doubling under which the lemma's set form
+    follows from its word form: a set is its two constant words, and from
+    that M on, doubling the indices costs no more than raising q to
+    ``(1+q)/2``.
     """
     if b < 1:
         raise InvalidParameterError("multiplicity bound must be at least 1")
@@ -274,7 +277,7 @@ def build_translate_stream(
                     hits.append(j)
         return tuple(sorted(hits))
 
-    return ConstraintStream(KIND_SETS, M, q, tuple(items), tuple(prov), locality)
+    return ConstraintStream(M, q, tuple(items), tuple(prov), locality)
 
 
 def build_image_stream(
@@ -373,7 +376,7 @@ def build_image_stream(
             out.update(compress(ids, map(frozenset.__contains__, islice(images, k), repeat(n))))
         return tuple(sorted(out))
 
-    return ConstraintStream(KIND_SETS, M, q, tuple(items), tuple(prov), locality)
+    return ConstraintStream(M, q, tuple(items), tuple(prov), locality)
 
 
 def baseline_coloring(a: int, b: int, announce_stage: int, horizon: int) -> str:

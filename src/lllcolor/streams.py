@@ -1,6 +1,6 @@
-"""Constraint streams: indexable families of finite sets or partial words
-with a point-locality oracle, plus the sparsity validation they must pass
-before coloring.
+"""Constraint streams: indexable families of finite sets with a
+point-locality oracle, plus the sparsity validation they must pass before
+coloring.
 
 The sparsity hypothesis is that at most ``2**(q*m)`` constraints of size
 ``m`` pass through any single position, for all ``m >= M``.  That bound is
@@ -31,47 +31,9 @@ from .errors import (
 from .lll import frac_str
 from .rng import u64
 
-KIND_SETS = "sets"
-KIND_PARTIALS = "partials"
-
-# bit values 0/1 to the ASCII digits of their complements
-_COMPLEMENT = bytes.maketrans(b"\x00\x01", b"10")
-
 # validate_sparsity checks up to this many nonzero cells, else samples per size
 _FULL_CHECK_CELLS = 20000
 _SAMPLE_PER_SIZE = 12
-
-
-@dataclass(frozen=True)
-class PartialWord:
-    """A finite partial function N -> 2: sorted domain plus aligned bits."""
-
-    id: int
-    dom: tuple[int, ...]
-    vals: tuple[int, ...]
-
-    def __post_init__(self):
-        dom = tuple(self.dom)
-        try:
-            vals = tuple(map(operator.index, self.vals))
-        except TypeError:
-            raise InvalidInputError(f"word {self.id}: values must be bits") from None
-        if not dom:
-            raise InvalidInputError(f"word {self.id}: domain must be nonempty")
-        if list(dom) != sorted(set(dom)):
-            raise InvalidInputError(f"word {self.id}: domain must be sorted, duplicate-free")
-        if dom[0] < 0:
-            raise InvalidInputError(f"word {self.id}: negative position {dom[0]}")
-        if len(vals) != len(dom):
-            raise InvalidInputError(f"word {self.id}: {len(vals)} values for {len(dom)} positions")
-        if any(v not in (0, 1) for v in vals):
-            raise InvalidInputError(f"word {self.id}: values must be bits")
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "vals", vals)
-
-    @property
-    def size(self) -> int:
-        return len(self.dom)
 
 
 def _sorted_domain(item) -> tuple[int, ...]:
@@ -83,14 +45,13 @@ def _sorted_domain(item) -> tuple[int, ...]:
 
 @dataclass
 class ConstraintStream:
-    """A finite, indexable constraint family with a locality oracle.
+    """A finite, indexable family of finite sets with a locality oracle.
 
-    A sets stream stores each item once, as its sorted domain tuple (any
-    iterable of positions is accepted); a partials stream stores
-    ``PartialWord`` items.  Either way a constraint is a domain plus the
-    rows it forbids there (:meth:`forbidden_rows`), and :meth:`live_rows`
-    is the one check of which of those rows the bits on a prefix of the
-    domain leave open.
+    Each item is stored once, as its sorted domain tuple (any iterable of
+    positions is accepted).  A set is met when it receives both colors, so
+    it forbids the two constant rows on its domain (:meth:`forbidden_rows`),
+    and :meth:`live_rows` is the one check of which of those rows the bits
+    on a prefix of the domain leave open.
 
     ``locality(m, n)`` lists exactly the indices whose item has size ``m``
     and touches position ``n``.  Builders install a procedural oracle; when
@@ -98,7 +59,6 @@ class ConstraintStream:
     routes are cross-checked by :func:`validate_sparsity`.
     """
 
-    kind: str
     M: int
     q: Fraction
     items: tuple
@@ -106,40 +66,24 @@ class ConstraintStream:
     locality_fn: Callable[[int, int], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
-    _doms: tuple = field(init=False, default=(), compare=False, repr=False)
     _index: dict | None = field(init=False, default=None, compare=False, repr=False)
     _fp: str | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in (KIND_SETS, KIND_PARTIALS):
-            raise InvalidParameterError(f"unknown stream kind {self.kind!r}")
         if self.M < 1:
             raise InvalidParameterError("M must be at least 1")
         q = Fraction(self.q)
         if not 0 < q < 1:
             raise InvalidParameterError(f"q must lie in (0, 1), got {q}")
         self.q = q
-        items = []
-        doms = []
-        for j, item in enumerate(self.items):
-            if self.kind == KIND_SETS:
-                item = dom = _sorted_domain(item)
-            else:
-                if not isinstance(item, PartialWord):
-                    raise InvalidInputError(f"item {j}: partials stream needs PartialWord items")
-                if item.id != j:
-                    raise InvalidInputError(f"item {j}: word id {item.id} must equal its index")
-                dom = item.dom
+        self.items = items = tuple(map(_sorted_domain, self.items))
+        for j, dom in enumerate(items):
             if len(dom) < self.M:
                 raise StreamIntegrityError(
                     f"item {j} has size {len(dom)} below the minimum {self.M}", witness=(j,)
                 )
             if dom[0] < 0:
                 raise InvalidInputError(f"item {j}: negative position {dom[0]}")
-            items.append(item)
-            doms.append(dom)
-        object.__setattr__(self, "items", tuple(items))
-        self._doms = tuple(doms)
         if self.provenance is not None:
             prov = tuple(tuple(p) for p in self.provenance)
             if len(prov) != len(items):
@@ -149,34 +93,28 @@ class ConstraintStream:
     def __len__(self) -> int:
         return len(self.items)
 
-    def item(self, j: int):
+    def dom(self, j: int) -> tuple[int, ...]:
         return self.items[j]
 
-    def dom(self, j: int) -> tuple[int, ...]:
-        return self._doms[j]
-
     def size(self, j: int) -> int:
-        return len(self._doms[j])
+        return len(self.items[j])
 
     def locality(self, m: int, n: int) -> tuple[int, ...]:
         if self.locality_fn is not None:
             return self.locality_fn(m, n)
         if self._index is None:
             index: dict[tuple[int, int], list[int]] = {}
-            for j, dom in enumerate(self._doms):
+            for j, dom in enumerate(self.items):
                 for pos in dom:
                     index.setdefault((len(dom), pos), []).append(j)
             self._index = {key: tuple(v) for key, v in index.items()}
         return self._index.get((m, n), ())
 
     def forbidden_rows(self, j: int) -> tuple[bytes, ...]:
-        """The assignments of ``dom(j)`` that violate constraint j, sorted,
-        as ASCII 0/1 rows aligned with the domain: ``0^m`` and ``1^m`` for a
-        set, the complement of its bits for a partial word."""
-        if self.kind == KIND_SETS:
-            m = len(self._doms[j])
-            return (b"0" * m, b"1" * m)
-        return (bytes(self.items[j].vals).translate(_COMPLEMENT),)
+        """The assignments of ``dom(j)`` that violate set j, sorted, as ASCII
+        0/1 rows aligned with the domain: ``0^m`` and ``1^m``."""
+        m = len(self.items[j])
+        return (b"0" * m, b"1" * m)
 
     def live_rows(self, j: int, bits, cut: int) -> tuple[bytes, ...]:
         """Forbidden rows of constraint j that agree with ``bits`` (ASCII 0/1
@@ -185,7 +123,7 @@ class ConstraintStream:
         constraint."""
         if isinstance(bits, str):
             raise InvalidInputError("bits must be ASCII bytes, not str; encode them first")
-        head = self._doms[j][:cut]
+        head = self.items[j][:cut]
         bit = bits.__getitem__
         rows = self.forbidden_rows(j)
         return tuple([row for row in rows if not any(map(operator.ne, map(bit, head), row))])
@@ -193,7 +131,7 @@ class ConstraintStream:
     def is_violated(self, j: int, bits) -> bool:
         """True iff ``bits`` (ASCII 0/1 bytes by position, covering the whole
         domain) assign ``dom(j)`` one of its forbidden rows."""
-        return bool(self.live_rows(j, bits, len(self._doms[j])))
+        return bool(self.live_rows(j, bits, len(self.items[j])))
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the sha256 of the manifest text the stream
@@ -205,51 +143,6 @@ class ConstraintStream:
 
 def _text_fingerprint(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def sets_to_partials(stream: ConstraintStream) -> ConstraintStream:
-    """Expand each set F_j into its two constant words 2j (all-0) and
-    2j+1 (all-1).
-
-    Doubling the indices costs one unit in the point-count exponent, which
-    is absorbed by raising q to ``q' = (q+1)/2`` provided
-    ``1 + q*m <= q'*m`` for every ``m >= M``; the least admissible M is
-    reported when the given one is too small.
-    """
-    if stream.kind != KIND_SETS:
-        raise InvalidInputError("sets_to_partials needs a sets stream")
-    q_prime = (stream.q + 1) / 2
-    least = math.ceil(1 / (q_prime - stream.q))
-    if stream.M < least:
-        raise InvalidParameterError(
-            f"M={stream.M} cannot absorb the index doubling at q={stream.q}; "
-            f"least admissible M is {least}",
-            least_valid=least,
-        )
-    words = []
-    prov = []
-    for j in range(len(stream)):
-        dom = stream.dom(j)
-        words.append(PartialWord(2 * j, dom, (0,) * len(dom)))
-        words.append(PartialWord(2 * j + 1, dom, (1,) * len(dom)))
-        if stream.provenance is not None:
-            prov.extend([stream.provenance[j], stream.provenance[j]])
-    base = stream.locality
-
-    def doubled(m: int, n: int) -> tuple[int, ...]:
-        out = []
-        for j in base(m, n):
-            out.extend((2 * j, 2 * j + 1))
-        return tuple(sorted(out))
-
-    return ConstraintStream(
-        KIND_PARTIALS,
-        stream.M,
-        q_prime,
-        tuple(words),
-        tuple(prov) if stream.provenance is not None else None,
-        doubled,
-    )
 
 
 def _int_nth_root(x: int, d: int) -> int:
@@ -357,7 +250,7 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         raise InvalidParameterError("window must be at least 1")
     # groups[m]: j -> the positions inside the window of each item of size m
     groups: dict[int, dict[int, tuple[int, ...]]] = {}
-    for j, dom in enumerate(stream._doms):
+    for j, dom in enumerate(stream.items):
         if len(dom) <= window and dom[0] < window:
             groups.setdefault(len(dom), {})[j] = dom[: bisect_left(dom, window)]
     counts: dict[int, list[int]] = {}
@@ -413,7 +306,7 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         near=tuple(near),
         cross_check=mode,
         cells_checked=len(cells),
-        max_size_seen=max(map(len, stream._doms), default=0),
+        max_size_seen=max(map(len, stream.items), default=0),
         items_in_window=sum(map(len, groups.values())),
     )
 
@@ -433,6 +326,8 @@ def gen_sets_stream(
         raise InvalidParameterError("count must be >= 0 and M >= 1")
     if window < 4 * (M + spread):
         raise InvalidParameterError("window too small for the requested sizes")
+    if count > sum(math.comb(window, m) for m in range(M, M + spread + 1)):
+        raise InvalidParameterError(f"the window holds fewer than {count} distinct sets")
     items: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     attempt = 0
@@ -450,7 +345,7 @@ def gen_sets_stream(
                 seen.add(dom)
                 items.append(dom)
                 break
-    return ConstraintStream(KIND_SETS, M, q, tuple(items))
+    return ConstraintStream(M, q, tuple(items))
 
 
 @dataclass(frozen=True)
@@ -530,15 +425,13 @@ def parse_coloring(text: str) -> Coloring:
 
 def format_manifest(stream: ConstraintStream) -> str:
     """The manifest text; the stream's fingerprint is taken from it."""
-    lines = [f"stream {stream.kind} M {stream.M} q {frac_str(stream.q)}"]
-    for j in range(len(stream)):
-        if stream.provenance is not None:
-            i, s = stream.provenance[j]
+    lines = [f"stream sets M {stream.M} q {frac_str(stream.q)}"]
+    prov = stream.provenance
+    for j, dom in enumerate(stream.items):
+        if prov is not None:
+            i, s = prov[j]
             lines.append(f"# by {i} at {s}")
-        dom = stream.dom(j)
-        lines.append(f"item {j} {len(dom)} " + " ".join(str(n) for n in dom))
-        if stream.kind == KIND_PARTIALS:
-            lines.append("bits " + " ".join(str(v) for v in stream.item(j).vals))
+        lines.append(f"item {j} {len(dom)} " + " ".join(map(str, dom)))
     text = "\n".join(lines) + "\n"
     if stream._fp is None:
         stream._fp = _text_fingerprint(text)
@@ -550,10 +443,8 @@ def parse_manifest(text: str) -> ConstraintStream:
     ``text`` itself: verifying a coloring formats nothing."""
     header = None
     doms: list[tuple[int, ...]] = []
-    words: list[PartialWord] = []
     prov: list[tuple[int, int] | None] = []
     pending_prov: tuple[int, int] | None = None
-    bare = 0  # line of a partials item still waiting for its bits record
     with RecordReader(text) as records:
         for line in records:
             if line[0] == "#":
@@ -570,12 +461,10 @@ def parse_manifest(text: str) -> ConstraintStream:
                 _, kind, m_tag, M, q_tag, q = toks
                 if m_tag != "M" or q_tag != "q":
                     raise ValueError(line)
-                header = ConstraintStream(kind, int(M), Fraction(q), ())
+                if kind != "sets":
+                    raise records.error(f"unknown stream kind {kind!r}")
+                header = ConstraintStream(int(M), Fraction(q), ())
             elif toks[0] == "item":
-                if bare:
-                    raise records.error(
-                        f"item {len(doms) - 1}: partials stream item lacks bits", bare
-                    )
                 j, k = int(toks[1]), int(toks[2])
                 if j != len(doms):
                     raise records.error(f"item index {j} out of order")
@@ -588,26 +477,14 @@ def parse_manifest(text: str) -> ConstraintStream:
                     raise records.error("item record before the stream header")
                 if k < header.M:
                     raise records.error(f"item {j} has size {k} below the minimum {header.M}")
-                if header.kind == KIND_PARTIALS:
-                    bare = records.lineno
                 doms.append(dom)
                 prov.append(pending_prov)
                 pending_prov = None
-            elif toks[0] == "bits":
-                if doms and header.kind == KIND_SETS:
-                    raise records.error(f"item {len(doms) - 1}: sets stream item carries bits")
-                if not bare:
-                    raise records.error("stray bits record")
-                words.append(PartialWord(len(doms) - 1, doms[-1], tuple(map(int, toks[1:]))))
-                bare = 0
             else:
                 raise records.error(f"unknown record {toks[0]!r}")
     if header is None:
         raise ParseError("missing stream header")
-    if bare:
-        raise records.error(f"item {len(doms) - 1}: partials stream item lacks bits", bare)
-    items = tuple(words) if header.kind == KIND_PARTIALS else tuple(doms)
     provenance = tuple(prov) if prov and None not in prov else None
-    stream = ConstraintStream(header.kind, header.M, header.q, items, provenance)
+    stream = ConstraintStream(header.M, header.q, tuple(doms), provenance)
     stream._fp = _text_fingerprint(text)
     return stream

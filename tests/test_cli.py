@@ -2,22 +2,11 @@
 re-verification path."""
 
 import json
-from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from lllcolor.cli import main
-from lllcolor.colorer import color_prefix
-from lllcolor.streams import (
-    KIND_PARTIALS,
-    ConstraintStream,
-    PartialWord,
-    format_coloring,
-    format_manifest,
-    parse_coloring,
-    parse_manifest,
-)
+from lllcolor.streams import parse_coloring, parse_manifest
 
 ARTIFACTS = {
     "audit.json",
@@ -212,37 +201,15 @@ class TestVerify:
         assert run_cli("verify", "--coloring", tmp_path / "coloring.txt",
                        "--stream", tmp_path / "stream.txt") == 1
 
-    def test_partial_words_manifest(self, tmp_path, capsys):
-        # fresh artifacts of a partial-words stream pass; flipping the bits
-        # on which one word agrees makes it disagree everywhere
-        words = tuple(
-            PartialWord(j, tuple(range(3 * j, 3 * j + 6)),
-                        tuple((j + p) % 3 == 0 for p in range(6)))
-            for j in range(20)
-        )
-        stream = ConstraintStream(KIND_PARTIALS, 6, Fraction(1, 2), words)
-        coloring = color_prefix(stream, 128, 4)
-        (tmp_path / "stream.txt").write_text(format_manifest(stream))
-        (tmp_path / "coloring.txt").write_text(format_coloring(coloring))
-        args = ("verify", "--coloring", tmp_path / "coloring.txt",
-                "--stream", tmp_path / "stream.txt")
-        assert run_cli(*args) == 0
-        agree = {
-            w.id: [n for n, v in zip(w.dom, w.vals) if coloring.bit(n) == v]
-            for w in words
-        }
-        j = min(agree, key=lambda i: (len(agree[i]), i))
-        bits = list(coloring.bits)
-        for n in agree[j]:
-            bits[n] = "10"[coloring.bit(n)]
-        flipped = replace(coloring, bits="".join(bits))
-        (tmp_path / "coloring.txt").write_text(format_coloring(flipped))
-        capsys.readouterr()
-        assert run_cli(*args) == 1
-        captured = capsys.readouterr()
-        assert "0 violated" not in captured.out.splitlines()[-1]
-        named = captured.err.split("violated constraint ids:")[1]
-        assert j in json.loads(named)
+    def test_partials_manifest_is_refused(self, tmp_path, capsys):
+        # streams hold sets only; any other kind is a malformed manifest
+        (tmp_path / "stream.txt").write_text("stream partials M 2 q 1/2\nitem 0 2 0 1\n")
+        (tmp_path / "coloring.txt").write_text("coloring 2 0\n01\n")
+        rc = run_cli("verify", "--coloring", tmp_path / "coloring.txt",
+                     "--stream", tmp_path / "stream.txt")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "line 1: unknown stream kind 'partials'"
 
     def test_fingerprint_mismatch_warns(self, artifacts, tmp_path, capsys):
         other = tmp_path / "other"

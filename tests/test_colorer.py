@@ -16,21 +16,14 @@ from lllcolor.errors import (
     WrongStreamError,
 )
 from lllcolor.lll import Event
-from lllcolor.streams import (
-    KIND_PARTIALS,
-    KIND_SETS,
-    ConstraintStream,
-    PartialWord,
-    gen_sets_stream,
-    sets_to_partials,
-)
-from test_golden import PIPELINES, hand_words
+from lllcolor.streams import ConstraintStream, gen_sets_stream
+from test_golden import PIPELINES, golden_sets
 
 F = Fraction
 
 
 def empty_stream(M=16):
-    return ConstraintStream(KIND_SETS, M, F(1, 2), ())
+    return ConstraintStream(M, F(1, 2), ())
 
 
 def scan_sets(stream, coloring):
@@ -51,7 +44,7 @@ class TestColorPrefix:
         assert set(col.bits) == {"0"}
 
     def test_single_set_gets_both_colors(self):
-        stream = ConstraintStream(KIND_SETS, 16, F(1, 2), (frozenset(range(16)),))
+        stream = ConstraintStream(16, F(1, 2), (frozenset(range(16)),))
         col = color_prefix(stream, 64, 5)
         assert {col.bits[n] for n in range(16)} == {"0", "1"}
 
@@ -69,47 +62,6 @@ class TestColorPrefix:
             stream = gen_sets_stream(seed, 150, 1024, 4, spread=0)
             col = color_prefix(stream, 1024, seed)
             assert scan_sets(stream, col) == []
-
-    def test_partial_words_get_agreement(self):
-        words = tuple(
-            PartialWord(j, tuple(range(4 * j, 4 * j + 4)), ((0, 1, 0, 1), (1, 0, 1, 0))[j % 2])
-            for j in range(10)
-        )
-        stream = ConstraintStream(KIND_PARTIALS, 4, F(1, 2), words)
-        col = color_prefix(stream, 64, 9)
-        for w in words:
-            assert any(col.bit(n) == w.vals[p] for p, n in enumerate(w.dom))
-
-    def test_scattered_4_position_words_get_agreement(self):
-        # every bit pattern over scattered, boundary-straddling domains
-        base = gen_sets_stream(2, 150, 1024, 4, spread=0)
-        words = tuple(
-            PartialWord(j, base.dom(j), tuple((j >> p) & 1 for p in range(4)))
-            for j in range(len(base))
-        )
-        stream = ConstraintStream(KIND_PARTIALS, 4, F(1, 2), words)
-        for seed in (0, 1):
-            col = color_prefix(stream, 1024, seed)
-            for w in words:
-                assert any(col.bit(n) == w.vals[p] for p, n in enumerate(w.dom))
-
-    def test_expanded_words_break_their_sets(self):
-        from lllcolor.streams import sets_to_partials
-
-        base = gen_sets_stream(3, 40, 1024, 16)
-        words = sets_to_partials(base)
-        col = color_prefix(words, 1024, 7)
-        for j in range(len(base)):
-            dom = base.dom(j)
-            if dom[-1] < col.committed_len:
-                assert len({col.bits[n] for n in dom}) == 2
-
-    def test_expanded_4_position_words_break_their_sets(self):
-        from lllcolor.streams import sets_to_partials
-
-        base = gen_sets_stream(3, 150, 1024, 4, spread=0)
-        col = color_prefix(sets_to_partials(base), 1024, 7)
-        assert scan_sets(base, col) == []
 
     def test_determinism(self):
         stream = gen_sets_stream(7, 50, 512, 16)
@@ -144,7 +96,7 @@ class TestPrefixStability:
             for shift in (-3, 0, 3):
                 center = boundary + shift
                 items.append(frozenset(range(center - 8, center + 8)))
-        stream = ConstraintStream(KIND_SETS, 16, F(1, 2), tuple(items))
+        stream = ConstraintStream(16, F(1, 2), tuple(items))
         for seed in range(4):
             col = color_prefix(stream, 2048, seed)
             assert scan_sets(stream, col) == []
@@ -207,19 +159,20 @@ class TestExtendColoring:
 
 
 class TestConstructionFailures:
-    def test_opposing_single_position_words(self):
-        # both words live on one position and demand opposite bits; the
-        # stream knowingly violates sparsity, which is what makes the
-        # strategy's honest failure reachable
-        words = (PartialWord(0, (5,), (0,)), PartialWord(1, (5,), (1,)))
-        stream = ConstraintStream(KIND_PARTIALS, 1, F(1, 2), words)
-        with pytest.raises(ConstructionFailureError) as exc:
-            color_prefix(stream, 8, 0)
-        assert set(exc.value.constraint_ids) == {0, 1}
-        assert exc.value.phase == 1
+    def test_triangle_pins_one_position_both_ways(self):
+        # no 2-coloring gives all three 2-sets both colors: phase 1 commits
+        # distinct bits at 0 and 1, so in phase 2 the other two sets each
+        # pin position 200, to opposite bits
+        stream = ConstraintStream(2, F(1, 2), ((0, 1), (0, 200), (1, 200)))
+        for seed in range(5):
+            with pytest.raises(ConstructionFailureError) as exc:
+                color_prefix(stream, 256, seed)
+            assert exc.value.phase == 2
+            assert exc.value.constraint_ids == (1, 2)
+            assert "constraints pin position 200 to opposite bits" in str(exc.value)
 
     def test_single_position_set_is_impossible(self):
-        stream = ConstraintStream(KIND_SETS, 1, F(1, 2), (frozenset({3}),))
+        stream = ConstraintStream(1, F(1, 2), (frozenset({3}),))
         with pytest.raises(ConstructionFailureError) as exc:
             color_prefix(stream, 8, 0)
         assert exc.value.constraint_ids == (0,)
@@ -235,12 +188,12 @@ def test_phase_base():
 @pytest.mark.parametrize("M", [4, 20])
 @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 80, 81, 700, 1024])
 def test_committed_length_is_what_color_prefix_commits(M, horizon):
-    empty = ConstraintStream(KIND_SETS, M, F(1, 2), ())
+    empty = ConstraintStream(M, F(1, 2), ())
     assert committed_length(M, horizon) == color_prefix(empty, horizon, 3).committed_len
 
 
 
-@pytest.mark.parametrize("name", [*sorted(PIPELINES), "expanded-sets", "hand-words"])
+@pytest.mark.parametrize("name", [*sorted(PIPELINES), "expanded-sets"])
 def test_phase_events_are_canonical_bits(name, tmp_path, monkeypatch):
     # _phase_events builds its events with _trusted_event, which skips
     # Event's canonicalization: on the golden configs they must come out
@@ -255,9 +208,7 @@ def test_phase_events_are_canonical_bits(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(colorer, "_phase_events", spy)
     if name == "expanded-sets":
-        color_prefix(sets_to_partials(gen_sets_stream(5, 150, 512, 4, spread=2)), 512, 7)
-    elif name == "hand-words":
-        color_prefix(hand_words(), 512, 11)
+        color_prefix(golden_sets(), 512, 7)
     else:
         assert main(PIPELINES[name][0] + ["--out", str(tmp_path)]) == 0
     assert seen

@@ -7,19 +7,12 @@ to alter artifacts must say why and re-record the digests here.
 """
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 
 from lllcolor.cli import main
 from lllcolor.colorer import color_prefix
-from lllcolor.streams import (
-    KIND_PARTIALS,
-    ConstraintStream,
-    PartialWord,
-    gen_sets_stream,
-    sets_to_partials,
-)
+from lllcolor.streams import ConstraintStream, gen_sets_stream
 
 PIPELINES = {
     "comp-sum-s7": (
@@ -65,28 +58,17 @@ PIPELINES = {
 }
 
 EXPANDED_SETS_BITS = "fcdce5371e7c9b804fbfd151a53f9efe9259602e96a6eb8a4ac27fe2927f24b4"
-HAND_WORDS_BITS = "856f307c103c06e647ff0a6f7aa30de22ceac662efd2db8da1261cd47c87bc3b"
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# Both colorer inputs use short, overlapping constraints: a random start
-# violates many of them, so the bits depend on the restricted events the
-# resampler is handed, not only on its first samples.
-
-
-def hand_words() -> ConstraintStream:
-    """Overlapping 4-position words with mixed bits, some straddling the
-    colorer's commit boundaries."""
-    words = []
-    for j in range(160):
-        start = 3 * j + j % 2
-        dom = (start, start + 2, start + 5, start + 7)
-        vals = tuple(((5 * j + 3 * p) >> 1) & 1 for p in range(4))
-        words.append(PartialWord(j, dom, vals))
-    return ConstraintStream(KIND_PARTIALS, 4, Fraction(1, 2), tuple(words))
+def golden_sets() -> ConstraintStream:
+    """Short, overlapping 4- to 6-position sets: a random start leaves many
+    of them constant, so the bits depend on the restricted events the
+    resampler is handed, not only on its first samples."""
+    return gen_sets_stream(5, 150, 512, 4, spread=2)
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINES))
@@ -99,11 +81,5 @@ def test_pipeline_artifacts(name, tmp_path):
 
 
 def test_expanded_sets_coloring():
-    words = sets_to_partials(gen_sets_stream(5, 150, 512, 4, spread=2))
-    col = color_prefix(words, 512, 7)
+    col = color_prefix(golden_sets(), 512, 7)
     assert sha256(col.bits.encode("ascii")) == EXPANDED_SETS_BITS
-
-
-def test_hand_words_coloring():
-    col = color_prefix(hand_words(), 512, 11)
-    assert sha256(col.bits.encode("ascii")) == HAND_WORDS_BITS

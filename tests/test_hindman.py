@@ -292,7 +292,7 @@ class TestBuildTranslateStream:
         )
         stream = build_translate_stream(fam, 4)
         assert stream.provenance == tuple((0, s) for s in range(6, 10))
-        assert stream.item(0) == (6, 7, 8, 11)
+        assert stream.dom(0) == (6, 7, 8, 11)
 
     def test_sizes_are_member_thresholds(self):
         fam, stream = self.small()
@@ -394,7 +394,7 @@ class TestBuildImageStream:
         for j in range(len(stream)):
             i, s = stream.provenance[j]
             _, since = _selection_timeline(fam, i, fn.mult_bound * (M + i))[s]
-            assert min(stream.item(j)) > since
+            assert min(stream.dom(j)) > since
 
     @pytest.mark.parametrize("fname, seed, unstable", [
         ("sum", 3, ()), ("sum", 8, ()), ("absdiff", 3, ()), ("absdiff", 8, ()),

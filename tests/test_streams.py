@@ -1,6 +1,5 @@
-"""Constraint streams: the set-to-word expansion, exact sparsity checking,
-and the text interchange formats (with the header rule every parser
-shares)."""
+"""Constraint streams: the set stream type, exact sparsity checking, and
+the text interchange formats (with the header rule every parser shares)."""
 
 from fractions import Fraction
 
@@ -17,18 +16,14 @@ from lllcolor.errors import (
 from lllcolor.hindman import parse_family
 from lllcolor.lll import parse_instance
 from lllcolor.streams import (
-    KIND_PARTIALS,
-    KIND_SETS,
     Coloring,
     ConstraintStream,
-    PartialWord,
     format_coloring,
     format_manifest,
     gen_sets_stream,
     parse_coloring,
     parse_manifest,
     point_bound,
-    sets_to_partials,
     validate_sparsity,
 )
 from lllcolor.verify import sparsity_counts_csv
@@ -37,8 +32,7 @@ F = Fraction
 
 
 def sets_stream(items, M=2, q=F(1, 2), locality=None, provenance=None):
-    return ConstraintStream(KIND_SETS, M, q, tuple(frozenset(i) for i in items),
-                            provenance, locality)
+    return ConstraintStream(M, q, tuple(frozenset(i) for i in items), provenance, locality)
 
 
 def naive_sparsity(stream, window):
@@ -118,11 +112,6 @@ class TestConstraintStream:
         with pytest.raises(InvalidInputError, match="negative position -1"):
             sets_stream([{-1, 3}])
 
-    def test_partials_need_matching_ids(self):
-        w = PartialWord(3, (0, 1), (0, 1))
-        with pytest.raises(InvalidInputError):
-            ConstraintStream(KIND_PARTIALS, 1, F(1, 2), (w,))
-
     def test_fingerprint_tracks_content(self):
         a = sets_stream([{0, 1}])
         b = sets_stream([{0, 1}])
@@ -133,9 +122,9 @@ class TestConstraintStream:
 
     def test_set_items_stored_as_sorted_domains(self):
         s = sets_stream([{9, 3, 5}, (1, 4)])
-        assert s.item(0) == s.dom(0) == (3, 5, 9)
-        assert s.item(1) == (1, 4)
-        assert ConstraintStream(KIND_SETS, 2, F(1, 2), ([4, 1, 4, 2],)).item(0) == (1, 2, 4)
+        assert s.items[0] == s.dom(0) == (3, 5, 9)
+        assert s.items[1] == (1, 4)
+        assert ConstraintStream(2, F(1, 2), ([4, 1, 4, 2],)).items[0] == (1, 2, 4)
 
     def test_fingerprint_comes_from_manifest_text(self):
         import hashlib
@@ -146,116 +135,31 @@ class TestConstraintStream:
 
 
 class TestForbiddenRows:
-    def words(self):
-        return ConstraintStream(
-            KIND_PARTIALS, 2, F(1, 2), (PartialWord(0, (1, 3, 4), (0, 1, 1)),)
-        )
-
     def test_rows_of_each_kind(self):
         assert sets_stream([{2, 0, 1}]).forbidden_rows(0) == (b"000", b"111")
-        assert self.words().forbidden_rows(0) == (b"100",)
 
     def test_live_rows_on_a_prefix(self):
         sets = sets_stream([{0, 1, 2, 3}])
         assert sets.live_rows(0, b"00", 0) == (b"0000", b"1111")
         assert sets.live_rows(0, b"00", 2) == (b"0000",)
         assert sets.live_rows(0, b"01", 2) == ()
-        words = self.words()
-        assert words.live_rows(0, b"00000", 1) == ()
-        assert words.live_rows(0, b"01000", 2) == (b"100",)
 
     def test_is_violated_matches_direct_scan(self):
         sets = sets_stream([{0, 2, 4}])
-        words = self.words()
         for mask in range(32):
             bits = bytes(48 + ((mask >> n) & 1) for n in range(5))
             constant = len({bits[n] for n in (0, 2, 4)}) == 1
             assert sets.is_violated(0, bits) == constant
-            agrees = any(bits[n] - 48 == v for n, v in zip((1, 3, 4), (0, 1, 1)))
-            assert words.is_violated(0, bits) == (not agrees)
 
 
     def test_str_bits_rejected(self):
         # a str never equals a bytes row, so it would read as "never violated"
         sets = sets_stream([{0, 1, 2}])
-        words = self.words()
-        for stream, bits in ((sets, "000"), (words, "01000")):
-            with pytest.raises(InvalidInputError, match="not str"):
-                stream.is_violated(0, bits)
-            with pytest.raises(InvalidInputError, match="not str"):
-                stream.live_rows(0, bits, 1)
-            assert stream.is_violated(0, bits.encode("ascii"))
-
-
-class TestPartialWord:
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            PartialWord(0, (), ())
-        with pytest.raises(InvalidInputError):
-            PartialWord(0, (1, 0), (0, 0))
-        with pytest.raises(InvalidInputError):
-            PartialWord(0, (0, 1), (0, 2))
-        with pytest.raises(InvalidInputError):
-            PartialWord(0, (-1, 3), (0, 1))
-        # a non-integral value is refused, not truncated to a bit
-        with pytest.raises(InvalidInputError, match="word 0: values must be bits"):
-            PartialWord(0, (1, 2), (0.9, 1))
-
-    def test_size(self):
-        assert PartialWord(0, (2, 5, 9), (1, 0, 1)).size == 3
-
-
-class TestSetsToPartials:
-    def test_definition_unfold(self):
-        # M=4 is the least admissible floor at q=1/2
-        base = ConstraintStream(KIND_SETS, 4, F(1, 2), (frozenset({0, 1, 2, 3}),))
-        out = sets_to_partials(base)
-        assert out.kind == KIND_PARTIALS
-        assert out.item(0).dom == (0, 1, 2, 3) and out.item(0).vals == (0, 0, 0, 0)
-        assert out.item(1).dom == (0, 1, 2, 3) and out.item(1).vals == (1, 1, 1, 1)
-        assert out.M == 4
-        assert out.q == F(3, 4)
-
-    def test_least_admissible_M_is_named(self):
-        base = ConstraintStream(KIND_SETS, 3, F(1, 2), (frozenset({0, 1, 2}),))
-        with pytest.raises(InvalidParameterError) as exc:
-            sets_to_partials(base)
-        assert exc.value.least_valid == 4
-
-    def test_locality_doubles_indices(self):
-        base = ConstraintStream(
-            KIND_SETS, 4, F(1, 2),
-            (frozenset({0, 1, 2, 4}), frozenset({7, 8, 9, 10})),
-        )
-        out = sets_to_partials(base)
-        assert out.locality(4, 1) == (0, 1)
-        assert out.locality(4, 8) == (2, 3)
-        assert out.locality(4, 99) == ()
-
-    def test_round_trip_agreement_semantics(self):
-        # a set is dichromatic iff both derived constant words agree somewhere
-        base = ConstraintStream(KIND_SETS, 4, F(1, 2), (frozenset({0, 1, 2, 3}),))
-        out = sets_to_partials(base)
-        for bits in ("0101", "0000", "1111"):
-            col = Coloring(bits, 0, "", 64, 0)
-            dichromatic = len(set(bits)) == 2
-            w0, w1 = out.item(0), out.item(1)
-            agrees0 = any(col.bit(n) == w0.vals[p] for p, n in enumerate(w0.dom))
-            agrees1 = any(col.bit(n) == w1.vals[p] for p, n in enumerate(w1.dom))
-            assert (agrees0 and agrees1) == dichromatic
-
-    def test_rejects_partials_input(self):
-        w = PartialWord(0, (0, 1), (0, 1))
-        s = ConstraintStream(KIND_PARTIALS, 1, F(1, 2), (w,))
-        with pytest.raises(InvalidInputError):
-            sets_to_partials(s)
-
-    def test_expanded_stream_passes_validation(self):
-        base = gen_sets_stream(6, 30, 512, 16)
-        out = sets_to_partials(base)
-        rep = validate_sparsity(out, 512)
-        assert rep.ok
-        assert rep.items_in_window == 60
+        with pytest.raises(InvalidInputError, match="not str"):
+            sets.is_violated(0, "000")
+        with pytest.raises(InvalidInputError, match="not str"):
+            sets.live_rows(0, "000", 1)
+        assert sets.is_violated(0, b"000")
 
 
 class TestPointBound:
@@ -387,6 +291,12 @@ class TestGenSetsStream:
         b = gen_sets_stream(3, 30, 512, 16)
         assert a.items == b.items
 
+    def test_more_sets_than_the_window_holds_raises(self):
+        # 8 points hold 28 distinct 2-sets: a 29th can never be found
+        with pytest.raises(InvalidParameterError, match="fewer than 29 distinct sets"):
+            gen_sets_stream(0, 29, 8, 2, spread=0)
+        assert len(set(gen_sets_stream(0, 28, 8, 2, spread=0).items)) == 28
+
     def test_meets_hypotheses(self):
         s = gen_sets_stream(3, 200, 4096, 16)
         assert len(s) == 200
@@ -434,15 +344,7 @@ class TestManifestFormat:
         text = format_manifest(s)
         assert "# by 0 at 5" in text
         back = parse_manifest(text)
-        assert back == ConstraintStream(
-            KIND_SETS, s.M, s.q, s.items, s.provenance
-        )
-
-    def test_partials_round_trip(self):
-        words = (PartialWord(0, (0, 2), (1, 0)), PartialWord(1, (1, 3), (0, 1)))
-        s = ConstraintStream(KIND_PARTIALS, 2, F(1, 3), words)
-        back = parse_manifest(format_manifest(s))
-        assert back == s
+        assert back == ConstraintStream(s.M, s.q, s.items, s.provenance)
 
     def test_truncated_rejected(self):
         s = sets_stream([{0, 1, 5}])
@@ -470,10 +372,6 @@ class TestManifestFormat:
     def test_item_before_header_names_its_line(self):
         with pytest.raises(ParseError, match="line 1: item record before the stream header"):
             parse_manifest("item 0 3 0 1 2\nstream sets M 3 q 1/2\n")
-
-    def test_non_bit_word_value_names_its_line(self):
-        with pytest.raises(ParseError, match="line 3"):
-            parse_manifest("stream partials M 2 q 1/2\nitem 0 2 1 3\nbits 0 2\n")
 
     def test_parsed_fingerprint_hashes_the_text_read(self):
         import hashlib
@@ -511,11 +409,7 @@ INSTANCE_HEAD = "vars 2\nv 0 2 1/2 1/2\nv 1 2 1/2 1/2\n"
     "parse, text, message",
     [
         (parse_manifest, "stream sets M 2 q 1/2\nitem 0 2 0 1\nbits 1 0\n",
-         "line 3: item 0: sets stream item carries bits"),
-        (parse_manifest, "stream partials M 2 q 1/2\nitem 0 2 0 1\n",
-         "line 2: item 0: partials stream item lacks bits"),
-        (parse_manifest, "stream partials M 2 q 1/2\nitem 0 2 0 1\n\nitem 1 2 1 3\nbits 0 1\n",
-         "line 2: item 0: partials stream item lacks bits"),
+         "line 3: unknown record 'bits'"),
         (parse_manifest, "stream sets M 2 q 1/2\n# by 0 2\nitem 0 2 0 1\n",
          "line 2: malformed record '# by 0 2'"),
         (parse_manifest, "stream sets M 2 q 1/2\n# by 0 on 2\nitem 0 2 0 1\n",
@@ -546,7 +440,7 @@ INSTANCE_HEAD = "vars 2\nv 0 2 1/2 1/2\nv 1 2 1/2 1/2\n"
          "line 2: header declares 3 bits, found 2"),
     ],
     ids=[
-        "sets-bits", "partials-no-bits-last", "partials-no-bits-inner", "by-arity", "by-shape",
+        "bits-record", "by-arity", "by-shape",
         "phases-arity", "stream-arity", "stream-kind", "stream-q", "stream-q-zero-denominator",
         "family-stages", "family-mode", "weight-zero-denominator", "duplicate-variable",
         "duplicate-event-id", "undeclared-variable", "value-out-of-range", "family-count",
