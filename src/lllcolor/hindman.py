@@ -39,7 +39,7 @@ from .errors import (
     StreamIntegrityError,
 )
 from .rng import u64
-from .streams import ConstraintStream
+from .streams import ConstraintStream, _Positions
 
 MODE_CE = "ce"
 MODE_SIGMA2 = "sigma2"
@@ -252,6 +252,8 @@ def build_translate_stream(
     items: list[tuple[int, ...]] = []
     prov: list[tuple[int, int]] = []
     index: dict[tuple[int, int], int] = {}
+    # translates overlap heavily: they share one int per distinct position
+    position = _Positions(int).__getitem__
     # Bases of different members differ in size and the shifts of one base
     # are distinct, so every translate is new.
     for i, s in _diagonal_pairs(count, stages):
@@ -261,7 +263,7 @@ def build_translate_stream(
         index[(i, s)] = len(items)
         prov.append((i, s))
         # shifting keeps the base sorted
-        items.append(tuple(x + s for x in got[0]))
+        items.append(tuple(map(position, map(s.__add__, got[0]))))
 
     def locality(m: int, n: int) -> tuple[int, ...]:
         i = m - M

@@ -36,6 +36,24 @@ _FULL_CHECK_CELLS = 20000
 _SAMPLE_PER_SIZE = 12
 
 
+class _Positions(dict):
+    """One call's table of distinct positions: the first lookup of a key
+    stores ``convert(key)``, and every later lookup returns that object.
+    Each caller makes its own and drops it on return, so a parsed or built
+    stream holds one object per distinct position and nothing outlives the
+    call."""
+
+    __slots__ = ("_convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self._convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self._convert(key)
+        return value
+
+
 def _sorted_domain(item) -> tuple[int, ...]:
     # A strictly increasing tuple already is its own sorted domain.
     if type(item) is tuple and all(map(operator.lt, item, item[1:])):
@@ -95,9 +113,6 @@ class ConstraintStream:
 
     def dom(self, j: int) -> tuple[int, ...]:
         return self.items[j]
-
-    def size(self, j: int) -> int:
-        return len(self.items[j])
 
     def locality(self, m: int, n: int) -> tuple[int, ...]:
         if self.locality_fn is not None:
@@ -427,11 +442,12 @@ def format_manifest(stream: ConstraintStream) -> str:
     """The manifest text; the stream's fingerprint is taken from it."""
     lines = [f"stream sets M {stream.M} q {frac_str(stream.q)}"]
     prov = stream.provenance
+    text_of = _Positions(str).__getitem__
     for j, dom in enumerate(stream.items):
         if prov is not None:
             i, s = prov[j]
             lines.append(f"# by {i} at {s}")
-        lines.append(f"item {j} {len(dom)} " + " ".join(map(str, dom)))
+        lines.append(f"item {j} {len(dom)} " + " ".join(map(text_of, dom)))
     text = "\n".join(lines) + "\n"
     if stream._fp is None:
         stream._fp = _text_fingerprint(text)
@@ -445,6 +461,8 @@ def parse_manifest(text: str) -> ConstraintStream:
     doms: list[tuple[int, ...]] = []
     prov: list[tuple[int, int] | None] = []
     pending_prov: tuple[int, int] | None = None
+    # int() runs once per distinct token, so exactly the tokens int() takes pass
+    position = _Positions(int).__getitem__
     with RecordReader(text) as records:
         for line in records:
             if line[0] == "#":
@@ -468,7 +486,7 @@ def parse_manifest(text: str) -> ConstraintStream:
                 j, k = int(toks[1]), int(toks[2])
                 if j != len(doms):
                     raise records.error(f"item index {j} out of order")
-                dom = tuple(map(int, toks[3:]))
+                dom = tuple(map(position, toks[3:]))
                 if len(dom) != k:
                     raise records.error("item arity mismatch")
                 if dom and (dom[0] < 0 or not all(map(operator.lt, dom, dom[1:]))):

@@ -246,6 +246,19 @@ class TestVerify:
         assert err["error"] == "ParseError"
         assert err["message"].startswith(f"line {lineno}:")
 
+    def test_unordered_positions_exit_two(self, artifacts, capsys):
+        lines = (artifacts / "stream.txt").read_text().splitlines(keepends=True)
+        assert lines[2].startswith("item 0 4 ")
+        lines[2] = "item 0 4 13 12 14 15\n"
+        (artifacts / "stream.txt").write_text("".join(lines))
+        capsys.readouterr()
+        rc = run_cli("verify", "--coloring", artifacts / "coloring.txt",
+                     "--stream", artifacts / "stream.txt")
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ParseError",
+                       "message": "line 3: positions must be nonnegative, increasing"}
+
     def test_bad_coloring_bit_line_names_its_line(self, artifacts, capsys):
         lines = (artifacts / "coloring.txt").read_text().splitlines(keepends=True)
         assert lines[2].startswith("coloring ")

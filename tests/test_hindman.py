@@ -298,15 +298,21 @@ class TestBuildTranslateStream:
         fam, stream = self.small()
         for j in range(len(stream)):
             i, s = stream.provenance[j]
-            assert stream.size(j) == 4 + i
+            assert len(stream.dom(j)) == 4 + i
 
     def test_no_duplicates(self):
         fam, stream = self.small()
         assert len(set(stream.items)) == len(stream)
 
+    def test_translates_share_one_int_per_distinct_position(self):
+        fam, stream = self.small(stages=1024)
+        positions = {n for dom in stream.items for n in dom}
+        assert max(positions) > 256
+        assert len({id(n) for dom in stream.items for n in dom}) == len(positions)
+
     def test_locality_counts_at_most_m(self):
         fam, stream = self.small()
-        for m in {stream.size(j) for j in range(len(stream))}:
+        for m in {len(stream.dom(j)) for j in range(len(stream))}:
             for n in range(0, 200, 7):
                 assert len(stream.locality(m, n)) <= m
 
@@ -368,7 +374,7 @@ class TestBuildImageStream:
         fn, M, fam, stream = self.build("absdiff")
         for j in range(len(stream)):
             i, s = stream.provenance[j]
-            assert stream.size(j) >= M + i
+            assert len(stream.dom(j)) >= M + i
 
     def test_stabilized_members_emit_through_top_half(self):
         fn, M, fam, stream = self.build()
@@ -405,8 +411,8 @@ class TestBuildImageStream:
         index = {}
         for j in range(len(stream)):
             for n in stream.dom(j):
-                index.setdefault((stream.size(j), n), []).append(j)
-        top = max(map(stream.size, range(len(stream))))
+                index.setdefault((len(stream.dom(j)), n), []).append(j)
+        top = max(len(stream.dom(j)) for j in range(len(stream)))
         # sizes no item has, empty cells, and points past the last stage
         window = 2 * fam.stage_count
         for m in range(M - 1, top + 2):

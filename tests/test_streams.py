@@ -43,7 +43,7 @@ def naive_sparsity(stream, window):
     tally = {}
     items = 0
     for j in range(len(stream)):
-        m = stream.size(j)
+        m = len(stream.dom(j))
         inside = [n for n in stream.dom(j) if n < window]
         if m > window or not inside:
             continue
@@ -72,7 +72,7 @@ def naive_sparsity(stream, window):
             picks.update(hits[:: max(1, len(hits) // 12)][:12])
         picks.update(n for n in (0, window // 2, window - 1) if n not in per)
         cells.update((m, n) for n in picks)
-    sizes = [stream.size(j) for j in range(len(stream))]
+    sizes = [len(stream.dom(j)) for j in range(len(stream))]
     return {
         "counts": {m: [per.get(n, 0) for n in range(max(per) + 1)] for m, per in tally.items()},
         "violations": tuple(violations),
@@ -95,7 +95,7 @@ class TestConstraintStream:
         s = sets_stream([{3, 1, 2}, {4, 5}])
         assert len(s) == 2
         assert s.dom(0) == (1, 2, 3)
-        assert s.size(1) == 2
+        assert len(s.dom(1)) == 2
 
     def test_derived_locality(self):
         s = sets_stream([{0, 1, 2}, {1, 2}, {2, 3}])
@@ -255,7 +255,7 @@ class TestValidateSparsity:
         direct = {}
         for j in range(len(s)):
             for n in s.dom(j):
-                key = (s.size(j), n)
+                key = (len(s.dom(j)), n)
                 direct[key] = direct.get(key, 0) + 1
         for (m, n), c in direct.items():
             assert rep.counts[m][n] == c
@@ -300,7 +300,7 @@ class TestGenSetsStream:
     def test_meets_hypotheses(self):
         s = gen_sets_stream(3, 200, 4096, 16)
         assert len(s) == 200
-        assert all(s.size(j) >= 16 for j in range(200))
+        assert all(len(s.dom(j)) >= 16 for j in range(200))
         assert validate_sparsity(s, 4096).ok
 
 
@@ -360,10 +360,13 @@ class TestManifestFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_manifest("stream sets M 2 q 1/2\n# by x at 3\nitem 0 2 0 1\n")
 
-    @pytest.mark.parametrize("item", ["item 0 2 -1 3", "item 0 3 1 1 2", "item 0 2 3 1"])
+    @pytest.mark.parametrize("item", [
+        "item 0 2 -1 3", "item 0 3 1 1 2", "item 0 2 3 1",
+        "item 0 4 13 12 14 15", "item 0 4 12 12 14 15",
+    ])
     def test_positions_must_increase_from_zero(self, item):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_manifest(f"stream sets M 2 q 1/2\n{item}\n")
+        with pytest.raises(ParseError, match="^line 3: positions must be nonnegative, increasing$"):
+            parse_manifest(f"stream sets M 2 q 1/2\n# by 0 at 12\n{item}\n")
 
     def test_item_below_M_names_its_line(self):
         with pytest.raises(ParseError, match="line 3: item 1 has size 2 below the minimum 3"):
@@ -372,6 +375,32 @@ class TestManifestFormat:
     def test_item_before_header_names_its_line(self):
         with pytest.raises(ParseError, match="line 1: item record before the stream header"):
             parse_manifest("item 0 3 0 1 2\nstream sets M 3 q 1/2\n")
+
+    def test_parsed_stream_holds_one_int_per_distinct_position(self):
+        # most positions lie past 256, where the interpreter shares no ints
+        back = parse_manifest(format_manifest(gen_sets_stream(4, 300, 1000, 8)))
+        positions = {n for dom in back.items for n in dom}
+        assert max(positions) > 256
+        assert len({id(n) for dom in back.items for n in dom}) == len(positions)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        count=st.integers(0, 30),
+        window=st.integers(48, 3000),
+        q=st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]),
+        data=st.data(),
+    )
+    def test_round_trip_is_byte_exact(self, seed, count, window, q, data):
+        items = gen_sets_stream(seed, count, window, 4, q=q).items
+        provenance = data.draw(st.none() | st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            min_size=len(items), max_size=len(items)))
+        s = ConstraintStream(4, q, items, provenance)
+        text = format_manifest(s)
+        back = parse_manifest(text)
+        assert format_manifest(back) == text
+        assert back.fingerprint() == s.fingerprint()
 
     def test_parsed_fingerprint_hashes_the_text_read(self):
         import hashlib

@@ -211,4 +211,4 @@ def test_sparsity_csv_lists_nonzero_cells():
     lines = csv.strip().splitlines()
     assert lines[0] == "m,n,count"
     total = sum(int(line.split(",")[2]) for line in lines[1:])
-    assert total == sum(stream.size(j) for j in range(len(stream)))
+    assert total == sum(len(stream.dom(j)) for j in range(len(stream)))
