@@ -1,18 +1,21 @@
 """Phase-committed online 2-coloring against a sparse constraint stream.
 
-Windows double: N_k = n0 * 2**k with n0 = max(64, 4M).  Phase k gathers
-every set whose domain fits inside [0, N_k), drops those the committed bits
-already give both colors, restricts the rest to their uncommitted positions
-(the bad event: those positions complete a constant row that the committed
-bits leave open), and runs the deterministic resampler over fair bits on
-the uncommitted region with a phase-keyed seed.  On quiescence the prefix
+Windows double: N_k = n0 * 2**k with n0 = max(64, 4M).  Each set is one bad
+event, built once per call: its whole domain with the two constant rows.
+Phase k gathers the event of every set whose domain fits inside [0, N_k),
+drops those the committed bits already give both colors, and runs the
+deterministic resampler over the rest with a phase-keyed seed: fair bits on
+the uncommitted positions, and each committed position as a fixed variable
+that always takes its committed bit.  Fixing a bit is conditioning on it,
+and samples are keyed per variable, so the free positions draw what they
+would draw over the events restricted to them.  On quiescence the prefix
 [0, N_{k-1}) commits; bits in [N_{k-1}, N_k) stay resampleable for one more
 phase so straddling constraints keep a wide uncommitted margin.
 
 Positions never touched by any constraint default to 0, so an empty stream
-yields the all-zero prefix.  A constraint whose uncommitted restriction
-becomes unsatisfiable, a pair of constraints pinning one bit both ways, or
-a resampling budget blow-up all raise ConstructionFailureError: the
+yields the all-zero prefix.  A constraint the committed bits violate or the
+uncommitted bits cannot meet, a pair of constraints pinning one bit both
+ways, or a resampling budget blow-up all raise ConstructionFailureError: the
 strategy is honest about the rare cases it cannot finish.
 """
 
@@ -29,11 +32,13 @@ from .errors import (
     UnsatisfiableEventError,
     WrongStreamError,
 )
-from .lll import Event, _trusted_event, default_budget, fair_bit, solve_moser_tardos
+from .lll import Event, VarSpec, _trusted_event, default_budget, fair_bit, solve_moser_tardos
 from .rng import derive_seed
 from .streams import Coloring, ConstraintStream
 
 _ZERO = ord("0")
+# a committed ASCII bit as a variable whose one value of weight 1 is that bit
+_POINT_MASS = {_ZERO: ("1", "0"), _ZERO + 1: ("0", "1")}
 
 
 def phase_base(M: int) -> int:
@@ -51,54 +56,41 @@ def _phase_events(
     stream: ConstraintStream,
     committed: bytearray,
     window: int,
-    resolved: bytearray,
-    maxs: list[int],
+    event_of: list[Event | None],
     phase: int,
 ) -> list[Event]:
-    """Restricted bad events for every unresolved constraint inside the window.
+    """The events of every unresolved constraint inside the window.
 
-    A constraint's bad event keeps the forbidden rows that agree with the
-    committed bits, restricted to its uncommitted tail.
+    ``event_of[j]`` is constraint j's one event, its whole domain with both
+    constant rows, or None once the committed bits meet the constraint.
     """
     events: list[Event] = []
     pinned: dict[int, tuple[int, int]] = {}
-    # equal restricted rows are built once per phase and shared by events,
-    # which keeps the phase's memory bounded by distinct rows
-    shared: dict[tuple[bytes, ...], tuple[tuple[int, ...], ...]] = {}
     prefix = len(committed)
-    doms = stream.items
-    for j in range(len(stream)):
-        if resolved[j] or maxs[j] >= window:
+    for j, dom in enumerate(stream.items):
+        event = event_of[j]
+        if event is None or dom[-1] >= window:
             continue
-        dom = doms[j]
         cut = bisect_left(dom, prefix)
         live = stream.live_rows(j, committed, cut)
         if not live:
-            resolved[j] = 1
+            event_of[j] = None
             continue
-        tail = dom[cut:]
-        if not tail:
+        if cut == len(dom):
             raise ConstructionFailureError(
                 phase, (j,), "constraint violated on its committed positions"
             )
-        key = tuple([row[cut:] for row in live])
-        rows = shared.get(key)
-        if rows is None:
-            rows = shared[key] = tuple(tuple(b - _ZERO for b in row) for row in key)
-        # a two-row single-position tail forbids its whole cube: the resampler rejects it
-        if len(tail) == 1 and len(rows) == 1:
-            forced = 1 - rows[0][0]
-            prior = pinned.get(tail[0])
-            if prior is not None and prior[0] != forced:
+        # one live row and one uncommitted position pin that position
+        if cut == len(dom) - 1 and len(live) == 1:
+            prior = pinned.get(dom[-1])
+            if prior is not None and prior[0] != live[0][0]:
                 raise ConstructionFailureError(
                     phase,
                     (prior[1], j),
-                    f"constraints pin position {tail[0]} to opposite bits",
+                    f"constraints pin position {dom[-1]} to opposite bits",
                 )
-            pinned[tail[0]] = (forced, j)
-        # tail is a slice of a sorted duplicate-free domain and the rows are
-        # distinct and sorted, so the trusted constructor is safe here.
-        events.append(_trusted_event(j, tail, rows))
+            pinned[dom[-1]] = (live[0][0], j)
+        events.append(event)
     return events
 
 
@@ -115,18 +107,23 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     final = committed_length(stream.M, horizon)
     slack = math.ceil(1 / (1 - stream.q))
     committed = bytearray()
-    resolved = bytearray(len(stream))
-    maxs = [d[-1] for d in stream.items]
+    rows = {m: ((0,) * m, (1,) * m) for m in set(map(len, stream.items))}
+    # a stream keeps each domain sorted and duplicate-free, and the two
+    # constant rows are sorted, so the trusted constructor is safe here
+    event_of = [_trusted_event(j, dom, rows[len(dom)]) for j, dom in enumerate(stream.items)]
     k = 1
     while len(committed) < final:
         window = n0 << k
         target = n0 << (k - 1)
-        events = _phase_events(stream, committed, window, resolved, maxs, k)
+        events = _phase_events(stream, committed, window, event_of, k)
         prefix = len(committed)
         committed += b"0" * (target - prefix)
         if events:
-            var_ids = sorted({n for e in events for n in e.vbl})
-            variables = [fair_bit(n) for n in var_ids]
+            var_ids = sorted(set().union(*(e.vbl for e in events)))
+            variables = [
+                fair_bit(n) if n >= prefix else VarSpec(n, 2, _POINT_MASS[committed[n]])
+                for n in var_ids
+            ]
             budget = default_budget(len(events)) * slack
             try:
                 result = solve_moser_tardos(events, variables, derive_seed(seed, k), budget)

@@ -95,6 +95,12 @@ class ConstraintStream:
             raise InvalidParameterError(f"q must lie in (0, 1), got {q}")
         self.q = q
         self.items = items = tuple(map(_sorted_domain, self.items))
+        # format_manifest writes the text of the first position of each value,
+        # so every distinct position must be an int: a bool or a float there
+        # would reach the manifest as a token the parser refuses
+        if not set(map(type, set().union(*items))) <= {int}:
+            j, n = next((j, n) for j, dom in enumerate(items) for n in dom if type(n) is not int)
+            raise InvalidInputError(f"item {j}: position {n!r} is not an int")
         for j, dom in enumerate(items):
             if len(dom) < self.M:
                 raise StreamIntegrityError(
@@ -461,16 +467,17 @@ def parse_manifest(text: str) -> ConstraintStream:
     doms: list[tuple[int, ...]] = []
     prov: list[tuple[int, int] | None] = []
     pending_prov: tuple[int, int] | None = None
-    # int() runs once per distinct token, so exactly the tokens int() takes pass
+    # int() runs once per distinct token, so exactly the tokens int() takes
+    # pass; provenance fields share the table with positions
     position = _Positions(int).__getitem__
     with RecordReader(text) as records:
         for line in records:
             if line[0] == "#":
                 toks = line[1:].split()
-                if toks[:1] == ["by"]:
+                if toks and toks[0] == "by":
                     if len(toks) != 4 or toks[2] != "at":
                         raise ValueError(line)
-                    pending_prov = (int(toks[1]), int(toks[3]))
+                    pending_prov = (position(toks[1]), position(toks[3]))
                 continue
             toks = line.split()
             if toks[0] == "stream":

@@ -1,21 +1,26 @@
 """Phased colorer: constraint satisfaction inside the committed prefix,
 prefix stability, determinism, and honest failure modes."""
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lllcolor import colorer
+from lllcolor import cli, colorer
 from lllcolor.cli import main
 from lllcolor.colorer import color_prefix, committed_length, extend_coloring, phase_base
 from lllcolor.errors import (
     ConstructionFailureError,
     InvalidParameterError,
+    NonConvergenceError,
+    UnsatisfiableEventError,
     WrongStreamError,
 )
-from lllcolor.lll import Event
+from lllcolor.lll import Event, default_budget, fair_bit, solve_moser_tardos
+from lllcolor.rng import derive_seed
 from lllcolor.streams import ConstraintStream, gen_sets_stream
 from test_golden import PIPELINES, golden_sets
 
@@ -24,6 +29,73 @@ F = Fraction
 
 def empty_stream(M=16):
     return ConstraintStream(M, F(1, 2), ())
+
+
+def restricted_color_prefix(stream, horizon, seed):
+    """Reference colorer: each phase cuts every open constraint to its
+    uncommitted tail, keeps the constant rows the committed bits leave open,
+    and resamples fair bits on the tails alone.  Returns the committed bits."""
+    n0 = phase_base(stream.M)
+    slack = math.ceil(1 / (1 - stream.q))
+    committed = bytearray()
+    resolved = set()
+    k = 1
+    while len(committed) < committed_length(stream.M, horizon):
+        window, target, prefix = n0 << k, n0 << (k - 1), len(committed)
+        events, pinned = [], {}
+        for j, dom in enumerate(stream.items):
+            if j in resolved or dom[-1] >= window:
+                continue
+            cut = bisect_left(dom, prefix)
+            live = stream.live_rows(j, committed, cut)
+            if not live:
+                resolved.add(j)
+                continue
+            tail = dom[cut:]
+            if not tail:
+                raise ConstructionFailureError(
+                    k, (j,), "constraint violated on its committed positions"
+                )
+            rows = [tuple(b - ord("0") for b in row[cut:]) for row in live]
+            if len(tail) == 1 and len(rows) == 1:
+                forced = 1 - rows[0][0]
+                prior = pinned.get(tail[0])
+                if prior is not None and prior[0] != forced:
+                    raise ConstructionFailureError(
+                        k, (prior[1], j), f"constraints pin position {tail[0]} to opposite bits"
+                    )
+                pinned[tail[0]] = (forced, j)
+            events.append(Event(j, tail, rows))
+        committed += b"0" * (target - prefix)
+        if events:
+            variables = [fair_bit(n) for n in sorted({n for e in events for n in e.vbl})]
+            budget = default_budget(len(events)) * slack
+            try:
+                result = solve_moser_tardos(events, variables, derive_seed(seed, k), budget)
+            except UnsatisfiableEventError as exc:
+                raise ConstructionFailureError(
+                    k, (exc.event_id,), "restricted constraint forbids its whole cube"
+                ) from exc
+            except NonConvergenceError as exc:
+                raise ConstructionFailureError(
+                    k,
+                    tuple(exc.violated),
+                    f"resampling budget exhausted after {exc.resamplings} steps",
+                ) from exc
+            for n, v in result.values.items():
+                if prefix <= n < target:
+                    committed[n] = ord("0") + v
+        k += 1
+    return committed.decode("ascii")
+
+
+def outcome(color, stream, horizon, seed):
+    """The bits a colorer commits, or the phase, ids and message it fails with."""
+    try:
+        out = color(stream, horizon, seed)
+    except ConstructionFailureError as exc:
+        return exc.phase, exc.constraint_ids, str(exc)
+    return out if isinstance(out, str) else out.bits
 
 
 def scan_sets(stream, coloring):
@@ -193,25 +265,89 @@ def test_committed_length_is_what_color_prefix_commits(M, horizon):
 
 
 
+def colored_run(name, tmp_path, monkeypatch):
+    """(stream, horizon, seed, coloring) of the one color_prefix call a
+    golden config makes."""
+    runs = []
+
+    def spy(stream, horizon, seed):
+        col = color_prefix(stream, horizon, seed)
+        runs.append((stream, horizon, seed, col))
+        return col
+
+    if name == "expanded-sets":
+        spy(golden_sets(), 512, 7)
+    else:
+        monkeypatch.setattr(cli, "color_prefix", spy)
+        assert main(PIPELINES[name][0] + ["--out", str(tmp_path)]) == 0
+    assert len(runs) == 1
+    return runs[0]
+
+
+class TestRestrictedReference:
+    """Fixing the committed bits gives the bits that restricting every open
+    constraint to its uncommitted tail gives, and the same failures."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        M=st.integers(2, 5),
+        spread=st.integers(0, 2),
+        horizon=st.integers(64, 1024),
+        data=st.data(),
+    )
+    def test_generated_streams(self, seed, M, spread, horizon, data):
+        # at most horizon // 8 sets keeps these streams colorable quickly
+        count = data.draw(st.integers(0, horizon // 8), label="count")
+        stream = gen_sets_stream(seed, count, horizon, M, spread=spread)
+        assert outcome(color_prefix, stream, horizon, seed) == outcome(
+            restricted_color_prefix, stream, horizon, seed
+        )
+
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    def test_golden_pipeline_streams(self, name, tmp_path, monkeypatch):
+        stream, horizon, seed, col = colored_run(name, tmp_path, monkeypatch)
+        assert col.bits == restricted_color_prefix(stream, horizon, seed)
+
+    def test_triangle_fails_alike(self):
+        stream = ConstraintStream(2, F(1, 2), ((0, 1), (0, 200), (1, 200)))
+        got = outcome(color_prefix, stream, 256, 3)
+        assert got == outcome(restricted_color_prefix, stream, 256, 3)
+        assert got == (
+            2, (1, 2), "phase 2: constraints pin position 200 to opposite bits (constraints [1, 2])"
+        )
+
+
 @pytest.mark.parametrize("name", [*sorted(PIPELINES), "expanded-sets"])
 def test_phase_events_are_canonical_bits(name, tmp_path, monkeypatch):
-    # _phase_events builds its events with _trusted_event, which skips
-    # Event's canonicalization: on the golden configs they must come out
-    # canonical and 0/1 already
-    seen = []
-    phase_events = colorer._phase_events
+    # the colorer builds each constraint's event once, with _trusted_event,
+    # which skips Event's canonicalization: on the golden configs every event
+    # must come out canonical and 0/1 already, one object must serve every
+    # phase, and exactly the committed positions must be fixed to their bits
+    calls = []
+    solve = colorer.solve_moser_tardos
 
-    def spy(*args):
-        events = phase_events(*args)
-        seen.extend(events)
-        return events
+    def spy(events, variables, seed, budget):
+        calls.append((events, variables, seed))
+        return solve(events, variables, seed, budget)
 
-    monkeypatch.setattr(colorer, "_phase_events", spy)
-    if name == "expanded-sets":
-        color_prefix(golden_sets(), 512, 7)
-    else:
-        assert main(PIPELINES[name][0] + ["--out", str(tmp_path)]) == 0
-    assert seen
-    for e in seen:
-        assert e == Event(e.id, e.vbl, e.forbidden)
-        assert {v for row in e.forbidden for v in row} <= {0, 1}
+    monkeypatch.setattr(colorer, "solve_moser_tardos", spy)
+    stream, _, seed, col = colored_run(name, tmp_path, monkeypatch)
+    assert calls
+    n0 = phase_base(stream.M)
+    one_object = {}
+    fixed = 0
+    for events, variables, phase_seed in calls:
+        k = next(k for k in range(1, col.phases + 1) if derive_seed(seed, k) == phase_seed)
+        prefix = n0 << (k - 2) if k > 1 else 0
+        for e in events:
+            assert e == Event(e.id, stream.dom(e.id), e.forbidden)
+            assert {v for row in e.forbidden for v in row} <= {0, 1}
+            assert one_object.setdefault(e.id, e) is e
+        for v in variables:
+            if v.index < prefix:
+                assert v.weights == ((1, 0) if col.bits[v.index] == "0" else (0, 1))
+                fixed += 1
+            else:
+                assert v.weights == (F(1, 2), F(1, 2))
+    assert fixed

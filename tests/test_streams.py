@@ -112,6 +112,19 @@ class TestConstraintStream:
         with pytest.raises(InvalidInputError, match="negative position -1"):
             sets_stream([{-1, 3}])
 
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ([(0.5, 1.5)], "item 0: position 0.5 is not an int"),
+            ([(0, True), (1, 2)], "item 0: position True is not an int"),
+        ],
+    )
+    def test_non_int_position_rejected(self, items, message):
+        # format_manifest would write such a position as a token the parser refuses
+        with pytest.raises(InvalidInputError) as exc:
+            ConstraintStream(2, F(1, 2), items)
+        assert str(exc.value) == message
+
     def test_fingerprint_tracks_content(self):
         a = sets_stream([{0, 1}])
         b = sets_stream([{0, 1}])
