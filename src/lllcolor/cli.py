@@ -204,7 +204,6 @@ def cmd_verify(coloring_path: Path, stream_path: Path) -> int:
             f"match stream {stream.fingerprint()}",
             file=sys.stderr,
         )
-    bits = coloring.bits.encode("ascii")
     per_size: dict[int, list[int]] = {}
     violated: list[int] = []
     for j in range(len(stream)):
@@ -213,7 +212,7 @@ def cmd_verify(coloring_path: Path, stream_path: Path) -> int:
             continue
         stat = per_size.setdefault(len(dom), [0, 0])
         stat[0] += 1
-        if stream.is_violated(j, bits):
+        if stream.is_violated(j, coloring.bits):
             stat[1] += 1
             violated.append(j)
     for m in sorted(per_size):

@@ -72,24 +72,24 @@ def _phase_events(
         if event is None or dom[-1] >= window:
             continue
         cut = bisect_left(dom, prefix)
-        live = stream.live_rows(j, committed, cut)
-        if not live:
+        if not stream.is_violated(j, committed, cut):
             event_of[j] = None
             continue
         if cut == len(dom):
             raise ConstructionFailureError(
                 phase, (j,), "constraint violated on its committed positions"
             )
-        # one live row and one uncommitted position pin that position
-        if cut == len(dom) - 1 and len(live) == 1:
+        # one committed color and one uncommitted position pin that position
+        if 0 < cut == len(dom) - 1:
+            color = committed[dom[0]]
             prior = pinned.get(dom[-1])
-            if prior is not None and prior[0] != live[0][0]:
+            if prior is not None and prior[0] != color:
                 raise ConstructionFailureError(
                     phase,
                     (prior[1], j),
                     f"constraints pin position {dom[-1]} to opposite bits",
                 )
-            pinned[dom[-1]] = (live[0][0], j)
+            pinned[dom[-1]] = (color, j)
         events.append(event)
     return events
 
@@ -129,7 +129,7 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
                 result = solve_moser_tardos(events, variables, derive_seed(seed, k), budget)
             except UnsatisfiableEventError as exc:
                 raise ConstructionFailureError(
-                    k, (exc.event_id,), "restricted constraint forbids its whole cube"
+                    k, (exc.event_id,), "constraint forbids its whole cube"
                 ) from exc
             except NonConvergenceError as exc:
                 raise ConstructionFailureError(

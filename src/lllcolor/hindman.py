@@ -321,6 +321,8 @@ def build_image_stream(
     # (i + s, s, i, image): sorting gives the diagonal pairing order, and
     # (i + s, s) is unique, so no two images are ever compared
     emitted: list[tuple[int, int, int, frozenset[int]]] = []
+    # images overlap heavily: they share one int per distinct position
+    position = _Positions(int).__getitem__
     for i in range(count):
         timeline = _selection_timeline(family, i, b * (M + i))
         timelines.append(timeline)
@@ -333,7 +335,7 @@ def build_image_stream(
                 lo = min(values)
                 prior = running_max[s0 - 1] if s0 > 0 else None
                 if lo > s0 and (prior is None or lo > prior):
-                    emitted.append((i + s, s, i, frozenset(values)))
+                    emitted.append((i + s, s, i, frozenset(map(position, values))))
                 peak = max(values)
                 run = peak if run is None else max(run, peak)
             running_max.append(run)

@@ -66,10 +66,9 @@ class ConstraintStream:
     """A finite, indexable family of finite sets with a locality oracle.
 
     Each item is stored once, as its sorted domain tuple (any iterable of
-    positions is accepted).  A set is met when it receives both colors, so
-    it forbids the two constant rows on its domain (:meth:`forbidden_rows`),
-    and :meth:`live_rows` is the one check of which of those rows the bits
-    on a prefix of the domain leave open.
+    positions is accepted).  A set is met when its domain receives both
+    colors, and :meth:`is_violated` is the one check of whether the bits on
+    a head of the domain still carry a single color.
 
     ``locality(m, n)`` lists exactly the indices whose item has size ``m``
     and touches position ``n``.  Builders install a procedural oracle; when
@@ -131,28 +130,13 @@ class ConstraintStream:
             self._index = {key: tuple(v) for key, v in index.items()}
         return self._index.get((m, n), ())
 
-    def forbidden_rows(self, j: int) -> tuple[bytes, ...]:
-        """The assignments of ``dom(j)`` that violate set j, sorted, as ASCII
-        0/1 rows aligned with the domain: ``0^m`` and ``1^m``."""
-        m = len(self.items[j])
-        return (b"0" * m, b"1" * m)
-
-    def live_rows(self, j: int, bits, cut: int) -> tuple[bytes, ...]:
-        """Forbidden rows of constraint j that agree with ``bits`` (ASCII 0/1
-        by position, as bytes or a bytearray) on the first ``cut`` positions
-        of its domain.  None left means those positions already meet the
-        constraint."""
-        if isinstance(bits, str):
-            raise InvalidInputError("bits must be ASCII bytes, not str; encode them first")
+    def is_violated(self, j: int, bits, cut: int | None = None) -> bool:
+        """True iff the first ``cut`` positions of ``dom(j)`` (all of them
+        when ``cut`` is None) carry a single color in ``bits``, a str, bytes
+        or bytearray of 0/1 by position.  An empty head has one color."""
         head = self.items[j][:cut]
         bit = bits.__getitem__
-        rows = self.forbidden_rows(j)
-        return tuple([row for row in rows if not any(map(operator.ne, map(bit, head), row))])
-
-    def is_violated(self, j: int, bits) -> bool:
-        """True iff ``bits`` (ASCII 0/1 bytes by position, covering the whole
-        domain) assign ``dom(j)`` one of its forbidden rows."""
-        return bool(self.live_rows(j, bits, len(self.items[j])))
+        return not head or not any(map(bit(head[0]).__ne__, map(bit, head)))
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the sha256 of the manifest text the stream

@@ -120,7 +120,6 @@ def audit_solution(
     if stream.provenance is None:
         raise WrongStreamError("audited stream lacks emission provenance")
 
-    bits = coloring.bits.encode("ascii")
     by_member: dict[int, list[int]] = {}
     for j, (i, _s) in enumerate(stream.provenance):
         by_member.setdefault(i, []).append(j)
@@ -150,7 +149,7 @@ def audit_solution(
             if positions[0] < guard or positions[-1] >= coloring.committed_len:
                 continue
             checked += 1
-            if stream.is_violated(j, bits):
+            if stream.is_violated(j, coloring.bits):
                 violations.append((stage, positions))
         total_checked += checked
         total_violations += len(violations)

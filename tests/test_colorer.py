@@ -47,7 +47,8 @@ def restricted_color_prefix(stream, horizon, seed):
             if j in resolved or dom[-1] >= window:
                 continue
             cut = bisect_left(dom, prefix)
-            live = stream.live_rows(j, committed, cut)
+            live = [row for row in (b"0" * len(dom), b"1" * len(dom))
+                    if all(committed[n] == row[0] for n in dom[:cut])]
             if not live:
                 resolved.add(j)
                 continue
@@ -74,7 +75,7 @@ def restricted_color_prefix(stream, horizon, seed):
                 result = solve_moser_tardos(events, variables, derive_seed(seed, k), budget)
             except UnsatisfiableEventError as exc:
                 raise ConstructionFailureError(
-                    k, (exc.event_id,), "restricted constraint forbids its whole cube"
+                    k, (exc.event_id,), "constraint forbids its whole cube"
                 ) from exc
             except NonConvergenceError as exc:
                 raise ConstructionFailureError(
@@ -248,7 +249,7 @@ class TestConstructionFailures:
         with pytest.raises(ConstructionFailureError) as exc:
             color_prefix(stream, 8, 0)
         assert exc.value.constraint_ids == (0,)
-        assert "restricted constraint forbids its whole cube" in str(exc.value)
+        assert "constraint forbids its whole cube" in str(exc.value)
 
 
 def test_phase_base():

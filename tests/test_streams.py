@@ -148,14 +148,15 @@ class TestConstraintStream:
 
 
 class TestForbiddenRows:
-    def test_rows_of_each_kind(self):
-        assert sets_stream([{2, 0, 1}]).forbidden_rows(0) == (b"000", b"111")
+    """A set forbids the two constant rows on its domain: the bits on a head
+    of the domain violate it while one of those rows still agrees."""
 
-    def test_live_rows_on_a_prefix(self):
+    def test_is_violated_on_a_prefix(self):
         sets = sets_stream([{0, 1, 2, 3}])
-        assert sets.live_rows(0, b"00", 0) == (b"0000", b"1111")
-        assert sets.live_rows(0, b"00", 2) == (b"0000",)
-        assert sets.live_rows(0, b"01", 2) == ()
+        assert sets.is_violated(0, b"00", 0)
+        assert sets.is_violated(0, b"00", 2)
+        assert not sets.is_violated(0, b"01", 2)
+        assert sets.is_violated(0, "1111") and not sets.is_violated(0, "1101")
 
     def test_is_violated_matches_direct_scan(self):
         sets = sets_stream([{0, 2, 4}])
@@ -164,15 +165,21 @@ class TestForbiddenRows:
             constant = len({bits[n] for n in (0, 2, 4)}) == 1
             assert sets.is_violated(0, bits) == constant
 
-
-    def test_str_bits_rejected(self):
-        # a str never equals a bytes row, so it would read as "never violated"
-        sets = sets_stream([{0, 1, 2}])
-        with pytest.raises(InvalidInputError, match="not str"):
-            sets.is_violated(0, "000")
-        with pytest.raises(InvalidInputError, match="not str"):
-            sets.live_rows(0, "000", 1)
-        assert sets.is_violated(0, b"000")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.frozensets(st.integers(0, 15), min_size=1, max_size=8),
+        st.lists(st.sampled_from("01"), min_size=16, max_size=16).map("".join),
+        st.sampled_from([str, lambda b: b.encode("ascii"), lambda b: bytearray(b, "ascii")]),
+    )
+    def test_is_violated_iff_a_constant_row_agrees(self, domain, bits, kind):
+        sets = sets_stream([domain], M=1)
+        dom = sorted(domain)
+        for cut in range(len(dom) + 1):
+            head = [bits[n] for n in dom[:cut]]
+            agrees = any(head == [c] * cut for c in "01")
+            assert sets.is_violated(0, kind(bits), cut) == agrees
+        # the whole domain, the last head above, is the default
+        assert sets.is_violated(0, kind(bits)) == agrees
 
 
 class TestPointBound:
