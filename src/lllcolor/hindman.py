@@ -28,7 +28,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
+from operator import le
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -297,12 +298,14 @@ def build_image_stream(
     growth witness: beyond the stage bound it yields, images are too large
     to contain the queried point.
 
-    The oracle keeps each member's emissions per image size, in stage
-    order, and bisects them at the stage bound.  The bound is recomputed
-    for every query from the member's selection at stage n: nearly every
-    query asks about a different (member, n), and ``growth`` is an
-    arbitrary callable, so nothing about it may be cached or assumed
-    monotone.
+    Each item is stored once.  The oracle keeps each member's emissions
+    per image size in stage order, indexed by position: bit r of
+    ``hits[n]`` is set iff the r-th emission holds n.  A query drops the
+    bits at or past the stage bound, computed from the member's selection
+    at stage n.  ``growth`` is an arbitrary callable, so nothing about it
+    is cached or assumed monotone; a query scans its values and stops at
+    the first that reaches the stage of the last emission holding n, as
+    then no bit can be dropped.
     """
     if family.mode != MODE_SIGMA2:
         raise InvalidInputError("image streams require a sigma2-mode family")
@@ -315,17 +318,21 @@ def build_image_stream(
             least_valid=least,
         )
     b = fn.mult_bound
-    count, stages = family.count, family.stage_count
+    count = family.count
 
-    timelines: list[list[tuple[frozenset[int], int]]] = []
+    # selections[i][s]: member i's selection at stage s, largest element
+    # first, where the builtin growth witnesses peak; stages with one
+    # selection share one tuple
+    selections: list[list[tuple[int, ...]]] = []
     # (i + s, s, i, image): sorting gives the diagonal pairing order, and
     # (i + s, s) is unique, so no two images are ever compared
-    emitted: list[tuple[int, int, int, frozenset[int]]] = []
+    emitted: list[tuple[int, int, int, tuple[int, ...]]] = []
     # images overlap heavily: they share one int per distinct position
     position = _Positions(int).__getitem__
     for i in range(count):
         timeline = _selection_timeline(family, i, b * (M + i))
-        timelines.append(timeline)
+        ordered = {e: tuple(sorted(e, reverse=True)) for e, _ in dict.fromkeys(timeline)}
+        selections.append([ordered[e] for e, _ in timeline])
         # running_max[s]: the largest image value over stages up to s
         running_max: list[int | None] = []
         run: int | None = None
@@ -335,7 +342,8 @@ def build_image_stream(
                 lo = min(values)
                 prior = running_max[s0 - 1] if s0 > 0 else None
                 if lo > s0 and (prior is None or lo > prior):
-                    emitted.append((i + s, s, i, frozenset(map(position, values))))
+                    image = tuple(sorted(set(map(position, values))))
+                    emitted.append((i + s, s, i, image))
                 peak = max(values)
                 run = peak if run is None else max(run, peak)
             running_max.append(run)
@@ -343,11 +351,10 @@ def build_image_stream(
 
     items: list[tuple[int, ...]] = []
     prov: list[tuple[int, int]] = []
-    # records[i][size]: (stages, ids, images) of member i's emissions
-    records: list[dict[int, tuple[list[int], list[int], list[frozenset[int]]]]] = [
-        {} for _ in range(count)
-    ]
-    seen: dict[frozenset[int], int] = {}
+    # records[size][i]: (stages, ids, hits) of member i's emissions of that
+    # size, where bit r of hits[n] is set iff the r-th one holds position n
+    records: dict[int, dict[int, tuple[list[int], list[int], dict[int, int]]]] = {}
+    seen: dict[tuple[int, ...], int] = {}
     for _, s, i, image in emitted:
         if len(image) < M + i:
             raise StreamIntegrityError(
@@ -357,27 +364,32 @@ def build_image_stream(
             )
         j = seen.setdefault(image, len(items))
         if j == len(items):
-            items.append(tuple(sorted(image)))
+            items.append(image)
             prov.append((i, s))
-        at, ids, images = records[i].setdefault(len(image), ([], [], []))
+        at, ids, hits = records.setdefault(len(image), {}).setdefault(i, ([], [], {}))
+        bit = 1 << len(at)
         at.append(s)
         ids.append(j)
-        images.append(image)
+        for n in image:
+            hits[n] = hits.get(n, 0) | bit
 
     def locality(m: int, n: int) -> tuple[int, ...]:
         out: set[int] = set()
-        for i in range(min(m - M, count - 1) + 1):
-            record = records[i].get(m)
-            if record is None:
+        for i, (at, ids, hits) in records.get(m, {}).items():
+            mask = hits.get(n, 0)
+            if not mask:
                 continue
-            at, ids, images = record
-            if n < stages:
-                selection = timelines[i][n][0]
-                bound = max(n, max(map(fn.growth, selection, repeat(n)), default=n)) + 1
-                k = bisect_left(at, min(bound, stages))
-            else:
-                k = len(at)
-            out.update(compress(ids, map(frozenset.__contains__, islice(images, k), repeat(n))))
+            # the bound drops a bit only if n and every growth value fall
+            # short of the stage of the last emission holding n, and then
+            # it lies inside the stages
+            last = at[mask.bit_length() - 1]
+            if n < last and not any(
+                map(le, repeat(last), map(fn.growth, selections[i][n], repeat(n)))
+            ):
+                growth = max(map(fn.growth, selections[i][n], repeat(n)), default=n)
+                mask &= (1 << bisect_left(at, max(n, growth) + 1)) - 1
+            # the mask's binary digits, lowest first, select from ids
+            out.update(compress(ids, map("1".__eq__, bin(mask)[:1:-1])))
         return tuple(sorted(out))
 
     return ConstraintStream(M, q, tuple(items), tuple(prov), locality)

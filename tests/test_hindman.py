@@ -1,9 +1,12 @@
 """Addition-like functions, staged families, candidate selection, the two
 stream builders, and the warm-up demonstrations."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lllcolor.errors import (
     InvalidInputError,
@@ -26,6 +29,7 @@ from lllcolor.hindman import (
     parse_family,
     pigeonhole_check,
 )
+from lllcolor.rng import derive_seed
 from lllcolor.streams import point_bound, validate_sparsity
 
 F = Fraction
@@ -421,6 +425,37 @@ class TestBuildImageStream:
             for n in range(window):
                 assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        fname=st.sampled_from(["sum", "absdiff"]),
+        members=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.integers(0, 48),
+        unstable=st.integers(0, 6),
+    )
+    def test_locality_matches_an_index_of_the_items(self, fname, members, seed, slack, unstable):
+        fn = builtin_addition_like(fname)
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(members))
+        # the least stage count gen_family accepts for the largest member
+        stages = 4 * (sizes[-1] + 16) + 18 + slack
+        # member `unstable`, if there is one, churns late
+        fam = gen_family(
+            seed, members, stages, "sigma2", sizes,
+            unstable_members=(unstable,) if unstable < members else (),
+        )
+        stream = build_image_stream(fam, fn, M)
+        index = {}
+        for j, dom in enumerate(stream.items):
+            for n in dom:
+                index.setdefault((len(dom), n), []).append(j)
+        top = max(map(len, stream.items), default=M)
+        # sizes no item has, positions no item touches, and positions past
+        # the last stage
+        for m in range(M - 1, top + 2):
+            for n in range(2 * stages):
+                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
+
     def test_oracle_keeps_its_stage_bound(self):
         # a growth witness that lies: its stage bound for point n is n + 1,
         # yet absdiff images from later stages still hold n, so an oracle
@@ -433,6 +468,45 @@ class TestBuildImageStream:
         with pytest.raises(StreamIntegrityError) as exc:
             validate_sparsity(stream, 1024)
         assert exc.value.witness == (0, 38, 123)
+
+    def test_oracle_cuts_exactly_at_its_stage_bound(self):
+        # a witness one short of absdiff's: the oracle must drop exactly
+        # the emissions at or past max(n, growth(x, n) for x) + 1 (capped
+        # at the last stage), which here include real holders of n
+        fn = AdditionLike("absdiff-short", lambda x, y: abs(x - y), lambda x, n: x + n - 1, 2)
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(3))
+        fam = gen_family(3, 3, 512, "sigma2", sizes)
+        stream = build_image_stream(fam, fn, M)
+        timelines = [_selection_timeline(fam, i, fn.mult_bound * (M + i)) for i in range(3)]
+        dropped = 0
+        for j, dom in enumerate(stream.items):
+            i, s = stream.provenance[j]
+            for n in dom:
+                selection = timelines[i][n][0] if n < 512 else ()
+                bound = max(n, max((x + n - 1 for x in selection), default=n)) + 1
+                kept = s < min(bound, 512)
+                dropped += not kept
+                assert (j in stream.locality(len(dom), n)) == kept, (j, n)
+        assert dropped > 0
+
+    def test_stream_holds_each_item_once(self):
+        # the image-absdiff bench config: holding each item once, the
+        # build keeps about 6 MB and peaks near 7 MB; a second copy of
+        # every item in the oracle would hold about 29 MB
+        fn = builtin_addition_like("absdiff")
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 8 for i in range(24))
+        fam = gen_family(derive_seed(7, 1), 24, 512, "sigma2", sizes)
+        tracemalloc.start()
+        try:
+            stream = build_image_stream(fam, fn, M)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 7284
+        assert held < 12_000_000
+        assert peak < 16_000_000
 
     def test_m_validated(self):
         fn = builtin_addition_like("absdiff")
