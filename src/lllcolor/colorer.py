@@ -108,8 +108,9 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     slack = math.ceil(1 / (1 - stream.q))
     committed = bytearray()
     rows = {m: ((0,) * m, (1,) * m) for m in set(map(len, stream.items))}
-    # a stream keeps each domain sorted and duplicate-free, and the two
-    # constant rows are sorted, so the trusted constructor is safe here
+    # the stream's constructor refuses a domain that is not strictly
+    # increasing, and the two constant rows are sorted, so the trusted
+    # constructor is safe here
     event_of = [_trusted_event(j, dom, rows[len(dom)]) for j, dom in enumerate(stream.items)]
     k = 1
     while len(committed) < final:

@@ -174,18 +174,35 @@ def _first_selected(timeline: list[tuple[frozenset[int], int]]) -> int | None:
     return next((s for s, (selection, _) in enumerate(timeline) if selection), None)
 
 
+def _least(pred: Callable[[int], bool], lo: int) -> int:
+    """The least m >= lo with pred(m), for a pred that once true stays true."""
+    hi = lo
+    while not pred(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def choose_M(b: int, q: Fraction, mode: str) -> int:
     """Least M such that the size-m point-count ceiling stays below
     ``2**(q*m)`` for all m >= M: ceiling m in translate ("comp") mode,
     ``b * m**2`` in image ("main") mode.
 
-    Verified by exact integer comparisons up to the point where the
-    exponential's growth ratio dominates the polynomial's, then by
-    induction.  The result is raised to the doubling floor
-    ``ceil(2/(1-q))``, the index doubling under which the lemma's set form
-    follows from its word form: a set is its two constant words, and from
-    that M on, doubling the indices costs no more than raising q to
-    ``(1+q)/2``.
+    With ``q = a/d`` the bound holds at m iff ``f(m) = d*log2(coef*m**exp)
+    - a*m <= 0``.  The increments of f never increase, so f rises up to its
+    peak, the least m where it does not rise, and never rises after it.  The
+    peak and the first m past it where the bound holds are each found by
+    doubling and bisection over exact integer comparisons; the bound fails
+    only between the two, or nowhere if it holds at the peak.  The result
+    is raised to the doubling floor ``ceil(2/(1-q))``, the index doubling
+    under which the lemma's set form follows from its word form: a set is
+    its two constant words, and from that M on, doubling the indices costs
+    no more than raising q to ``(1+q)/2``.
     """
     if b < 1:
         raise InvalidParameterError("multiplicity bound must be at least 1")
@@ -201,16 +218,12 @@ def choose_M(b: int, q: Fraction, mode: str) -> int:
     def holds(m: int) -> bool:
         return (coef * m**exp) ** d <= 1 << (a * m)
 
-    dominated = 1
-    while (dominated + 1) ** (exp * d) > (1 << a) * dominated ** (exp * d):
-        dominated += 1
-    top = dominated
-    while not holds(top):
-        top += 1
-    last_fail = 0
-    for m in range(1, top + 1):
-        if not holds(m):
-            last_fail = m
+    def falls(m: int) -> bool:
+        # f(m + 1) <= f(m)
+        return (m + 1) ** (exp * d) <= (1 << a) * m ** (exp * d)
+
+    peak = _least(falls, 1)
+    last_fail = 0 if holds(peak) else _least(holds, peak + 1) - 1
     doubling_floor = math.ceil(Fraction(2, 1 - q))
     return max(last_fail + 1, doubling_floor)
 

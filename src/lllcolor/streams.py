@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Callable
 
 from .errors import (
@@ -54,21 +54,15 @@ class _Positions(dict):
         return value
 
 
-def _sorted_domain(item) -> tuple[int, ...]:
-    # A strictly increasing tuple already is its own sorted domain.
-    if type(item) is tuple and all(map(operator.lt, item, item[1:])):
-        return item
-    return tuple(sorted(set(item)))
-
-
 @dataclass
 class ConstraintStream:
     """A finite, indexable family of finite sets with a locality oracle.
 
-    Each item is stored once, as its sorted domain tuple (any iterable of
-    positions is accepted).  A set is met when its domain receives both
-    colors, and :meth:`is_violated` is the one check of whether the bits on
-    a head of the domain still carry a single color.
+    ``items`` holds each item once, as given: a tuple of strictly increasing
+    nonnegative ints, at least ``M`` long.  The constructor sorts nothing and
+    refuses any other item, with its index as the witness.  A set is met when
+    its domain receives both colors, and :meth:`is_violated` is the one check
+    of whether the bits on a head of the domain still carry a single color.
 
     ``locality(m, n)`` lists exactly the indices whose item has size ``m``
     and touches position ``n``.  Builders install a procedural oracle; when
@@ -93,7 +87,7 @@ class ConstraintStream:
         if not 0 < q < 1:
             raise InvalidParameterError(f"q must lie in (0, 1), got {q}")
         self.q = q
-        self.items = items = tuple(map(_sorted_domain, self.items))
+        items, M, lt = self.items, self.M, operator.lt
         # format_manifest writes the text of the first position of each value,
         # so every distinct position must be an int: a bool or a float there
         # would reach the manifest as a token the parser refuses
@@ -101,17 +95,14 @@ class ConstraintStream:
             j, n = next((j, n) for j, dom in enumerate(items) for n in dom if type(n) is not int)
             raise InvalidInputError(f"item {j}: position {n!r} is not an int")
         for j, dom in enumerate(items):
-            if len(dom) < self.M:
+            # -1 < dom[0] < dom[1] < ...: nonnegative and strictly increasing
+            if not (type(dom) is tuple and len(dom) >= M and all(map(lt, (-1, *dom), dom))):
                 raise StreamIntegrityError(
-                    f"item {j} has size {len(dom)} below the minimum {self.M}", witness=(j,)
+                    f"item {j}: {dom!r} is not a tuple of at least {M} increasing "
+                    "nonnegative positions", witness=(j,)
                 )
-            if dom[0] < 0:
-                raise InvalidInputError(f"item {j}: negative position {dom[0]}")
-        if self.provenance is not None:
-            prov = tuple(tuple(p) for p in self.provenance)
-            if len(prov) != len(items):
-                raise InvalidInputError("provenance length must match item count")
-            self.provenance = prov
+        if self.provenance is not None and len(self.provenance) != len(items):
+            raise InvalidInputError("provenance length must match item count")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -399,14 +390,19 @@ def parse_coloring(text: str) -> Coloring:
     n0 = phases = seed = header_line = 0
     committed = None
     chunks: list[str] = []
+    seen: set[str] = set()
     with RecordReader(text) as records:
         for line in records:
             if line[0] == "#":
                 toks = line[1:].split()
-                if toks[:1] == ["stream"]:
-                    (fingerprint,) = toks[1:]
-                elif toks[:1] == ["phases"]:
-                    n0, phases = map(int, toks[1:])
+                if toks[:1] in (["stream"], ["phases"]):
+                    if toks[0] in seen:
+                        raise records.error(f"repeated {toks[0]} comment")
+                    seen.add(toks[0])
+                    if toks[0] == "stream":
+                        (fingerprint,) = toks[1:]
+                    else:
+                        n0, phases = map(int, toks[1:])
                 continue
             toks = line.split()
             if toks[0] == "coloring":
@@ -418,6 +414,8 @@ def parse_coloring(text: str) -> Coloring:
                     raise records.error(f"bit count {committed} is negative")
             elif line.strip("01"):
                 raise records.error("bit line holds a character other than 0/1")
+            elif committed is None:
+                raise records.error("bit record before the coloring header")
             else:
                 chunks.append(line)
     if committed is None:
@@ -449,8 +447,11 @@ def parse_manifest(text: str) -> ConstraintStream:
     ``text`` itself: verifying a coloring formats nothing."""
     header = None
     doms: list[tuple[int, ...]] = []
-    prov: list[tuple[int, int] | None] = []
-    pending_prov: tuple[int, int] | None = None
+    # provenance is all or nothing: item 0 decides, and each `# by` line is
+    # read once, by the item after it
+    prov: list[tuple[int, int]] | None = None
+    pending: tuple[int, int] | None = None
+    pending_line = 0
     # int() runs once per distinct token, so exactly the tokens int() takes
     # pass; provenance fields share the table with positions
     position = _Positions(int).__getitem__
@@ -461,7 +462,12 @@ def parse_manifest(text: str) -> ConstraintStream:
                 if toks and toks[0] == "by":
                     if len(toks) != 4 or toks[2] != "at":
                         raise ValueError(line)
-                    pending_prov = (position(toks[1]), position(toks[3]))
+                    if header is None:
+                        raise records.error("provenance line before the stream header")
+                    if pending is not None:
+                        raise records.error("repeated provenance line")
+                    pending = (position(toks[1]), position(toks[3]))
+                    pending_line = records.lineno
                 continue
             toks = line.split()
             if toks[0] == "stream":
@@ -480,20 +486,33 @@ def parse_manifest(text: str) -> ConstraintStream:
                 dom = tuple(map(position, toks[3:]))
                 if len(dom) != k:
                     raise records.error("item arity mismatch")
-                if dom and (dom[0] < 0 or not all(map(operator.lt, dom, dom[1:]))):
-                    raise records.error("positions must be nonnegative, increasing")
                 if header is None:
                     raise records.error("item record before the stream header")
-                if k < header.M:
-                    raise records.error(f"item {j} has size {k} below the minimum {header.M}")
+                if j == 0:
+                    prov = None if pending is None else []
+                elif (pending is None) != (prov is None):
+                    raise records.error("a provenance line must precede every item or none")
+                if prov is not None:
+                    prov.append(pending)
                 doms.append(dom)
-                prov.append(pending_prov)
-                pending_prov = None
+                pending = None
             else:
                 raise records.error(f"unknown record {toks[0]!r}")
     if header is None:
         raise ParseError("missing stream header")
-    provenance = tuple(prov) if prov and None not in prov else None
-    stream = ConstraintStream(header.M, header.q, tuple(doms), provenance)
+    if pending is not None:
+        raise records.error("provenance line with no item after it", pending_line)
+    provenance = None if prov is None else tuple(prov)
+    try:
+        stream = ConstraintStream(header.M, header.q, tuple(doms), provenance)
+    except StreamIntegrityError as exc:
+        # only a refused item's line is looked up, by reading the text again
+        (j,) = exc.witness
+        k = len(doms[j])
+        message = f"item {j} has size {k} below the minimum {header.M}"
+        if k >= header.M:
+            message = "positions must be nonnegative, increasing"
+        lines = (records.lineno for line in records if line.split(None, 1)[0] == "item")
+        raise records.error(message, next(islice(lines, j, None))) from exc
     stream._fp = _text_fingerprint(text)
     return stream

@@ -117,7 +117,7 @@ class TestColorPrefix:
         assert set(col.bits) == {"0"}
 
     def test_single_set_gets_both_colors(self):
-        stream = ConstraintStream(16, F(1, 2), (frozenset(range(16)),))
+        stream = ConstraintStream(16, F(1, 2), (tuple(range(16)),))
         col = color_prefix(stream, 64, 5)
         assert {col.bits[n] for n in range(16)} == {"0", "1"}
 
@@ -168,7 +168,7 @@ class TestPrefixStability:
         for boundary in (64, 128, 256, 512, 1024):
             for shift in (-3, 0, 3):
                 center = boundary + shift
-                items.append(frozenset(range(center - 8, center + 8)))
+                items.append(tuple(range(center - 8, center + 8)))
         stream = ConstraintStream(16, F(1, 2), tuple(items))
         for seed in range(4):
             col = color_prefix(stream, 2048, seed)
@@ -245,7 +245,7 @@ class TestConstructionFailures:
             assert "constraints pin position 200 to opposite bits" in str(exc.value)
 
     def test_single_position_set_is_impossible(self):
-        stream = ConstraintStream(1, F(1, 2), (frozenset({3}),))
+        stream = ConstraintStream(1, F(1, 2), ((3,),))
         with pytest.raises(ConstructionFailureError) as exc:
             color_prefix(stream, 8, 0)
         assert exc.value.constraint_ids == (0,)

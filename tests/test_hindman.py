@@ -208,6 +208,28 @@ class TestChooseM:
         # the returned value also carries the set-to-word doubling floor
         assert got == max(brute, math.ceil(F(2, 1 - q)))
 
+    @pytest.mark.parametrize("b,mode", [(1, "comp"), (1, "main"), (2, "main"), (5, "main")])
+    def test_matches_brute_scan_for_every_q_up_to_denominator_40(self, b, mode):
+        import math
+
+        for d in range(2, 41):
+            for a in range(1, d):
+                if math.gcd(a, d) > 1:
+                    continue
+                q = F(a, d)
+                # for b <= 5 and d <= 40, a*m exceeds d*log2(b*m*m) from
+                # m = 40*d/a + 200 on, so the scan below sees every failure
+                brute = self.brute_least(b, q, mode, probe=40 * d // a + 200)
+                assert choose_M(b, q, mode) == max(brute, math.ceil(F(2, 1 - q))), q
+
+    def test_q_one_in_5000_is_decided_exactly(self):
+        # 81 580 candidates of up to 5000 * 17 bits each are too many to scan
+        # one m at a time: the search must bisect
+        M = choose_M(1, F(1, 5000), "comp")
+        assert M == 81580
+        assert (M - 1) ** 5000 > 2 ** (M - 1)
+        assert M**5000 <= 2**M
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             choose_M(0, F(1, 2), "comp")

@@ -32,7 +32,7 @@ F = Fraction
 
 
 def sets_stream(items, M=2, q=F(1, 2), locality=None, provenance=None):
-    return ConstraintStream(M, q, tuple(frozenset(i) for i in items), provenance, locality)
+    return ConstraintStream(M, q, tuple(tuple(sorted(i)) for i in items), provenance, locality)
 
 
 def naive_sparsity(stream, window):
@@ -109,7 +109,7 @@ class TestConstraintStream:
             sets_stream([{1}], M=2)
 
     def test_negative_position_rejected(self):
-        with pytest.raises(InvalidInputError, match="negative position -1"):
+        with pytest.raises(StreamIntegrityError, match=r"^item 0: \(-1, 3\) is not a tuple"):
             sets_stream([{-1, 3}])
 
     @pytest.mark.parametrize(
@@ -132,12 +132,27 @@ class TestConstraintStream:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
+    def test_canonical_items_are_stored_as_given(self):
+        items = ((3, 5, 9), (1, 4))
+        provenance = ((0, 1), (2, 3))
+        s = ConstraintStream(2, F(1, 2), items, provenance)
+        assert s.items is items and s.provenance is provenance
+        assert all(s.items[j] is s.dom(j) is items[j] for j in range(2))
 
-    def test_set_items_stored_as_sorted_domains(self):
-        s = sets_stream([{9, 3, 5}, (1, 4)])
-        assert s.items[0] == s.dom(0) == (3, 5, 9)
-        assert s.items[1] == (1, 4)
-        assert ConstraintStream(2, F(1, 2), ([4, 1, 4, 2],)).items[0] == (1, 2, 4)
+    @pytest.mark.parametrize(
+        "item",
+        [[1, 2, 4], frozenset({1, 2}), (1, 4, 2), (1, 2, 2), (-3, 2), (5,), ()],
+        ids=["list", "frozenset", "unsorted", "repeated", "negative", "undersized", "empty"],
+    )
+    def test_non_canonical_item_is_refused_by_index(self, item):
+        # the constructor sorts nothing: an item that is not already a
+        # strictly increasing tuple of nonnegative ints is refused
+        with pytest.raises(StreamIntegrityError) as exc:
+            ConstraintStream(2, F(1, 2), ((0, 1), item, (2, 3)))
+        assert str(exc.value) == (
+            f"item 1: {item!r} is not a tuple of at least 2 increasing nonnegative positions"
+        )
+        assert exc.value.witness == (1,)
 
     def test_fingerprint_comes_from_manifest_text(self):
         import hashlib
@@ -349,6 +364,20 @@ class TestColoringFormat:
         with pytest.raises(ParseError, match="line 3"):
             parse_coloring("# stream abcd\ncoloring 8 0\n01x1\n0101\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("01\ncoloring 2 0\n", "line 1: bit record before the coloring header"),
+            ("# stream ab\n# stream cd\ncoloring 2 0\n01\n", "line 2: repeated stream comment"),
+            ("# phases 64 1\ncoloring 2 0\n# phases 64 2\n01\n",
+             "line 3: repeated phases comment"),
+        ],
+        ids=["bits-before-header", "two-stream-comments", "two-phases-comments"],
+    )
+    def test_each_coloring_record_is_read_once_in_order(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_coloring(text)
+
     def test_bit_accessor_guards_horizon(self):
         from lllcolor.errors import InsufficientHorizonError
 
@@ -395,6 +424,65 @@ class TestManifestFormat:
     def test_item_before_header_names_its_line(self):
         with pytest.raises(ParseError, match="line 1: item record before the stream header"):
             parse_manifest("item 0 3 0 1 2\nstream sets M 3 q 1/2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# by 0 at 1\nitem 0 2 0 1\nitem 1 2 0 2\n",
+             "line 4: a provenance line must precede every item or none"),
+            ("item 0 2 0 1\n# by 1 at 1\nitem 1 2 0 2\n",
+             "line 4: a provenance line must precede every item or none"),
+            ("# by 0 at 1\n# by 0 at 2\nitem 0 2 0 1\n", "line 3: repeated provenance line"),
+            ("# by 0 at 1\nitem 0 2 0 1\n# by 1 at 1\n",
+             "line 4: provenance line with no item after it"),
+        ],
+        ids=["dropped-after-item-0", "missing-on-item-0", "two-for-one-item", "after-last-item"],
+    )
+    def test_provenance_is_read_once_or_refused(self, text, message):
+        # a parse that accepted any of these would format back to other text
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_manifest("stream sets M 2 q 1/2\n" + text)
+
+    def test_provenance_before_the_header_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 1: provenance line before the stream header$"):
+            parse_manifest("# by 0 at 1\nstream sets M 2 q 1/2\nitem 0 2 0 1\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        count=st.integers(1, 25),
+        M=st.integers(2, 6),
+        with_provenance=st.booleans(),
+        fault=st.sampled_from(["swap", "repeat", "negative", "short"]),
+        data=st.data(),
+    )
+    def test_refused_item_is_named_on_its_line(
+        self, seed, count, M, with_provenance, fault, data
+    ):
+        # the stream constructor refuses the item; the parser names its line
+        items = gen_sets_stream(seed, count, 400, M).items
+        provenance = tuple((j, 2 * j) for j in range(count)) if with_provenance else None
+        lines = format_manifest(ConstraintStream(M, F(1, 2), items, provenance)).splitlines()
+        j = data.draw(st.integers(0, count - 1))
+        dom = list(items[j])
+        i = data.draw(st.integers(0, len(dom) - 2))
+        if fault == "swap":
+            dom[i], dom[i + 1] = dom[i + 1], dom[i]
+        elif fault == "repeat":
+            dom[i + 1] = dom[i]
+        elif fault == "negative":
+            dom[0] = -1 - dom[0]
+        else:
+            dom = dom[: data.draw(st.integers(0, M - 1))]
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith(f"item {j} "))
+        lines[lineno - 1] = f"item {j} {len(dom)} " + " ".join(map(str, dom))
+        if fault == "short":
+            message = f"item {j} has size {len(dom)} below the minimum {M}"
+        else:
+            message = "positions must be nonnegative, increasing"
+        with pytest.raises(ParseError) as exc:
+            parse_manifest("\n".join(lines) + "\n")
+        assert str(exc.value) == f"line {lineno}: {message}"
 
     def test_parsed_stream_holds_one_int_per_distinct_position(self):
         # most positions lie past 256, where the interpreter shares no ints
