@@ -3,6 +3,9 @@ turns a bad record of a text artifact into a line-numbered ``ParseError``."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import chain
+
 
 class LLLColorError(Exception):
     """Base class for all package errors."""
@@ -83,17 +86,20 @@ class ParseError(LLLColorError):
 
 
 class RecordReader:
-    """The nonblank, stripped lines of an artifact's text.  Read inside ``with``,
-    a ValueError, IndexError or ZeroDivisionError from a record becomes a ParseError
-    "line N: malformed record '<raw>'", any other package error "line N: <message>"."""
+    """The nonblank, stripped lines of ``text.splitlines()``, the text given
+    whole or in chunks that each end at a line break.  Read inside ``with``,
+    a ValueError, IndexError or ZeroDivisionError from a record becomes a
+    ParseError "line N: malformed record '<raw>'", any other package error
+    "line N: <message>"; a decode error names no record and passes."""
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, source: str | Iterable[str]):
+        self.chunks = (source,) if isinstance(source, str) else source
         self.lineno = 0
         self.raw = ""
 
     def __iter__(self):
-        for self.lineno, self.raw in enumerate(self.text.splitlines(), start=1):
+        lines = chain.from_iterable(map(str.splitlines, self.chunks))
+        for self.lineno, self.raw in enumerate(lines, start=1):
             if line := self.raw.strip():
                 yield line
 
@@ -104,7 +110,7 @@ class RecordReader:
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
-        if kind is None or issubclass(kind, ParseError):
+        if kind is None or issubclass(kind, (ParseError, UnicodeDecodeError)):
             return
         if issubclass(kind, (ValueError, IndexError, ZeroDivisionError)):
             raise self.error(f"malformed record {self.raw!r}") from exc

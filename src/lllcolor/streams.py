@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     InsufficientHorizonError,
@@ -81,13 +81,11 @@ class ConstraintStream:
     _fp: str | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.M < 1:
-            raise InvalidParameterError("M must be at least 1")
-        q = Fraction(self.q)
-        if not 0 < q < 1:
-            raise InvalidParameterError(f"q must lie in (0, 1), got {q}")
-        self.q = q
-        items, M, lt = self.items, self.M, operator.lt
+        self.q = _checked_q(self.M, self.q)
+        items, M = self.items, self.M
+        # a list could change after the check
+        if type(items) is not tuple:
+            raise InvalidInputError(f"items must be a tuple, got {type(items).__name__}")
         # format_manifest writes the text of the first position of each value,
         # so every distinct position must be an int: a bool or a float there
         # would reach the manifest as a token the parser refuses
@@ -95,8 +93,7 @@ class ConstraintStream:
             j, n = next((j, n) for j, dom in enumerate(items) for n in dom if type(n) is not int)
             raise InvalidInputError(f"item {j}: position {n!r} is not an int")
         for j, dom in enumerate(items):
-            # -1 < dom[0] < dom[1] < ...: nonnegative and strictly increasing
-            if not (type(dom) is tuple and len(dom) >= M and all(map(lt, (-1, *dom), dom))):
+            if not is_canonical(dom, M):
                 raise StreamIntegrityError(
                     f"item {j}: {dom!r} is not a tuple of at least {M} increasing "
                     "nonnegative positions", witness=(j,)
@@ -125,9 +122,7 @@ class ConstraintStream:
         """True iff the first ``cut`` positions of ``dom(j)`` (all of them
         when ``cut`` is None) carry a single color in ``bits``, a str, bytes
         or bytearray of 0/1 by position.  An empty head has one color."""
-        head = self.items[j][:cut]
-        bit = bits.__getitem__
-        return not head or not any(map(bit(head[0]).__ne__, map(bit, head)))
+        return single_color(self.items[j][:cut], bits)
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the sha256 of the manifest text the stream
@@ -135,6 +130,29 @@ class ConstraintStream:
         if self._fp is None:
             format_manifest(self)
         return self._fp
+
+
+def _checked_q(M: int, q) -> Fraction:
+    """``q`` as a Fraction, once ``M`` and ``q`` are checked as a stream's."""
+    if M < 1:
+        raise InvalidParameterError("M must be at least 1")
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise InvalidParameterError(f"q must lie in (0, 1), got {q}")
+    return q
+
+
+def is_canonical(dom, M: int) -> bool:
+    """The stream constructor's item check: True iff ``dom`` is a tuple of at
+    least ``M`` strictly increasing nonnegative positions."""
+    return type(dom) is tuple and len(dom) >= M and all(map(operator.lt, (-1, *dom), dom))
+
+
+def single_color(head, bits) -> bool:
+    """True iff the positions in ``head`` carry a single color in ``bits``;
+    an empty head has one color."""
+    bit = bits.__getitem__
+    return not head or not any(map(bit(head[0]).__ne__, map(bit, head)))
 
 
 def _text_fingerprint(text: str) -> str:
@@ -398,6 +416,8 @@ def parse_coloring(text: str) -> Coloring:
                 if toks[:1] in (["stream"], ["phases"]):
                     if toks[0] in seen:
                         raise records.error(f"repeated {toks[0]} comment")
+                    if committed is not None:
+                        raise records.error(f"{toks[0]} comment after the coloring header")
                     seen.add(toks[0])
                     if toks[0] == "stream":
                         (fingerprint,) = toks[1:]
@@ -442,77 +462,111 @@ def format_manifest(stream: ConstraintStream) -> str:
     return text
 
 
+class ManifestReader:
+    """A manifest's items, read a line at a time from chunks that each end
+    at a line break: iterating yields ``(j, dom, by)`` per item, ``by`` the
+    ``# by`` pair or None.  It checks the header, the ``# by`` lines, ids
+    and arity, and leaves each item's size, sign and order to
+    :func:`is_canonical`.  ``int()`` runs once per distinct token, so items
+    share one ``int`` per distinct position.  After the last line,
+    ``fingerprint`` is that of the text read."""
+
+    def __init__(self, chunks: Iterable[str]):
+        self._sha = hashlib.sha256()
+        self.records = RecordReader(map(self._hashed, chunks))
+        self.M = 0
+        self.q = Fraction(0)
+        self.fingerprint = ""
+
+    def _hashed(self, chunk: str) -> str:
+        self._sha.update(chunk.encode("utf-8"))
+        return chunk
+
+    def refused(self, j: int, dom: tuple, lineno: int = 0) -> ParseError:
+        """The error for item ``j`` that :func:`is_canonical` refuses, on
+        line ``lineno`` (0: the current line)."""
+        message = "positions must be nonnegative, increasing"
+        if len(dom) < self.M:
+            message = f"item {j} has size {len(dom)} below the minimum {self.M}"
+        return self.records.error(message, lineno)
+
+    def __iter__(self):
+        header = False
+        count = 0
+        # provenance is all or nothing: item 0 decides, and each `# by` line
+        # is read once, by the item after it
+        with_by: bool | None = None
+        pending: tuple[int, int] | None = None
+        pending_line = 0
+        position = _Positions(int).__getitem__
+        with self.records as records:
+            for line in records:
+                if line[0] == "#":
+                    toks = line[1:].split()
+                    if toks and toks[0] == "by":
+                        if len(toks) != 4 or toks[2] != "at":
+                            raise ValueError(line)
+                        if not header:
+                            raise records.error("provenance line before the stream header")
+                        if pending is not None:
+                            raise records.error("repeated provenance line")
+                        pending = (position(toks[1]), position(toks[3]))
+                        pending_line = records.lineno
+                    continue
+                toks = line.split()
+                if toks[0] == "item":
+                    j, k = int(toks[1]), int(toks[2])
+                    if j != count:
+                        raise records.error(f"item index {j} out of order")
+                    dom = tuple(map(position, toks[3:]))
+                    if len(dom) != k:
+                        raise records.error("item arity mismatch")
+                    if not header:
+                        raise records.error("item record before the stream header")
+                    if j == 0:
+                        with_by = pending is not None
+                    elif (pending is not None) != with_by:
+                        raise records.error("a provenance line must precede every item or none")
+                    yield j, dom, pending
+                    count += 1
+                    pending = None
+                elif toks[0] == "stream":
+                    if header:
+                        raise records.error("repeated stream header")
+                    _, kind, m_tag, M, q_tag, q = toks
+                    if m_tag != "M" or q_tag != "q":
+                        raise ValueError(line)
+                    if kind != "sets":
+                        raise records.error(f"unknown stream kind {kind!r}")
+                    M, q = int(M), Fraction(q)
+                    self.M, self.q = M, _checked_q(M, q)
+                    header = True
+                else:
+                    raise records.error(f"unknown record {toks[0]!r}")
+        if not header:
+            raise ParseError("missing stream header")
+        if pending is not None:
+            raise records.error("provenance line with no item after it", pending_line)
+        self.fingerprint = self._sha.hexdigest()[:16]
+
+
 def parse_manifest(text: str) -> ConstraintStream:
     """The stream a manifest describes, fingerprinted by the hash of
     ``text`` itself: verifying a coloring formats nothing."""
-    header = None
+    reader = ManifestReader((text,))
     doms: list[tuple[int, ...]] = []
-    # provenance is all or nothing: item 0 decides, and each `# by` line is
-    # read once, by the item after it
-    prov: list[tuple[int, int]] | None = None
-    pending: tuple[int, int] | None = None
-    pending_line = 0
-    # int() runs once per distinct token, so exactly the tokens int() takes
-    # pass; provenance fields share the table with positions
-    position = _Positions(int).__getitem__
-    with RecordReader(text) as records:
-        for line in records:
-            if line[0] == "#":
-                toks = line[1:].split()
-                if toks and toks[0] == "by":
-                    if len(toks) != 4 or toks[2] != "at":
-                        raise ValueError(line)
-                    if header is None:
-                        raise records.error("provenance line before the stream header")
-                    if pending is not None:
-                        raise records.error("repeated provenance line")
-                    pending = (position(toks[1]), position(toks[3]))
-                    pending_line = records.lineno
-                continue
-            toks = line.split()
-            if toks[0] == "stream":
-                if header is not None:
-                    raise records.error("repeated stream header")
-                _, kind, m_tag, M, q_tag, q = toks
-                if m_tag != "M" or q_tag != "q":
-                    raise ValueError(line)
-                if kind != "sets":
-                    raise records.error(f"unknown stream kind {kind!r}")
-                header = ConstraintStream(int(M), Fraction(q), ())
-            elif toks[0] == "item":
-                j, k = int(toks[1]), int(toks[2])
-                if j != len(doms):
-                    raise records.error(f"item index {j} out of order")
-                dom = tuple(map(position, toks[3:]))
-                if len(dom) != k:
-                    raise records.error("item arity mismatch")
-                if header is None:
-                    raise records.error("item record before the stream header")
-                if j == 0:
-                    prov = None if pending is None else []
-                elif (pending is None) != (prov is None):
-                    raise records.error("a provenance line must precede every item or none")
-                if prov is not None:
-                    prov.append(pending)
-                doms.append(dom)
-                pending = None
-            else:
-                raise records.error(f"unknown record {toks[0]!r}")
-    if header is None:
-        raise ParseError("missing stream header")
-    if pending is not None:
-        raise records.error("provenance line with no item after it", pending_line)
-    provenance = None if prov is None else tuple(prov)
+    prov: list[tuple[int, int] | None] = []
+    for _, dom, by in reader:
+        doms.append(dom)
+        prov.append(by)
+    provenance = tuple(prov) if prov and prov[0] else None
     try:
-        stream = ConstraintStream(header.M, header.q, tuple(doms), provenance)
+        stream = ConstraintStream(reader.M, reader.q, tuple(doms), provenance)
     except StreamIntegrityError as exc:
         # only a refused item's line is looked up, by reading the text again
         (j,) = exc.witness
-        k = len(doms[j])
-        message = f"item {j} has size {k} below the minimum {header.M}"
-        if k >= header.M:
-            message = "positions must be nonnegative, increasing"
-        lines = (records.lineno for line in records if line.split(None, 1)[0] == "item")
-        raise records.error(message, next(islice(lines, j, None))) from exc
-    stream._fp = _text_fingerprint(text)
+        again = ManifestReader((text,))
+        lineno = next(islice((again.records.lineno for _ in again), j, None))
+        raise reader.refused(j, doms[j], lineno) from exc
+    stream._fp = reader.fingerprint
     return stream

@@ -1,12 +1,29 @@
 """Command-line pipeline: artifacts, exit codes, determinism, and the
 re-verification path."""
 
+import hashlib
+import io
 import json
+import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lllcolor.cli import main
-from lllcolor.streams import parse_coloring, parse_manifest
+from lllcolor.cli import _emit_error, main
+from lllcolor.errors import LLLColorError
+from lllcolor.streams import (
+    Coloring,
+    ConstraintStream,
+    format_coloring,
+    format_manifest,
+    gen_sets_stream,
+    parse_coloring,
+    parse_manifest,
+)
 
 ARTIFACTS = {
     "audit.json",
@@ -279,6 +296,191 @@ class TestVerify:
                      "--stream", artifacts / "stream.txt")
         assert rc == 2
         capsys.readouterr()
+
+
+def reference_verify(coloring_path, stream_path):
+    """``lllcolor verify`` as parse-then-walk: the whole manifest parsed
+    into a stream, then each constraint inside the prefix judged, with the
+    exit code and error report of ``main``."""
+    try:
+        stream = parse_manifest(stream_path.read_text(encoding="utf-8"))
+        coloring = parse_coloring(coloring_path.read_text(encoding="utf-8"))
+    except (LLLColorError, ValueError, OSError) as exc:
+        _emit_error(exc)
+        return 2
+    if coloring.stream_fingerprint and coloring.stream_fingerprint != stream.fingerprint():
+        print(
+            f"warning: coloring fingerprint {coloring.stream_fingerprint} does not "
+            f"match stream {stream.fingerprint()}",
+            file=sys.stderr,
+        )
+    per_size = {}
+    violated = []
+    for j in range(len(stream)):
+        dom = stream.dom(j)
+        if dom[-1] >= coloring.committed_len:
+            continue
+        stat = per_size.setdefault(len(dom), [0, 0])
+        stat[0] += 1
+        if stream.is_violated(j, coloring.bits):
+            stat[1] += 1
+            violated.append(j)
+    for m in sorted(per_size):
+        inside, bad = per_size[m]
+        print(f"size {m}: {inside} constraints inside prefix, {bad} violated")
+    total = sum(v[0] for v in per_size.values())
+    print(f"total: {total} checked, {len(violated)} violated")
+    if violated:
+        print(f"violated constraint ids: {violated[:10]}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def captured(verify, *args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = verify(*args)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def inject(lines, fault, data):
+    """One fault, of the named kind, in a manifest's lines (a list, edited
+    in place); the header is line 0, and items follow in order."""
+    items = [n for n, line in enumerate(lines) if line.startswith("item ")]
+    bys = [n for n, line in enumerate(lines) if line.startswith("# by ")]
+    pick = lambda seq: seq[data.draw(st.integers(0, len(seq) - 1))]  # noqa: E731
+    if fault == "cut-last":
+        line = lines[-1]
+        lines[-1] = line[: data.draw(st.integers(0, max(len(line) - 1, 0)))]
+    elif fault == "formfeed":
+        n = pick(range(len(lines)))
+        at = data.draw(st.integers(0, len(lines[n])))
+        lines[n] = lines[n][:at] + "\x0c" + lines[n][at:]
+    elif fault == "repeated-header":
+        lines.insert(data.draw(st.integers(1, len(lines))), lines[0])
+    elif fault == "extra-by":
+        lines.insert(data.draw(st.integers(0, len(lines))), "# by 3 at 4")
+    elif fault == "drop-by" and bys:
+        del lines[pick(bys)]
+    elif items:
+        n = pick(items)
+        toks = lines[n].split()
+        if fault == "bad-token" and len(toks) > 1:
+            toks[pick(range(1, len(toks)))] = data.draw(st.sampled_from(["x", "1.5", "-", "0x3"]))
+        elif fault == "unordered" and len(toks) > 4:
+            i = data.draw(st.integers(3, len(toks) - 2))
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+        elif fault == "short" and len(toks) > 3:
+            del toks[3 + data.draw(st.integers(0, len(toks) - 4)):]
+            toks[2] = str(len(toks) - 3)
+        elif fault == "id" and len(toks) > 1:
+            toks[1] = str(data.draw(st.integers(-1, len(items) + 1)))
+        lines[n] = " ".join(toks)
+
+
+FAULTS = ["bad-token", "unordered", "short", "id", "extra-by", "drop-by",
+          "repeated-header", "cut-last", "formfeed"]
+
+
+class TestStreamingVerify:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32),
+        count=st.integers(0, 12),
+        M=st.integers(1, 4),
+        window=st.integers(24, 80),
+        with_provenance=st.booleans(),
+        faults=st.lists(st.sampled_from(FAULTS), max_size=2),
+        stamp=st.sampled_from(["none", "own", "other"]),
+        data=st.data(),
+    )
+    def test_matches_parse_then_walk(
+        self, tmp_path, seed, count, M, window, with_provenance, faults, stamp, data
+    ):
+        # streaming verify reports what parsing the whole manifest and then
+        # walking the stream reports: exit code, stdout and stderr alike.
+        # With two faults that holds too: an item the stream constructor
+        # refuses is reported only when no line after it is malformed
+        items = gen_sets_stream(seed, count, window, M, spread=2).items
+        provenance = tuple((j, 3 * j + 1) for j in range(count)) if with_provenance else None
+        lines = format_manifest(ConstraintStream(M, Fraction(1, 2), items, provenance)).splitlines()
+        for fault in faults:
+            inject(lines, fault, data)
+        text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+        committed = data.draw(st.integers(0, window))
+        bits = data.draw(st.text("01", min_size=committed, max_size=committed))
+        stream_path, coloring_path = tmp_path / "stream.txt", tmp_path / "coloring.txt"
+        stream_path.write_text(text, encoding="utf-8")
+        own = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        stamps = {"none": "", "own": own, "other": "0123456789abcdef"}
+        # a coloring without a fingerprint carries no `# stream` comment
+        coloring_text = format_coloring(Coloring(bits, 1, stamps[stamp], 0, 0))
+        coloring_path.write_text(coloring_text.replace("# stream \n", ""))
+        streamed = captured(main, ["verify", "--coloring", str(coloring_path),
+                                   "--stream", str(stream_path)])
+        assert streamed == captured(reference_verify, coloring_path, stream_path)
+        if streamed[0] == 2:
+            assert streamed[1] == ""
+
+    def test_undecodable_manifest_is_not_blamed_on_a_record(self, tmp_path, capsys):
+        # the file is decoded ahead of the line being read, so a decode
+        # error names no line
+        (tmp_path / "stream.txt").write_bytes(b"stream sets M 2 q 1/2\nitem 0 2 0 1\n\xff\n")
+        (tmp_path / "coloring.txt").write_text("coloring 2 0\n01\n")
+        rc = run_cli("verify", "--coloring", tmp_path / "coloring.txt",
+                     "--stream", tmp_path / "stream.txt")
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
+
+    def test_malformed_line_is_reported_before_a_later_undecodable_byte(
+        self, tmp_path, capsys
+    ):
+        # verify reads the manifest in order, so a malformed line 2 is the
+        # error reported, not an undecodable byte 240 KB further down, which
+        # parse-then-walk reports, having decoded the whole file first
+        good = "".join(f"item {j} 2 {2 * j} {2 * j + 1}\n" for j in range(1, 12_000))
+        text = f"stream sets M 2 q 1/2\nitem 0 2 0 x\n{good}".encode()
+        assert len(text) > 240_000
+        (tmp_path / "stream.txt").write_bytes(text + b"\xff\n")
+        (tmp_path / "coloring.txt").write_text("coloring 2 0\n01\n")
+        args = (tmp_path / "coloring.txt", tmp_path / "stream.txt")
+        rc, out, err = captured(main, ["verify", "--coloring", str(args[0]),
+                                       "--stream", str(args[1])])
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": "line 2: malformed record 'item 0 2 0 x'",
+        }
+        assert json.loads(captured(reference_verify, *args)[2])["error"] == "UnicodeDecodeError"
+
+    def test_peak_memory_does_not_follow_the_manifest(self, tmp_path):
+        # 20 000 items of 8 positions below 4 060, each met by the
+        # alternating coloring: a 1.3 MB manifest.  Parsing it whole, then
+        # walking the stream, peaks at 8.8 MB under tracemalloc; streaming
+        # it peaks at 1.08 MB, and at 1.09 MB on 60 000 items
+        count = 20_000
+        items = tuple(
+            tuple(range(j % 4000, j % 4000 + 8 * (2 * (j % 4) + 1), 2 * (j % 4) + 1))
+            for j in range(count)
+        )
+        provenance = tuple((j % 24, j % 512) for j in range(count))
+        stream = ConstraintStream(8, Fraction(1, 2), items, provenance)
+        (tmp_path / "stream.txt").write_text(format_manifest(stream))
+        coloring = Coloring("01" * 2030, 0, stream.fingerprint(), 0, 0)
+        (tmp_path / "coloring.txt").write_text(format_coloring(coloring))
+        del stream, items
+        args = ["verify", "--coloring", str(tmp_path / "coloring.txt"),
+                "--stream", str(tmp_path / "stream.txt")]
+        tracemalloc.start()
+        try:
+            rc, out, err = captured(main, args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rc, err) == (0, "")
+        assert out.endswith(f"total: {count} checked, 0 violated\n")
+        assert peak < 2_000_000
 
 
 class TestRoundTrips:

@@ -115,8 +115,8 @@ class TestConstraintStream:
     @pytest.mark.parametrize(
         "items, message",
         [
-            ([(0.5, 1.5)], "item 0: position 0.5 is not an int"),
-            ([(0, True), (1, 2)], "item 0: position True is not an int"),
+            (((0.5, 1.5),), "item 0: position 0.5 is not an int"),
+            (((0, True), (1, 2)), "item 0: position True is not an int"),
         ],
     )
     def test_non_int_position_rejected(self, items, message):
@@ -124,6 +124,14 @@ class TestConstraintStream:
         with pytest.raises(InvalidInputError) as exc:
             ConstraintStream(2, F(1, 2), items)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("items", [[(0, 1)], [], ((0, 1) for _ in range(1))],
+                             ids=["list", "empty-list", "generator"])
+    def test_items_container_must_be_a_tuple(self, items):
+        # a list would compare unequal to the tuple-built stream, and could
+        # be mutated after the constructor checked it
+        with pytest.raises(InvalidInputError, match="^items must be a tuple, got "):
+            ConstraintStream(2, F(1, 2), items)
 
     def test_fingerprint_tracks_content(self):
         a = sets_stream([{0, 1}])
@@ -368,11 +376,16 @@ class TestColoringFormat:
         "text, message",
         [
             ("01\ncoloring 2 0\n", "line 1: bit record before the coloring header"),
+            ("coloring 2 0\n# stream abcd\n01\n# phases 64 1\n",
+             "line 2: stream comment after the coloring header"),
+            ("# stream abcd\ncoloring 2 0\n01\n# phases 64 1\n",
+             "line 4: phases comment after the coloring header"),
             ("# stream ab\n# stream cd\ncoloring 2 0\n01\n", "line 2: repeated stream comment"),
             ("# phases 64 1\ncoloring 2 0\n# phases 64 2\n01\n",
              "line 3: repeated phases comment"),
         ],
-        ids=["bits-before-header", "two-stream-comments", "two-phases-comments"],
+        ids=["bits-before-header", "stream-after-header", "phases-after-header",
+             "two-stream-comments", "two-phases-comments"],
     )
     def test_each_coloring_record_is_read_once_in_order(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
