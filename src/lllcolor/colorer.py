@@ -1,16 +1,16 @@
 """Phase-committed online 2-coloring against a sparse constraint stream.
 
-Windows double: N_k = n0 * 2**k with n0 = max(64, 4M).  Each set is one bad
-event, built once per call: its whole domain with the two constant rows.
-Phase k gathers the event of every set whose domain fits inside [0, N_k),
-drops those the committed bits already give both colors, and runs the
-deterministic resampler over the rest with a phase-keyed seed: fair bits on
-the uncommitted positions, and each committed position as a fixed variable
-that always takes its committed bit.  Fixing a bit is conditioning on it,
-and samples are keyed per variable, so the free positions draw what they
-would draw over the events restricted to them.  On quiescence the prefix
-[0, N_{k-1}) commits; bits in [N_{k-1}, N_k) stay resampleable for one more
-phase so straddling constraints keep a wide uncommitted margin.
+Windows double: N_k = n0 * 2**k with n0 = max(64, 4M).  Phase k visits the
+sets whose domain fits inside [0, N_k): those that enter with it, merged in
+id order with the sets the last phase left open.  It drops each set the
+committed bits already give both colors, and hands the rest to the set
+resampler with a phase-keyed seed: fair bits on the uncommitted positions,
+and for each set the one color its committed head carries, if it has a
+head.  Samples are keyed per position, so the free bits are those a
+resampler over the sets restricted to their uncommitted tails would draw.
+On quiescence the prefix [0, N_{k-1}) commits; bits in [N_{k-1}, N_k) stay
+resampleable for one more phase so straddling constraints keep a wide
+uncommitted margin.
 
 Positions never touched by any constraint default to 0, so an empty stream
 yields the all-zero prefix.  A constraint the committed bits violate or the
@@ -29,16 +29,14 @@ from .errors import (
     InvalidParameterError,
     LLLColorError,
     NonConvergenceError,
-    UnsatisfiableEventError,
     WrongStreamError,
 )
-from .lll import Event, VarSpec, _trusted_event, default_budget, fair_bit, solve_moser_tardos
+from .lll import default_budget, resample_sets
+from .lll import solve_moser_tardos  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
 from .rng import derive_seed
 from .streams import Coloring, ConstraintStream
 
 _ZERO = ord("0")
-# a committed ASCII bit as a variable whose one value of weight 1 is that bit
-_POINT_MASS = {_ZERO: ("1", "0"), _ZERO + 1: ("0", "1")}
 
 
 def phase_base(M: int) -> int:
@@ -52,46 +50,41 @@ def committed_length(M: int, horizon: int) -> int:
     return n0 << (max(0, horizon - 1) // n0).bit_length()
 
 
-def _phase_events(
-    stream: ConstraintStream,
-    committed: bytearray,
-    window: int,
-    event_of: list[Event | None],
-    phase: int,
-) -> list[Event]:
-    """The events of every unresolved constraint inside the window.
-
-    ``event_of[j]`` is constraint j's one event, its whole domain with both
-    constant rows, or None once the committed bits meet the constraint.
-    """
-    events: list[Event] = []
+def _open_sets(
+    stream: ConstraintStream, committed: bytearray, ids: list[int], phase: int
+) -> list[tuple[int, tuple[int, ...], int, int | None]]:
+    """``(id, dom, cut, head)`` of each set in ``ids`` the committed bits leave
+    single-colored: ``dom[:cut]`` is committed and carries color ``head``."""
+    sets = []
     pinned: dict[int, tuple[int, int]] = {}
     prefix = len(committed)
-    for j, dom in enumerate(stream.items):
-        event = event_of[j]
-        if event is None or dom[-1] >= window:
-            continue
+    for j in ids:
+        dom = stream.items[j]
         cut = bisect_left(dom, prefix)
-        if not stream.is_violated(j, committed, cut):
-            event_of[j] = None
+        # an empty head has one color
+        if cut and not stream.is_violated(j, committed, cut):
             continue
         if cut == len(dom):
             raise ConstructionFailureError(
                 phase, (j,), "constraint violated on its committed positions"
             )
+        head = committed[dom[0]] - _ZERO if cut else None
         # one committed color and one uncommitted position pin that position
         if 0 < cut == len(dom) - 1:
-            color = committed[dom[0]]
             prior = pinned.get(dom[-1])
-            if prior is not None and prior[0] != color:
+            if prior is not None and prior[0] != head:
                 raise ConstructionFailureError(
                     phase,
                     (prior[1], j),
                     f"constraints pin position {dom[-1]} to opposite bits",
                 )
-            pinned[dom[-1]] = (color, j)
-        events.append(event)
-    return events
+            pinned[dom[-1]] = (head, j)
+        sets.append((j, dom, cut, head))
+    # no coloring meets a one-position set, which only M = 1 admits
+    lone = [j for j, dom, _, _ in sets if len(dom) == 1] if stream.M == 1 else ()
+    if lone:
+        raise ConstructionFailureError(phase, lone[:1], "constraint forbids its whole cube")
+    return sets
 
 
 def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
@@ -106,41 +99,34 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     n0 = phase_base(stream.M)
     final = committed_length(stream.M, horizon)
     slack = math.ceil(1 / (1 - stream.q))
+    # set ids by last position: a phase's entering sets are the next run
+    last = [dom[-1] for dom in stream.items].__getitem__
+    by_end = sorted(range(len(stream)), key=last)
+    entered = 0
+    open_ids: list[int] = []
     committed = bytearray()
-    rows = {m: ((0,) * m, (1,) * m) for m in set(map(len, stream.items))}
-    # the stream's constructor refuses a domain that is not strictly
-    # increasing, and the two constant rows are sorted, so the trusted
-    # constructor is safe here
-    event_of = [_trusted_event(j, dom, rows[len(dom)]) for j, dom in enumerate(stream.items)]
     k = 1
     while len(committed) < final:
         window = n0 << k
         target = n0 << (k - 1)
-        events = _phase_events(stream, committed, window, event_of, k)
-        prefix = len(committed)
-        committed += b"0" * (target - prefix)
-        if events:
-            var_ids = sorted(set().union(*(e.vbl for e in events)))
-            variables = [
-                fair_bit(n) if n >= prefix else VarSpec(n, 2, _POINT_MASS[committed[n]])
-                for n in var_ids
-            ]
-            budget = default_budget(len(events)) * slack
-            try:
-                result = solve_moser_tardos(events, variables, derive_seed(seed, k), budget)
-            except UnsatisfiableEventError as exc:
-                raise ConstructionFailureError(
-                    k, (exc.event_id,), "constraint forbids its whole cube"
-                ) from exc
-            except NonConvergenceError as exc:
-                raise ConstructionFailureError(
-                    k,
-                    tuple(exc.violated),
-                    f"resampling budget exhausted after {exc.resamplings} steps",
-                ) from exc
-            for n, v in result.values.items():
-                if prefix <= n < target:
-                    committed[n] = _ZERO + v
+        entering = bisect_left(by_end, window, entered, key=last)
+        ids = sorted(open_ids + by_end[entered:entering])
+        entered = entering
+        sets = _open_sets(stream, committed, ids, k)
+        committed += b"0" * (target - len(committed))
+        open_ids = [j for j, _, _, _ in sets]
+        budget = default_budget(len(sets)) * slack
+        try:
+            free = resample_sets(sets, derive_seed(seed, k), budget)
+        except NonConvergenceError as exc:
+            raise ConstructionFailureError(
+                k,
+                tuple(exc.violated),
+                f"resampling budget exhausted after {exc.resamplings} steps",
+            ) from exc
+        for n, v in free.items():
+            if n < target:
+                committed[n] = _ZERO + v
         k += 1
     bits = committed.decode("ascii")
     return Coloring(bits, seed, stream.fingerprint(), n0, k - 1)

@@ -5,7 +5,9 @@ rational arithmetic (`fractions.Fraction`); floating point never enters a
 certified quantity.  The constructive side is a deterministic Moser-Tardos
 resampler: violated events are fixed in least-id order, and every sample is
 drawn from a counter-based stream keyed by (seed, variable, resample count),
-so identical inputs replay byte-for-byte.
+so identical inputs replay byte-for-byte.  The colorer's sets go through
+:func:`resample_sets`, the same resampler on fair bits for sets that must
+carry both colors, which skips committed positions and builds no events.
 
 Variables may have any finite range; all downstream users of this package
 happen to be binary, but nothing here assumes it.
@@ -17,7 +19,7 @@ import heapq
 import json
 import math
 import operator
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -296,16 +298,6 @@ def _sample(cums: list[tuple[int, int]], u: int) -> int:
     return len(cums)
 
 
-def _trusted_event(eid: int, vbl: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> Event:
-    # Bypasses canonicalization; callers must supply a sorted duplicate-free
-    # support and canonical rows.  Internal use only.
-    e = object.__new__(Event)
-    object.__setattr__(e, "id", eid)
-    object.__setattr__(e, "vbl", vbl)
-    object.__setattr__(e, "forbidden", rows)
-    return e
-
-
 def solve_moser_tardos(
     events: Sequence[Event],
     variables: Sequence[VarSpec],
@@ -441,6 +433,70 @@ def solve_moser_tardos(
         if violated_rows(eidx):
             push(heap, eid)
     return Assignment(dict(sorted(current.items())))
+
+
+def resample_sets(
+    sets: Sequence[tuple[int, tuple[int, ...], int, int | None]], seed: int, budget: int
+) -> dict[int, int]:
+    """Resample fair bits until every set carries both colors.
+
+    ``sets`` lists ``(id, dom, cut, head)`` in increasing id order: the first
+    ``cut`` positions of the sorted domain ``dom`` are committed and carry the
+    one color ``head`` (None when ``cut`` is 0), and the rest are free.  Each
+    free position ``n`` draws ``u64(seed, n, counter) >> 63``, with its own
+    counter.  Order, budget and ``NonConvergenceError`` are those of
+    :func:`solve_moser_tardos`, which draws the same free bits when each
+    committed position is a variable fixed to its bit.  Returns the bit of
+    every free position.
+    """
+    bit = {n: u64(seed, n, 0) >> 63 for n in set().union(*[d[c:] for _, d, c, _ in sets])}
+    count = dict.fromkeys(bit, 0)
+    # watch[2i + c] is a free position of color c in set i: -1 while the set
+    # needs c and has none (it is violated), -2 when its head carries c.
+    # watchers[n] lists the slots watching n, to move on when n flips; none
+    # of this changes the resampling order.
+    watch = [-2 if head == c else -1 for _, _, _, head in sets for c in (0, 1)]
+    watchers: defaultdict[int, list[int]] = defaultdict(list)
+
+    def settle(i: int) -> bool:
+        # watch a free position of each color set i lacks a watch for
+        _, dom, cut, _ = sets[i]
+        for slot in (2 * i, 2 * i + 1):
+            if watch[slot] == -1:
+                for n in dom[cut:]:
+                    if bit[n] == slot & 1:
+                        watch[slot] = n
+                        watchers[n].append(slot)
+                        break
+                else:
+                    return False
+        return True
+
+    heap = [i for i in range(len(sets)) if not settle(i)]
+    resamplings = 0
+    trace: deque[int] = deque(maxlen=64)
+    while heap:
+        i = heapq.heappop(heap)
+        if settle(i):
+            continue
+        if resamplings >= budget:
+            stuck = [s[0] for j, s in enumerate(sets) if not settle(j)]
+            raise NonConvergenceError(resamplings, list(trace), stuck)
+        resamplings += 1
+        sid, dom, cut, _ = sets[i]
+        trace.append(sid)
+        for n in dom[cut:]:
+            count[n] += 1
+            new = u64(seed, n, count[n]) >> 63
+            if new != bit[n]:
+                bit[n] = new
+                for slot in watchers.pop(n, ()):
+                    watch[slot] = -1
+                    if not settle(slot >> 1):
+                        heapq.heappush(heap, slot >> 1)
+        if not settle(i):
+            heapq.heappush(heap, i)
+    return bit
 
 
 def verify_assignment(assignment: Assignment, events: Sequence[Event]) -> list[int]:

@@ -393,8 +393,10 @@ class Coloring:
 
 
 def format_coloring(coloring: Coloring) -> str:
-    lines = [
-        f"# stream {coloring.stream_fingerprint}",
+    # a coloring built without a stream carries no `# stream` comment,
+    # which parse_coloring reads back as the empty fingerprint
+    lines = [f"# stream {coloring.stream_fingerprint}"] if coloring.stream_fingerprint else []
+    lines += [
         f"# phases {coloring.n0} {coloring.phases}",
         f"coloring {coloring.committed_len} {coloring.seed}",
     ]

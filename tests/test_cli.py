@@ -414,9 +414,7 @@ class TestStreamingVerify:
         stream_path.write_text(text, encoding="utf-8")
         own = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
         stamps = {"none": "", "own": own, "other": "0123456789abcdef"}
-        # a coloring without a fingerprint carries no `# stream` comment
-        coloring_text = format_coloring(Coloring(bits, 1, stamps[stamp], 0, 0))
-        coloring_path.write_text(coloring_text.replace("# stream \n", ""))
+        coloring_path.write_text(format_coloring(Coloring(bits, 1, stamps[stamp], 0, 0)))
         streamed = captured(main, ["verify", "--coloring", str(coloring_path),
                                    "--stream", str(stream_path)])
         assert streamed == captured(reference_verify, coloring_path, stream_path)

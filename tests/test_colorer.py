@@ -2,6 +2,7 @@
 prefix stability, determinism, and honest failure modes."""
 
 import math
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lllcolor import cli, colorer
+from lllcolor import cli
 from lllcolor.cli import main
 from lllcolor.colorer import color_prefix, committed_length, extend_coloring, phase_base
 from lllcolor.errors import (
@@ -19,6 +20,7 @@ from lllcolor.errors import (
     UnsatisfiableEventError,
     WrongStreamError,
 )
+from lllcolor.hindman import build_translate_stream, gen_family
 from lllcolor.lll import Event, default_budget, fair_bit, solve_moser_tardos
 from lllcolor.rng import derive_seed
 from lllcolor.streams import ConstraintStream, gen_sets_stream
@@ -319,36 +321,21 @@ class TestRestrictedReference:
         )
 
 
-@pytest.mark.parametrize("name", [*sorted(PIPELINES), "expanded-sets"])
-def test_phase_events_are_canonical_bits(name, tmp_path, monkeypatch):
-    # the colorer builds each constraint's event once, with _trusted_event,
-    # which skips Event's canonicalization: on the golden configs every event
-    # must come out canonical and 0/1 already, one object must serve every
-    # phase, and exactly the committed positions must be fixed to their bits
-    calls = []
-    solve = colorer.solve_moser_tardos
-
-    def spy(events, variables, seed, budget):
-        calls.append((events, variables, seed))
-        return solve(events, variables, seed, budget)
-
-    monkeypatch.setattr(colorer, "solve_moser_tardos", spy)
-    stream, _, seed, col = colored_run(name, tmp_path, monkeypatch)
-    assert calls
-    n0 = phase_base(stream.M)
-    one_object = {}
-    fixed = 0
-    for events, variables, phase_seed in calls:
-        k = next(k for k in range(1, col.phases + 1) if derive_seed(seed, k) == phase_seed)
-        prefix = n0 << (k - 2) if k > 1 else 0
-        for e in events:
-            assert e == Event(e.id, stream.dom(e.id), e.forbidden)
-            assert {v for row in e.forbidden for v in row} <= {0, 1}
-            assert one_object.setdefault(e.id, e) is e
-        for v in variables:
-            if v.index < prefix:
-                assert v.weights == ((1, 0) if col.bits[v.index] == "0" else (0, 1))
-                fixed += 1
-            else:
-                assert v.weights == (F(1, 2), F(1, 2))
-    assert fixed
+def test_color_prefix_peak_memory():
+    # comp/sum translates, M = 8, 50 members over 4096, seed 7 (4 177 sets):
+    # the set core peaks near 0.9 MB; an Event per set and a VarSpec per
+    # position of each phase peaked near 1.9 MB
+    M, members = 8, 50
+    sizes = tuple(M + i + 8 for i in range(members))
+    fam = gen_family(derive_seed(7, 1), members, 128, "ce", sizes)
+    stream = build_translate_stream(fam, M, F(1, 2))
+    stream.fingerprint()  # cmd_run has formatted the manifest before it colors
+    tracemalloc.start()
+    try:
+        col = color_prefix(stream, 4096, derive_seed(7, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == 4177
+    assert scan_sets(stream, col) == []
+    assert peak < 1_400_000

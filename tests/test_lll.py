@@ -2,6 +2,7 @@
 deterministic resampler, checked against independent brute-force oracles."""
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from lllcolor.lll import (
     fair_bit,
     format_instance,
     parse_instance,
+    resample_sets,
     solve_moser_tardos,
     verify_assignment,
 )
@@ -405,6 +407,90 @@ class TestSolver:
             return
         a = solve_moser_tardos(evs, bits(nv), seed)
         assert verify_assignment(a, evs) == []
+
+
+@st.composite
+def phase_instance(draw):
+    """A colorer-shaped phase: committed bits below a prefix, and sets in
+    increasing id order whose committed head carries one color.  Each keeps
+    a free position, and a set without a head keeps two."""
+    prefix = draw(st.integers(0, 6))
+    committed = draw(st.lists(st.integers(0, 1), min_size=prefix, max_size=prefix))
+    window = prefix + draw(st.integers(2, 8))
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=10)))
+    sets = []
+    for j in ids:
+        dom = tuple(sorted(draw(st.sets(st.integers(0, window - 1), min_size=2, max_size=5))))
+        cut = bisect_left(dom, prefix)
+        if cut < len(dom) and len({committed[n] for n in dom[:cut]}) < 2:
+            sets.append((j, dom, cut, committed[dom[0]] if cut else None))
+    return committed, sets
+
+
+def as_events(committed, sets):
+    """The same phase for the validated door: each set as its whole domain
+    with both constant rows, fair bits on the free positions and each
+    committed position as a variable fixed to its bit."""
+    events = [Event(j, dom, [(0,) * len(dom), (1,) * len(dom)]) for j, dom, _, _ in sets]
+    used = sorted({n for _, dom, _, _ in sets for n in dom})
+    point_mass = {0: (1, 0), 1: (0, 1)}
+    variables = [
+        VarSpec(n, 2, point_mass[committed[n]]) if n < len(committed) else fair_bit(n)
+        for n in used
+    ]
+    return events, variables
+
+
+def resampled(solve):
+    """What a solve returns, or the resamplings, trace and violated ids it
+    exhausts its budget with."""
+    try:
+        return solve()
+    except NonConvergenceError as exc:
+        return exc.resamplings, exc.trace, exc.violated
+
+
+class TestResampleSets:
+    @pytest.mark.parametrize("u", [0, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_fair_bit_is_the_top_bit_of_its_sample(self, u):
+        # the set core draws u >> 63 where the validated door draws through
+        # the thresholds of fair_bit: both must pick the same bit
+        assert u >> 63 == _sample(_thresholds(fair_bit(0)), u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(phase=phase_instance(), seed=st.integers(0, 10**6),
+           budget=st.one_of(st.integers(1, 30), st.just(None)))
+    def test_matches_solve_moser_tardos(self, phase, seed, budget):
+        # the free bits of the validated door on the same phase, or the same
+        # budget exhaustion: small budgets and sets crowded into a short
+        # window make many of these instances run out
+        committed, sets = phase
+        events, variables = as_events(committed, sets)
+        budget = budget or default_budget(len(sets))
+        core = resampled(lambda: resample_sets(sets, seed, budget))
+        door = resampled(lambda: {
+            n: v for n, v in solve_moser_tardos(events, variables, seed, budget).values.items()
+            if n >= len(committed)
+        })
+        assert core == door
+
+    def test_exhaustion_matches_on_a_triangle(self):
+        # no coloring gives three free 2-sets over three positions both colors
+        sets = [(1, (0, 1), 0, None), (4, (0, 2), 0, None), (6, (1, 2), 0, None)]
+        events, variables = as_events([], sets)
+        with pytest.raises(NonConvergenceError) as core:
+            resample_sets(sets, 3, 40)
+        with pytest.raises(NonConvergenceError) as door:
+            solve_moser_tardos(events, variables, 3, 40)
+        assert core.value.resamplings == door.value.resamplings == 40
+        assert core.value.trace == door.value.trace
+        assert core.value.violated == door.value.violated != []
+
+    def test_head_color_is_never_needed_again(self):
+        # a head of 1s leaves only a 0 to find among the free positions
+        free = resample_sets([(0, (0, 1, 2, 3), 2, 1)], 11, 100)
+        assert set(free) == {2, 3}
+        assert 0 in free.values()
 
 
 class TestVerifyAssignment:

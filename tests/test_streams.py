@@ -355,6 +355,15 @@ class TestColoringFormat:
         assert back == col
         assert back.committed_len == 160
 
+    @pytest.mark.parametrize("fingerprint", ["", "0123456789abcdef"])
+    @pytest.mark.parametrize("bits", ["", "01", "0110" * 40])
+    def test_round_trip_with_and_without_fingerprint(self, fingerprint, bits):
+        # a coloring built without a stream writes no `# stream` comment
+        col = Coloring(bits, 5, fingerprint, 64, 2)
+        text = format_coloring(col)
+        assert parse_coloring(text) == col
+        assert ("# stream" in text) == bool(fingerprint)
+
     def test_length_mismatch(self):
         with pytest.raises(ParseError):
             parse_coloring("coloring 8 0\n0101\n")
