@@ -26,8 +26,8 @@ from bisect import bisect_left
 
 from .errors import (
     ConstructionFailureError,
+    InvalidInputError,
     InvalidParameterError,
-    LLLColorError,
     NonConvergenceError,
     WrongStreamError,
 )
@@ -96,6 +96,15 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be at least 1")
+    return _run_phases(stream, bytearray(), 1, horizon, seed)
+
+
+def _run_phases(
+    stream: ConstraintStream, committed: bytearray, k: int, horizon: int, seed: int
+) -> Coloring:
+    """Run phases k, k + 1, ... on top of the committed bits of phases 1..k-1
+    until the prefix covers horizon.  The cursor starts at set 0, so the first
+    phase also visits the sets earlier phases dropped, and drops them again."""
     n0 = phase_base(stream.M)
     final = committed_length(stream.M, horizon)
     slack = math.ceil(1 / (1 - stream.q))
@@ -104,8 +113,6 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     by_end = sorted(range(len(stream)), key=last)
     entered = 0
     open_ids: list[int] = []
-    committed = bytearray()
-    k = 1
     while len(committed) < final:
         window = n0 << k
         target = n0 << (k - 1)
@@ -135,16 +142,24 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
 def extend_coloring(
     coloring: Coloring, stream: ConstraintStream, new_horizon: int
 ) -> Coloring:
-    """Re-run the phase schedule to a larger horizon; the input's committed
-    bits are reproduced exactly or the extension fails loudly."""
+    """Resume the phase schedule at phase ``phases + 1`` from the coloring's
+    committed bits, up to a larger horizon.  The result is the coloring
+    color_prefix commits for new_horizon, since each phase depends only on
+    the committed bits, its number and the seed.  A coloring whose window
+    size, phase count and length do not fit the stream's schedule, say one
+    read from an edited file, is refused."""
     if coloring.stream_fingerprint != stream.fingerprint():
         raise WrongStreamError(
             f"coloring was built against stream {coloring.stream_fingerprint}, "
             f"not {stream.fingerprint()}"
         )
-    if new_horizon <= coloring.committed_len:
+    n0, phases, length = coloring.n0, coloring.phases, coloring.committed_len
+    if n0 != phase_base(stream.M) or phases < 1 or length != n0 << (phases - 1):
+        raise InvalidInputError(
+            f"{length} bits in {phases} phases from base {n0} are not a phase schedule "
+            f"of this stream"
+        )
+    if new_horizon <= length:
         raise InvalidParameterError("new horizon must exceed the committed length")
-    out = color_prefix(stream, new_horizon, coloring.seed)
-    if not out.bits.startswith(coloring.bits):
-        raise LLLColorError("prefix stability violated; this is a bug")
-    return out
+    committed = bytearray(coloring.bits, "ascii")
+    return _run_phases(stream, committed, phases + 1, new_horizon, coloring.seed)

@@ -163,20 +163,15 @@ def _check_row(e: Event, row: tuple[int, ...], table: dict[int, VarSpec]) -> Non
 
 def _instance_table(events: Sequence[Event], variables: Sequence[VarSpec]) -> dict[int, VarSpec]:
     """The variables by index, once no variable is specified twice, event ids are
-    distinct, and supports and values fit the variables.  Values are bounded once
-    per distinct row set; an event those bounds miss is checked alone, to name it."""
+    distinct, and each event's support and values fit its variables, checked
+    event by event in list order so the first event at fault is the one named."""
     table: dict[int, VarSpec] = {}
     for v in variables:
         _add_var(table, v)
     if len({e.id for e in events}) != len(events):
         raise InvalidInstanceError("event ids must be distinct")
-    specified = table.keys() >= set().union(*(e.vbl for e in events))
-    least = min((v.range_size for v in variables), default=0)
-    wide = {rows for rows in {e.forbidden for e in events}
-            if min(map(min, rows), default=0) < 0 or max(map(max, rows), default=0) >= least}
     for e in events:
-        if not specified or (wide and e.forbidden in wide):
-            _check_event_ranges(e, table)
+        _check_event_ranges(e, table)
     return table
 
 
@@ -308,9 +303,11 @@ def solve_moser_tardos(
 
     All variables are initialized from their weights (counter 0); then the
     violated event of least id has exactly its support resampled, each
-    variable advancing its own counter.  Quiescence returns the assignment;
-    exceeding ``budget`` total resamplings raises ``NonConvergenceError``
-    carrying the resampled-event trace.
+    variable advancing its own counter.  After a resampling only the events
+    on a variable whose value changed, and the resampled event itself, are
+    checked again.  Quiescence returns the assignment; exceeding ``budget``
+    total resamplings raises ``NonConvergenceError`` carrying the
+    resampled-event trace.
     """
     table = _instance_table(events, variables)
     if budget is None:
@@ -330,108 +327,39 @@ def solve_moser_tardos(
     counters = {v.index: 0 for v in variables}
     current = {v.index: _sample(cums[v.index], u64(seed, v.index, 0)) for v in variables}
 
-    # Violation tracking uses watched positions: every row that currently
-    # disagrees somewhere watches one disagreeing position, so a variable
-    # change only touches the rows watching it.  A row found to agree
-    # everywhere marks its event violated (heap entry); the pop re-verifies
-    # and repairs watches, which keeps the scheme sound under stale entries.
-    # None of this changes the resampling order or the sample streams.
-    event_ids = [e.id for e in events]
-    idx_of = {eid: i for i, eid in enumerate(event_ids)}
-    vbls = [e.vbl for e in events]
-    row_event: list[int] = []
-    row_vals: list[tuple[int, ...]] = []
-    row_vbl: list[tuple[int, ...]] = []
-    event_rows: list[list[int]] = []
-    for eidx, e in enumerate(events):
-        rids = []
-        for row in e.forbidden:
-            rids.append(len(row_event))
-            row_event.append(eidx)
-            row_vals.append(row)
-            row_vbl.append(e.vbl)
-        event_rows.append(rids)
+    def violated(e: Event) -> bool:
+        return tuple(current[n] for n in e.vbl) in e.forbidden
 
-    watch_pos: list[int] = [-1] * len(row_event)  # -1: no watch (row matched)
-    watchers: dict[int, list[int]] = {}
-    heap: list[int] = []
-    push = heapq.heappush
-
-    def place_watch(rid: int, start: int) -> bool:
-        # Find a disagreeing position scanning cyclically from `start`;
-        # returns False when the row agrees everywhere (event violated).
-        vbl = row_vbl[rid]
-        vals = row_vals[rid]
-        size = len(vbl)
-        for off in range(size):
-            pos = start + off
-            if pos >= size:
-                pos -= size
-            if current[vbl[pos]] != vals[pos]:
-                watch_pos[rid] = pos
-                watchers.setdefault(vbl[pos], []).append(rid)
-                return True
-        watch_pos[rid] = -1
-        return False
-
-    for rid in range(len(row_event)):
-        if not place_watch(rid, 0):
-            push(heap, event_ids[row_event[rid]])
-
+    by_id = {e.id: e for e in events}
+    on: defaultdict[int, list[Event]] = defaultdict(list)  # the events on each variable
+    for e in events:
+        for n in e.vbl:
+            on[n].append(e)
+    # an entry for every violated event, and stale entries skipped on pop, so
+    # the least entry that still holds is the least violated id
+    heap = sorted(e.id for e in events if violated(e))
     resamplings = 0
     trace: deque[int] = deque(maxlen=64)
-
-    def apply_change(n: int, new: int) -> None:
-        current[n] = new
-        stale = watchers.pop(n, None)
-        if not stale:
-            return
-        keep = []
-        for rid in stale:
-            pos = watch_pos[rid]
-            if row_vals[rid][pos] != new:
-                keep.append(rid)
-            elif not place_watch(rid, pos + 1):
-                push(heap, event_ids[row_event[rid]])
-        if keep:
-            existing = watchers.get(n)
-            if existing:
-                existing.extend(keep)
-            else:
-                watchers[n] = keep
-
-    def violated_rows(eidx: int) -> list[int]:
-        # Re-verify on pop: rows without a watch are either matched or lost
-        # their watch while marked; repair the latter.
-        bad = []
-        for rid in event_rows[eidx]:
-            if watch_pos[rid] == -1 and not place_watch(rid, 0):
-                bad.append(rid)
-        return bad
-
-    def all_violated() -> list[int]:
-        out = set()
-        for rid in range(len(row_event)):
-            if watch_pos[rid] == -1 and not place_watch(rid, 0):
-                out.add(event_ids[row_event[rid]])
-        return sorted(out)
-
     while heap:
-        eid = heapq.heappop(heap)
-        eidx = idx_of[eid]
-        if not violated_rows(eidx):
+        e = by_id[heapq.heappop(heap)]
+        if not violated(e):
             continue
         if resamplings >= budget:
-            raise NonConvergenceError(resamplings, list(trace), all_violated())
+            raise NonConvergenceError(
+                resamplings, list(trace), sorted(f.id for f in events if violated(f))
+            )
         resamplings += 1
-        trace.append(eid)
-        for n in vbls[eidx]:
+        trace.append(e.id)
+        for n in e.vbl:
             counters[n] += 1
             new = _sample(cums[n], u64(seed, n, counters[n]))
             if new != current[n]:
-                apply_change(n, new)
-        if violated_rows(eidx):
-            push(heap, eid)
+                current[n] = new
+                for f in on[n]:
+                    if violated(f):
+                        heapq.heappush(heap, f.id)
+        if violated(e):
+            heapq.heappush(heap, e.id)
     return Assignment(dict(sorted(current.items())))
 
 

@@ -5,25 +5,27 @@ import math
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lllcolor import cli
+from lllcolor import cli, colorer
 from lllcolor.cli import main
 from lllcolor.colorer import color_prefix, committed_length, extend_coloring, phase_base
 from lllcolor.errors import (
     ConstructionFailureError,
+    InvalidInputError,
     InvalidParameterError,
     NonConvergenceError,
     UnsatisfiableEventError,
     WrongStreamError,
 )
 from lllcolor.hindman import build_translate_stream, gen_family
-from lllcolor.lll import Event, default_budget, fair_bit, solve_moser_tardos
+from lllcolor.lll import Event, default_budget, fair_bit, resample_sets, solve_moser_tardos
 from lllcolor.rng import derive_seed
-from lllcolor.streams import ConstraintStream, gen_sets_stream
+from lllcolor.streams import ConstraintStream, format_coloring, gen_sets_stream, parse_coloring
 from test_golden import PIPELINES, golden_sets
 
 F = Fraction
@@ -231,6 +233,68 @@ class TestExtendColoring:
         out = extend_coloring(col, stream, 256)
         assert set(out.bits) == {"0"}
         assert out.committed_len >= 256
+
+
+def resumed(call):
+    """The coloring a call returns, or the phase, ids and message it fails with."""
+    try:
+        return call()
+    except ConstructionFailureError as exc:
+        return exc.phase, exc.constraint_ids, str(exc)
+
+
+class TestResume:
+    """extend_coloring runs only the phases after the input's last, from
+    its committed bits, and ends where a fresh color_prefix run ends."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        M=st.integers(2, 5),
+        spread=st.integers(0, 2),
+        h1=st.integers(1, 512),
+        data=st.data(),
+    )
+    def test_resume_matches_rebuild(self, seed, M, spread, h1, data):
+        h2 = data.draw(st.integers(committed_length(M, h1) + 1, 2048), label="h2")
+        # up to h2 // 4 sets: crowded enough that some runs fail, before h1's
+        # last phase or after it.  A small budget makes a run that cannot
+        # converge fail in milliseconds, not minutes; both runs share it
+        count = data.draw(st.integers(0, h2 // 4), label="count")
+        stream = gen_sets_stream(seed, count, h2, M, spread=spread)
+        with mock.patch.object(colorer, "default_budget", lambda n: 8 * n + 8):
+            first = resumed(lambda: color_prefix(stream, h1, seed))
+            rebuilt = resumed(lambda: color_prefix(stream, h2, seed))
+            if isinstance(first, tuple):
+                assert rebuilt == first
+                return
+            saved = parse_coloring(format_coloring(first))
+            assert resumed(lambda: extend_coloring(saved, stream, h2)) == rebuilt
+
+    def test_runs_only_the_later_phases(self, monkeypatch):
+        stream = gen_sets_stream(4, 40, 1024, 16)
+        col = color_prefix(stream, 256, 8)
+        seeds = []
+
+        def spy(sets, seed, budget):
+            seeds.append(seed)
+            return resample_sets(sets, seed, budget)
+
+        monkeypatch.setattr(colorer, "resample_sets", spy)
+        out = extend_coloring(col, stream, 1024)
+        assert col.phases < out.phases
+        assert seeds == [derive_seed(8, k) for k in range(col.phases + 1, out.phases + 1)]
+
+    @pytest.mark.parametrize("edit", [(0, 1), (0, -1), (64, 0)], ids=["more", "fewer", "n0"])
+    def test_edited_phase_count_is_refused(self, edit):
+        stream = gen_sets_stream(4, 40, 1024, 16)
+        col = color_prefix(stream, 256, 8)
+        line = f"# phases {col.n0} {col.phases}\n"
+        text = format_coloring(col)
+        assert line in text
+        edited = text.replace(line, f"# phases {col.n0 + edit[0]} {col.phases + edit[1]}\n")
+        with pytest.raises(InvalidInputError):
+            extend_coloring(parse_coloring(edited), stream, 1024)
 
 
 class TestConstructionFailures:

@@ -2,6 +2,7 @@
 deterministic resampler, checked against independent brute-force oracles."""
 
 import itertools
+import math
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -94,23 +95,37 @@ def event_over(draw, eid, variables, min_rows=1):
 
 
 def naive_moser_tardos(events, variables, seed, budget=100000):
-    """Reference resampler: rescan all events from scratch every step."""
+    """Reference resampler: rescan all events from scratch every step.  A
+    spent budget raises what the solver raises: the resamplings, the last 64
+    resampled ids and the sorted ids of every violated event."""
     cums = {v.index: _thresholds(v) for v in variables}
     counters = {v.index: 0 for v in variables}
     cur = {v.index: _sample(cums[v.index], u64(seed, v.index, 0)) for v in variables}
-    ordered = sorted(events, key=lambda e: e.id)
-    for _ in range(budget):
-        violated = None
-        for e in ordered:
-            if tuple(cur[n] for n in e.vbl) in e.forbidden:
-                violated = e
-                break
-        if violated is None:
+    by_id = {e.id: e for e in events}
+    trace = []
+    while True:
+        violated = sorted(e.id for e in events if tuple(cur[n] for n in e.vbl) in e.forbidden)
+        if not violated:
             return dict(sorted(cur.items()))
-        for n in violated.vbl:
+        if len(trace) == budget:
+            raise NonConvergenceError(budget, trace[-64:], violated)
+        trace.append(violated[0])
+        for n in by_id[violated[0]].vbl:
             counters[n] += 1
             cur[n] = _sample(cums[n], u64(seed, n, counters[n]))
-    raise AssertionError("reference resampler did not converge")
+
+
+@st.composite
+def mixed_instance(draw):
+    """Fair bits and non-uniform ternaries under events of up to four rows,
+    with distinct ids in shuffled order.  An event whose rows fill its cube
+    is left out: the solver refuses it before resampling."""
+    count = draw(st.integers(1, 6))
+    variables = [draw(st.one_of(st.just(fair_bit(n)), ternary(n))) for n in range(count)]
+    ranges = {v.index: v.range_size for v in variables}
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True))
+    events = [draw(event_over(eid, variables)) for eid in ids]
+    return variables, [e for e in events if len(e.forbidden) < math.prod(ranges[n] for n in e.vbl)]
 
 
 class TestEventProbability:
@@ -407,6 +422,29 @@ class TestSolver:
             return
         a = solve_moser_tardos(evs, bits(nv), seed)
         assert verify_assignment(a, evs) == []
+
+    def test_naive_reference_exhausts_like_the_solver(self):
+        # one bit that each event forbids in turn: the budget always runs out
+        evs = [Event(0, (0,), [(0,)]), Event(1, (0,), [(1,)])]
+        with pytest.raises(NonConvergenceError) as slow:
+            naive_moser_tardos(evs, bits(1), 3, budget=70)
+        assert slow.value.resamplings == 70
+        assert len(slow.value.trace) == 64
+        assert slow.value.violated in ([0], [1])
+        with pytest.raises(NonConvergenceError) as fast:
+            solve_moser_tardos(evs, bits(1), 3, budget=70)
+        assert (fast.value.resamplings, fast.value.trace, fast.value.violated) == (
+            slow.value.resamplings, slow.value.trace, slow.value.violated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=mixed_instance(), seed=st.integers(0, 10**6), budget=st.integers(1, 40))
+    def test_matches_naive_reference_under_any_budget(self, instance, seed, budget):
+        # the same values, or the same resamplings, trace and violated ids;
+        # budgets this small leave many of these instances unsolved
+        variables, events = instance
+        assert resampled(
+            lambda: dict(solve_moser_tardos(events, variables, seed, budget).values)
+        ) == resampled(lambda: naive_moser_tardos(events, variables, seed, budget))
 
 
 @st.composite
