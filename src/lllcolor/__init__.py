@@ -9,7 +9,6 @@ that defeat enumerated candidate sets, with independent audits throughout.
 from .colorer import color_prefix, extend_coloring, phase_base
 from .errors import (
     ConstructionFailureError,
-    InsufficientHorizonError,
     InvalidInputError,
     InvalidInstanceError,
     InvalidParameterError,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .colorer import color_prefix, committed_length, phase_base
+from .colorer import color_prefix, phase_base
 from .errors import (
     ConstructionFailureError,
     InvalidParameterError,
@@ -89,11 +89,13 @@ def _resolve_run(args: argparse.Namespace, q: Fraction):
         raise InvalidParameterError(f"horizon must be at least 4*M = {4 * M}")
     if args.members < 1:
         raise InvalidParameterError("members must be at least 1")
-    guard = args.guard if args.guard is not None else phase_base(M)
-    if guard < 0:
-        raise InvalidParameterError("guard must be nonnegative")
-    if guard >= (length := committed_length(M, args.horizon)):
-        raise InvalidParameterError(f"guard must lie inside the committed prefix of {length} bits")
+    # a horizon inside the first window commits only that window, and the
+    # audit starts past it
+    if args.horizon <= (guard := phase_base(M)):
+        raise InvalidParameterError(
+            f"horizon {args.horizon} commits only the first window of {guard} bits, "
+            "where the audit starts"
+        )
     if args.stages is not None:
         stages = args.stages
     elif args.mode == "comp":
@@ -152,7 +154,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     coloring = color_prefix(stream, args.horizon, derive_seed(args.seed, 2))
     (out / "coloring.txt").write_text(format_coloring(coloring), encoding="utf-8")
 
-    audit = audit_solution(coloring, family, fn, M, guard, stream=stream)
+    audit = audit_solution(coloring, family, fn, stream=stream)
     (out / "audit.json").write_text(audit.to_json(), encoding="utf-8")
 
     print(
@@ -258,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--horizon", type=int, required=True)
     run.add_argument("--members", type=int, default=30)
     run.add_argument("--stages", type=int, default=None)
-    run.add_argument("--guard", type=int, default=None)
     run.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./runs)")
 
     demo = sub.add_parser("demo", help="warm-up demonstrations")

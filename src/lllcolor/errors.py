@@ -73,10 +73,6 @@ class ConstructionFailureError(LLLColorError):
         self.constraint_ids = tuple(constraint_ids)
 
 
-class InsufficientHorizonError(LLLColorError):
-    """A query needs coloring bits beyond the committed prefix."""
-
-
 class WrongStreamError(LLLColorError):
     """A coloring is being checked against a stream it was not built from."""
 

@@ -231,10 +231,8 @@ def choose_M(b: int, q: Fraction, mode: str) -> int:
 def _diagonal_pairs(count: int, stage_count: int) -> Iterator[tuple[int, int]]:
     # (i, s) in ascending Cantor index over the finite rectangle.
     for total in range(count + stage_count - 1):
-        for s in range(total + 1):
-            i = total - s
-            if i < count and s < stage_count:
-                yield i, s
+        for s in range(max(0, total - count + 1), min(total, stage_count - 1) + 1):
+            yield total - s, s
 
 
 def build_translate_stream(
@@ -245,7 +243,9 @@ def build_translate_stream(
     Member i contributes once it has enumerated ``M + i`` elements; from its
     defining stage onward every translate prefix+s joins the stream.  The
     locality oracle inverts n = x + s over the member's elements, so at most
-    m translates of size m pass through any point.
+    m translates of size m pass through any point.  Diagonal order emits a
+    member's shifts in increasing s, so the oracle finds the id of shift s
+    at ``ids[i][s - defined]`` in that member's list of item ids.
     """
     if family.mode != MODE_CE:
         raise InvalidInputError("translate streams require a ce-mode family")
@@ -265,7 +265,8 @@ def build_translate_stream(
 
     items: list[tuple[int, ...]] = []
     prov: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
+    # ids[i]: member i's item ids, in increasing shift
+    ids: list[list[int]] = [[] for _ in range(count)]
     # translates overlap heavily: they share one int per distinct position
     position = _Positions(int).__getitem__
     # Bases of different members differ in size and the shifts of one base
@@ -274,7 +275,7 @@ def build_translate_stream(
         got = base[i]
         if got is None or s < got[1]:
             continue
-        index[(i, s)] = len(items)
+        ids[i].append(len(items))
         prov.append((i, s))
         # shifting keeps the base sorted
         items.append(tuple(map(position, map(s.__add__, got[0]))))
@@ -284,14 +285,9 @@ def build_translate_stream(
         if i < 0 or i >= count or base[i] is None:
             return ()
         elements, defined = base[i]
-        hits = []
-        for x in elements:
-            s = n - x
-            if defined <= s < stages:
-                j = index.get((i, s))
-                if j is not None:
-                    hits.append(j)
-        return tuple(sorted(hits))
+        # the largest element gives the least shift, and so the least id
+        shifts = (n - x for x in reversed(elements))
+        return tuple(ids[i][s - defined] for s in shifts if defined <= s < stages)
 
     return ConstraintStream(M, q, tuple(items), tuple(prov), locality)
 

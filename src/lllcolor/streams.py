@@ -21,7 +21,6 @@ from itertools import chain, islice, repeat
 from typing import Callable, Iterable
 
 from .errors import (
-    InsufficientHorizonError,
     InvalidInputError,
     InvalidParameterError,
     ParseError,
@@ -65,9 +64,11 @@ class ConstraintStream:
     of whether the bits on a head of the domain still carry a single color.
 
     ``locality(m, n)`` lists exactly the indices whose item has size ``m``
-    and touches position ``n``.  Builders install a procedural oracle; when
-    none is present it is derived from the enumeration itself.  The two
-    routes are cross-checked by :func:`validate_sparsity`.
+    and touches position ``n``.  It asks the procedural oracle a builder
+    installs as ``locality_fn``, which :func:`validate_sparsity`
+    cross-checks against the enumeration; a stream without one (generated,
+    parsed or built by hand) raises ``InvalidInputError`` instead of
+    answering from its own items.
     """
 
     M: int
@@ -77,7 +78,6 @@ class ConstraintStream:
     locality_fn: Callable[[int, int], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
-    _index: dict | None = field(init=False, default=None, compare=False, repr=False)
     _fp: str | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -108,15 +108,9 @@ class ConstraintStream:
         return self.items[j]
 
     def locality(self, m: int, n: int) -> tuple[int, ...]:
-        if self.locality_fn is not None:
-            return self.locality_fn(m, n)
-        if self._index is None:
-            index: dict[tuple[int, int], list[int]] = {}
-            for j, dom in enumerate(self.items):
-                for pos in dom:
-                    index.setdefault((len(dom), pos), []).append(j)
-            self._index = {key: tuple(v) for key, v in index.items()}
-        return self._index.get((m, n), ())
+        if self.locality_fn is None:
+            raise InvalidInputError("the stream has no locality oracle")
+        return self.locality_fn(m, n)
 
     def is_violated(self, j: int, bits, cut: int | None = None) -> bool:
         """True iff the first ``cut`` positions of ``dom(j)`` (all of them
@@ -248,7 +242,7 @@ def _chosen_cells(
 
 def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     """Check the point bound ``count <= 2**(q*m)`` over the window and
-    cross-check the locality oracle against the enumeration.
+    cross-check the stream's locality oracle against the enumeration.
 
     Counts come from one pass over the enumerated items, so the bound check
     is complete for every cell with ``m <= window`` and ``n < window``.
@@ -258,7 +252,9 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     The locality cross-check runs on every nonzero cell up to 20 000 of them
     ("full"), else on a deterministic stratified sample of 12 per size
     ("sampled"), plus zero-count probes either way; any disagreement raises
-    ``StreamIntegrityError`` with a ``(j, m, n)`` witness.
+    ``StreamIntegrityError`` with a ``(j, m, n)`` witness.  A stream without
+    an oracle has nothing to cross-check: the report says "none", with no
+    cell checked, and its counts and verdicts are the same.
     """
     if window < 1:
         raise InvalidParameterError("window must be at least 1")
@@ -286,30 +282,32 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
             elif 2 * c > bound:
                 near.append((m, n, c, bound))
 
-    total_nonzero = sum(map(len, nonzero.values()))
-    mode = "full" if total_nonzero <= _FULL_CHECK_CELLS else "sampled"
-    cells = _chosen_cells(counts, nonzero, window, mode)
-    # want[m][n]: the items of size m through n, filled for the chosen cells only
-    want: dict[int, dict[int, list[int]]] = {m: {} for m in groups}
-    for m, n in cells:
-        want[m][n] = []
-    for m, group in groups.items():
-        want_m = want[m]
-        for j, pos in group.items():
-            # a full check visits every nonzero cell, so every position
-            for n in pos if mode == "full" else want_m.keys() & pos:
-                want_m[n].append(j)
-    for m, n in cells:
-        got = tuple(stream.locality(m, n))
-        expect = tuple(want[m][n])
-        if got != expect:
-            diff = sorted(set(got).symmetric_difference(expect))
-            witness_j = diff[0] if diff else -1
-            raise StreamIntegrityError(
-                f"locality({m}, {n}) returned {list(got)} but the enumeration "
-                f"holds {list(expect)}",
-                witness=(witness_j, m, n),
-            )
+    mode, cells = "none", []
+    if stream.locality_fn is not None:
+        total_nonzero = sum(map(len, nonzero.values()))
+        mode = "full" if total_nonzero <= _FULL_CHECK_CELLS else "sampled"
+        cells = _chosen_cells(counts, nonzero, window, mode)
+        # want[m][n]: the items of size m through n, filled for the chosen cells only
+        want: dict[int, dict[int, list[int]]] = {m: {} for m in groups}
+        for m, n in cells:
+            want[m][n] = []
+        for m, group in groups.items():
+            want_m = want[m]
+            for j, pos in group.items():
+                # a full check visits every nonzero cell, so every position
+                for n in pos if mode == "full" else want_m.keys() & pos:
+                    want_m[n].append(j)
+        for m, n in cells:
+            got = tuple(stream.locality(m, n))
+            expect = tuple(want[m][n])
+            if got != expect:
+                diff = sorted(set(got).symmetric_difference(expect))
+                witness_j = diff[0] if diff else -1
+                raise StreamIntegrityError(
+                    f"locality({m}, {n}) returned {list(got)} but the enumeration "
+                    f"holds {list(expect)}",
+                    witness=(witness_j, m, n),
+                )
 
     return SparsityReport(
         window=window,
@@ -383,13 +381,6 @@ class Coloring:
     @property
     def committed_len(self) -> int:
         return len(self.bits)
-
-    def bit(self, n: int) -> int:
-        if not 0 <= n < self.committed_len:
-            raise InsufficientHorizonError(
-                f"position {n} is beyond the committed prefix of length {self.committed_len}"
-            )
-        return ord(self.bits[n]) - 48
 
 
 def format_coloring(coloring: Coloring) -> str:

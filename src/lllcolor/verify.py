@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .colorer import phase_base
 from .errors import InvalidParameterError, WrongStreamError
 from .hindman import (
     MODE_CE,
@@ -84,30 +85,27 @@ class AuditReport:
 
 
 def audit_solution(
-    coloring: Coloring,
-    family: StagedFamily,
-    fn: AdditionLike,
-    M: int,
-    guard: int,
-    *,
-    stream: ConstraintStream,
+    coloring: Coloring, family: StagedFamily, fn: AdditionLike, *, stream: ConstraintStream
 ) -> AuditReport:
     """Re-check every emitted constraint of a pipeline against the coloring.
 
     The rule follows ``family.mode``: a ce family gives a translate
     ("comp") audit with bound ``M + i``, a sigma2 family an image ("main")
-    audit with bound ``fn.mult_bound * (M + i)``.  For each member whose
-    candidate set is defined (translate mode, from its first selected
-    stage) or has settled by the final stage (image mode, from that
-    settling stage), no emitted set lying fully inside
+    audit with bound ``fn.mult_bound * (M + i)``, with ``M = stream.M``.
+    The audit starts past the colorer's first window, at
+    ``guard = phase_base(M)``, which must lie inside the committed prefix.
+    For each member whose candidate set is defined (translate mode, from its
+    first selected stage) or has settled by the final stage (image mode,
+    from that settling stage), no emitted set lying fully inside
     [guard, committed_len) may be violated in the sense of
     ``stream.is_violated``: each must carry both colors.  Members that never
     reach their size threshold get a vacuous verdict: they are already
     smaller than the reported bound.  ``stream`` is the stream the coloring
     was built against; it must carry emission provenance.
     """
-    if not 0 <= guard < coloring.committed_len:
-        raise InvalidParameterError("guard must lie inside the committed prefix")
+    guard = phase_base(stream.M)
+    if guard >= coloring.committed_len:
+        raise InvalidParameterError(f"the audit start {guard} lies outside the committed prefix")
     if family.mode == MODE_CE:
         if fn.name != "sum":
             raise WrongStreamError("translate audits run over the sum pair function")
@@ -128,7 +126,7 @@ def audit_solution(
     total_checked = 0
     total_violations = 0
     for i in range(family.count):
-        k = b * (M + i)
+        k = b * (stream.M + i)
         timeline = _selection_timeline(family, i, k)
         final_sel, final_since = timeline[-1]
         if not final_sel:

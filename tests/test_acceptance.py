@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from lllcolor.cli import CERT_FIXTURE, main
-from lllcolor.colorer import color_prefix, phase_base
+from lllcolor.colorer import color_prefix
 from lllcolor.hindman import (
     baseline_coloring,
     build_image_stream,
@@ -198,7 +198,7 @@ def test_criterion_5_translate_pipeline():
     stream = build_translate_stream(family, M)
     assert validate_sparsity(stream, horizon).ok
     coloring = color_prefix(stream, horizon, derive_seed(7, 2))
-    audit = audit_solution(coloring, family, fn, M, phase_base(M), stream=stream)
+    audit = audit_solution(coloring, family, fn, stream=stream)
     assert audit.violations_total == 0
     assert audit.translates_checked > 10000
     assert all(v.stabilized for v in audit.members)
@@ -230,7 +230,7 @@ def test_criterion_6_image_pipeline(fname, expected_M):
         assert peak <= fn.mult_bound * m * m
         assert peak <= point_bound(F(1, 2), m)
     coloring = color_prefix(stream, horizon, derive_seed(11, 2))
-    audit = audit_solution(coloring, family, fn, M, phase_base(M), stream=stream)
+    audit = audit_solution(coloring, family, fn, stream=stream)
     assert audit.violations_total == 0
     stabilized = [v for v in audit.members if v.stabilized]
     assert len(stabilized) == members

@@ -110,41 +110,19 @@ class TestRun:
         assert err["error"] == ("InvalidParameterError" if q == "3/2" else "ParseError")
         assert not (tmp_path / "x").exists()
 
-    def test_negative_guard_fails_before_the_pipeline(self, tmp_path, capsys):
+    def test_first_window_horizon_fails_before_the_pipeline(self, tmp_path, capsys):
+        # M = 4 gives a first window of 64 bits: horizon 64 commits only it,
+        # and the audit starts past it
         out = tmp_path / "x"
         out.mkdir()
         rc = run_cli("run", "--mode", "comp", "--f", "sum", "--seed", "7",
-                     "--horizon", "2048", "--members", "12", "--guard", "-1",
-                     "--out", out)
+                     "--horizon", "64", "--members", "3", "--out", out)
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "InvalidParameterError",
-                       "message": "guard must be nonnegative"}
+                       "message": "horizon 64 commits only the first window of 64 bits, "
+                                  "where the audit starts"}
         assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("guard", [2048, 5000])
-    def test_guard_past_the_committed_prefix_fails_before_the_pipeline(
-        self, tmp_path, capsys, guard
-    ):
-        # horizon 2048 at M = 4 commits exactly 2048 bits
-        out = tmp_path / "x"
-        out.mkdir()
-        rc = run_cli("run", "--mode", "comp", "--f", "sum", "--seed", "7",
-                     "--horizon", "2048", "--members", "12", "--guard", guard,
-                     "--out", out)
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "InvalidParameterError",
-                       "message": "guard must lie inside the committed prefix of 2048 bits"}
-        assert list(out.iterdir()) == []
-
-    def test_last_committed_position_is_a_valid_guard(self, tmp_path):
-        out = tmp_path / "x"
-        rc = run_cli("run", "--mode", "comp", "--f", "sum", "--seed", "7",
-                     "--horizon", "2048", "--members", "12", "--guard", "2047",
-                     "--out", out)
-        assert rc == 0
-        assert json.loads((out / "audit.json").read_text())["guard"] == 2047
 
     def test_construction_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         import lllcolor.cli as cli

@@ -41,18 +41,18 @@ PIPELINES = {
             "audit.json": "ae2dbba66672e0e23bb28742c24582a475c3e76b0c68382b3aab4d330db53e07",
         },
     ),
-    # a non-default q and an explicit guard go through config.json and the audit
-    "comp-sum-s7-q2_5-g100": (
+    # a non-default q goes through config.json and the audit
+    "comp-sum-s7-q2_5": (
         ["run", "--mode", "comp", "--f", "sum", "--seed", "7",
-         "--horizon", "2048", "--members", "12", "--q", "2/5", "--guard", "100"],
+         "--horizon", "2048", "--members", "12", "--q", "2/5"],
         {
-            "config.json": "23dedfbf87925ccff23e5dfcfc372d4a10acb64aadfa1a5a2f086fe50b74c951",
+            "config.json": "cbf65a10ff773f5414a41b5bea68e8d2db174ea7da1df7fe3b2dedc7a6dc66ba",
             "family.txt": "7e9d18a2a4ecb69754dec1521ee3df083749eb63a451646f2ac6032a140744d7",
             "stream.txt": "351c5ac104c47f2520ef8163e302271a818396112da0baaa491a8507a48acd5c",
             "sparsity.csv": "44639d4ef3489c44169290bc1f70cc2f1f0d2c6b753e62cb183166c7b030526f",
             "sparsity.json": "5af6f145696456650df1bd64c1a45a0ffe301cf7e76bb898b13fe3473febe731",
             "coloring.txt": "49491766e90293cdc340d90b46d8bc71daf014c5d63701bd07bb4e8f06ce6294",
-            "audit.json": "d82e3356e808edde1925bee035eb3529070ee21d63572d0d22f1dfd30daebc56",
+            "audit.json": "f3c76d2fa896bfd1229c79542ac966bdfd66afdc48afff7f867c26175f2f4abb",
         },
     ),
 }

@@ -349,6 +349,30 @@ class TestBuildTranslateStream:
         rep = validate_sparsity(stream, 256)
         assert rep.ok and rep.cross_check == "full"
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.integers(4, 6),
+        extra=st.lists(st.integers(-3, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.integers(0, 40),
+    )
+    def test_locality_matches_an_index_of_the_items(self, M, extra, seed, slack):
+        # a member whose target falls below M + i never defines a base
+        sizes = tuple(max(1, M + i + e) for i, e in enumerate(extra))
+        # the least stage count gen_family accepts for the largest target
+        stages = max(sizes) + 17 + slack
+        fam = gen_family(seed, len(sizes), stages, "ce", sizes)
+        stream = build_translate_stream(fam, M)
+        index = {}
+        for j, dom in enumerate(stream.items):
+            for n in dom:
+                index.setdefault((len(dom), n), []).append(j)
+        # sizes no item has, empty cells, and positions past the last stage
+        # and past every item
+        for m in range(M - 1, M + len(sizes) + 1):
+            for n in range(2 * stages + 2):
+                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
+
     def test_point_counts_reach_size(self):
         # five size-5 translates can stack on one point: within the exact
         # bound 2^2.5 = 5.65.. even though 2^floor(2.5) = 4 would reject

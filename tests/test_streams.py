@@ -35,6 +35,22 @@ def sets_stream(items, M=2, q=F(1, 2), locality=None, provenance=None):
     return ConstraintStream(M, q, tuple(tuple(sorted(i)) for i in items), provenance, locality)
 
 
+def reference_locality(items):
+    """The locality of ``items`` read from an index of them: the honest
+    oracle these tests attach to streams that no builder made."""
+    index = {}
+    for j, dom in enumerate(items):
+        for n in dom:
+            index.setdefault((len(dom), n), []).append(j)
+    return lambda m, n: tuple(index.get((m, n), ()))
+
+
+def with_reference(stream):
+    return ConstraintStream(
+        stream.M, stream.q, stream.items, stream.provenance, reference_locality(stream.items)
+    )
+
+
 def naive_sparsity(stream, window):
     """The sparsity sweep restated with plain loops: per-size counts as
     lists up to the last touched position, the bound verdicts, and the
@@ -96,13 +112,6 @@ class TestConstraintStream:
         assert len(s) == 2
         assert s.dom(0) == (1, 2, 3)
         assert len(s.dom(1)) == 2
-
-    def test_derived_locality(self):
-        s = sets_stream([{0, 1, 2}, {1, 2}, {2, 3}])
-        assert s.locality(3, 1) == (0,)
-        assert s.locality(2, 2) == (1, 2)
-        assert s.locality(2, 9) == ()
-        assert s.locality(5, 0) == ()
 
     def test_size_floor_enforced(self):
         with pytest.raises(StreamIntegrityError):
@@ -233,7 +242,7 @@ class TestValidateSparsity:
         assert rep.ok and rep.items_in_window == 0
 
     def test_pass_with_scattered_sets(self):
-        s = gen_sets_stream(5, 40, 512, 4)
+        s = with_reference(gen_sets_stream(5, 40, 512, 4))
         rep = validate_sparsity(s, 512)
         assert rep.ok
         assert rep.cross_check == "full"
@@ -282,10 +291,10 @@ class TestValidateSparsity:
         # the probe at window - 1 lies past the end of every trimmed count
         # list; it must still be checked, and read as zero
         window = 1024
-        honest = sets_stream([{0, 1, 5}, {2, 3}])
+        honest = reference_locality(((0, 1, 5), (2, 3)))
 
         def lying(m, n):
-            return (0,) if n == window - 1 else honest.locality(m, n)
+            return (0,) if n == window - 1 else honest(m, n)
 
         s = sets_stream([{0, 1, 5}, {2, 3}], locality=lying)
         with pytest.raises(StreamIntegrityError) as exc:
@@ -317,15 +326,49 @@ class TestValidateSparsity:
         # windows past every position; the generator's span holds at least
         # 28 sets of each size, so it finds 20 distinct ones
         s = gen_sets_stream(seed, count, max(span, 4 * (M + spread)), M, spread=spread)
+        s = with_reference(s)
         assert sweep_fields(validate_sparsity(s, window)) == naive_sparsity(s, window)
 
     def test_sampled_sweep_matches_naive_recount(self):
         # more than 20 000 nonzero cells at both windows; 3600 cuts domains
-        s = gen_sets_stream(1, 3500, 4096, 8)
+        s = with_reference(gen_sets_stream(1, 3500, 4096, 8))
         for window in (4096, 3600):
             rep = validate_sparsity(s, window)
             assert rep.cross_check == "sampled"
             assert sweep_fields(rep) == naive_sparsity(s, window)
+
+    @pytest.mark.parametrize("window", [16, 512, 3600])
+    def test_without_an_oracle_nothing_is_cross_checked(self, window):
+        # the same sweep as with the honest reference attached, but no
+        # cell is asked of an oracle the stream does not have
+        s = gen_sets_stream(1, 3500, 4096, 8)
+        bare, checked = validate_sparsity(s, window), validate_sparsity(with_reference(s), window)
+        assert (bare.cross_check, bare.cells_checked) == ("none", 0)
+        assert checked.cross_check in ("full", "sampled") and checked.cells_checked > 0
+        for key in ("counts", "violations", "near", "items_in_window", "max_size_seen"):
+            assert getattr(bare, key) == getattr(checked, key), key
+        with pytest.raises(InvalidInputError, match="no locality oracle"):
+            s.locality(8, s.dom(0)[0])
+
+    def test_both_builders_install_an_oracle(self):
+        from lllcolor.hindman import (
+            build_image_stream,
+            build_translate_stream,
+            builtin_addition_like,
+            gen_family,
+        )
+
+        ce = gen_family(2, 3, 128, "ce", (10, 11, 12))
+        sigma2 = gen_family(3, 3, 512, "sigma2", tuple(2 * (19 + i) + 6 for i in range(3)))
+        for stream in (
+            build_translate_stream(ce, 4),
+            build_image_stream(sigma2, builtin_addition_like("absdiff"), 19),
+        ):
+            assert stream.locality_fn is not None
+            # a window no item fits in still reports the oracle's mode
+            assert validate_sparsity(stream, 64).cross_check == "full"
+            rep = validate_sparsity(stream, 1024)
+            assert rep.cross_check in ("full", "sampled") and rep.cells_checked > 0
 
 
 class TestGenSetsStream:
@@ -399,14 +442,6 @@ class TestColoringFormat:
     def test_each_coloring_record_is_read_once_in_order(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_coloring(text)
-
-    def test_bit_accessor_guards_horizon(self):
-        from lllcolor.errors import InsufficientHorizonError
-
-        col = Coloring("01", 0, "", 64, 1)
-        assert col.bit(1) == 1
-        with pytest.raises(InsufficientHorizonError):
-            col.bit(2)
 
 
 class TestManifestFormat:

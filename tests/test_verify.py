@@ -42,7 +42,7 @@ class TestAuditSolution:
 
     def test_comp_zero_violations(self):
         fam, stream, col, M = self.comp_setup()
-        report = audit_solution(col, fam, SUM, M, 64, stream=stream)
+        report = audit_solution(col, fam, SUM, stream=stream)
         assert report.ok
         assert report.translates_checked > 100
         assert report.bound_rule == "M+i"
@@ -72,7 +72,7 @@ class TestAuditSolution:
 
     def test_planted_violation_agrees_with_verify(self, tmp_path, capsys):
         fam, stream, col, M = self.comp_setup()
-        guard = 64
+        guard = 64  # phase_base(4)
         # the first translate inside [guard, committed_len) emitted at or
         # after its member's first selected stage
         for j, (i, s) in enumerate(stream.provenance):
@@ -85,7 +85,7 @@ class TestAuditSolution:
             bits[n] = "0"
         bad = replace(col, bits="".join(bits))
 
-        report = audit_solution(bad, fam, SUM, M, guard, stream=stream)
+        report = audit_solution(bad, fam, SUM, stream=stream)
         assert not report.ok
         assert (s, dom) in report.members[i].violations
 
@@ -131,7 +131,7 @@ class TestAuditSolution:
         )
         stream = build_translate_stream(fam, 4)
         col = color_prefix(stream, 256, 1)
-        report = audit_solution(col, fam, SUM, 4, 64, stream=stream)
+        report = audit_solution(col, fam, SUM, stream=stream)
         assert report.members[1].vacuous
         assert report.members[1].bound == 5
 
@@ -142,7 +142,7 @@ class TestAuditSolution:
         fam = gen_family(8, members, 512, "sigma2", sizes)
         stream = build_image_stream(fam, ABSDIFF, M)
         col = color_prefix(stream, 1024, 2)
-        report = audit_solution(col, fam, ABSDIFF, M, 64, stream=stream)
+        report = audit_solution(col, fam, ABSDIFF, stream=stream)
         assert report.ok
         assert report.bound_rule == "2*(M+i)"
         assert [v.bound for v in report.members] == [38, 40]
@@ -151,22 +151,26 @@ class TestAuditSolution:
         fam, stream, col, M = self.comp_setup(seed=6)
         fam2, stream2, _, _ = self.comp_setup(seed=7)
         with pytest.raises(WrongStreamError):
-            audit_solution(col, fam2, SUM, M, 64, stream=stream2)
+            audit_solution(col, fam2, SUM, stream=stream2)
 
     def test_mode_mismatch_detected(self):
         # a ce family is audited by translates, which run over sum only
         fam, stream, col, M = self.comp_setup()
         with pytest.raises(WrongStreamError):
-            audit_solution(col, fam, ABSDIFF, M, 64, stream=stream)
+            audit_solution(col, fam, ABSDIFF, stream=stream)
 
     def test_guard_validation(self):
+        # the audit starts past the first window of 64 bits, so a coloring
+        # no longer than that window is refused
         fam, stream, col, M = self.comp_setup()
-        with pytest.raises(InvalidParameterError):
-            audit_solution(col, fam, SUM, M, col.committed_len, stream=stream)
+        first = replace(col, bits=col.bits[:64])
+        message = "^the audit start 64 lies outside the committed prefix$"
+        with pytest.raises(InvalidParameterError, match=message):
+            audit_solution(first, fam, SUM, stream=stream)
 
     def test_json_shape(self):
         fam, stream, col, M = self.comp_setup()
-        text = audit_solution(col, fam, SUM, M, 64, stream=stream).to_json()
+        text = audit_solution(col, fam, SUM, stream=stream).to_json()
         assert '"violations_total": 0' in text
         assert '"bound_rule": "M+i"' in text
 
