@@ -46,13 +46,14 @@ from .lll import (
 from .rng import derive_seed
 from .streams import (
     format_coloring,
-    format_manifest,
+    format_manifest,  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
     is_canonical,
     ManifestReader,
     parse_coloring,
     parse_manifest,  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
     single_color,
     validate_sparsity,
+    write_manifest,
 )
 from .verify import audit_solution, sparsity_counts_csv
 
@@ -142,7 +143,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         json.dumps(config_echo, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     (out / "family.txt").write_text(format_family(family), encoding="utf-8")
-    (out / "stream.txt").write_text(format_manifest(stream), encoding="utf-8")
+    with (out / "stream.txt").open("w", encoding="utf-8") as file:
+        write_manifest(stream, file.write)
 
     sparsity = validate_sparsity(stream, args.horizon)
     (out / "sparsity.csv").write_text(sparsity_counts_csv(sparsity), encoding="utf-8")

@@ -22,6 +22,7 @@ strategy is honest about the rare cases it cannot finish.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 
 from .errors import (
@@ -108,18 +109,25 @@ def _run_phases(
     n0 = phase_base(stream.M)
     final = committed_length(stream.M, horizon)
     slack = math.ceil(1 / (1 - stream.q))
+    items = stream.items
+
+    def last(j: int) -> int:
+        return items[j][-1]
+
     # set ids by last position: a phase's entering sets are the next run
-    last = [dom[-1] for dom in stream.items].__getitem__
-    by_end = sorted(range(len(stream)), key=last)
+    by_end = array("l", sorted(range(len(stream)), key=last))
     entered = 0
     open_ids: list[int] = []
     while len(committed) < final:
         window = n0 << k
         target = n0 << (k - 1)
         entering = bisect_left(by_end, window, entered, key=last)
-        ids = sorted(open_ids + by_end[entered:entering])
+        # the sets left open and the entering run, in id order; rebinding
+        # open_ids drops this list once _open_sets has read it
+        open_ids.extend(by_end[entered:entering])
+        open_ids.sort()
         entered = entering
-        sets = _open_sets(stream, committed, ids, k)
+        sets = _open_sets(stream, committed, open_ids, k)
         committed += b"0" * (target - len(committed))
         open_ids = [j for j, _, _, _ in sets]
         budget = default_budget(len(sets)) * slack
@@ -134,6 +142,8 @@ def _run_phases(
         for n, v in free.items():
             if n < target:
                 committed[n] = _ZERO + v
+        # the next phase builds its own sets: hold this one's no longer
+        del sets, free
         k += 1
     bits = committed.decode("ascii")
     return Coloring(bits, seed, stream.fingerprint(), n0, k - 1)

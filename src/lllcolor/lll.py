@@ -23,7 +23,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -377,7 +377,10 @@ def resample_sets(
     committed position is a variable fixed to its bit.  Returns the bit of
     every free position.
     """
-    bit = {n: u64(seed, n, 0) >> 63 for n in set().union(*[d[c:] for _, d, c, _ in sets])}
+    bit = {
+        n: u64(seed, n, 0) >> 63
+        for n in set(chain.from_iterable(islice(d, c, None) for _, d, c, _ in sets))
+    }
     count = dict.fromkeys(bit, 0)
     # watch[2i + c] is a free position of color c in set i: -1 while the set
     # needs c and has none (it is violated), -2 when its head carries c.

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from typing import Callable, Iterable
 
 from .errors import (
@@ -33,6 +33,8 @@ from .rng import u64
 # validate_sparsity checks up to this many nonzero cells, else samples per size
 _FULL_CHECK_CELLS = 20000
 _SAMPLE_PER_SIZE = 12
+# write_manifest hands out the text this many lines at a time
+_BLOCK_LINES = 2048
 
 
 class _Positions(dict):
@@ -58,7 +60,8 @@ class ConstraintStream:
     """A finite, indexable family of finite sets with a locality oracle.
 
     ``items`` holds each item once, as given: a tuple of strictly increasing
-    nonnegative ints, at least ``M`` long.  The constructor sorts nothing and
+    nonnegative ints, at least ``M`` long, which :func:`write_manifest`
+    writes out as the manifest.  The constructor sorts nothing and
     refuses any other item, with its index as the witness.  A set is met when
     its domain receives both colors, and :meth:`is_violated` is the one check
     of whether the bits on a head of the domain still carry a single color.
@@ -86,7 +89,7 @@ class ConstraintStream:
         # a list could change after the check
         if type(items) is not tuple:
             raise InvalidInputError(f"items must be a tuple, got {type(items).__name__}")
-        # format_manifest writes the text of the first position of each value,
+        # write_manifest writes the text of the first position of each value,
         # so every distinct position must be an int: a bool or a float there
         # would reach the manifest as a token the parser refuses
         if not set(map(type, set().union(*items))) <= {int}:
@@ -120,9 +123,10 @@ class ConstraintStream:
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the sha256 of the manifest text the stream
-        was parsed from, or else of the one :func:`format_manifest` gives."""
+        was parsed from, or else of the one :func:`write_manifest` writes."""
         if self._fp is None:
-            format_manifest(self)
+            # hashed block by block; the text is kept nowhere
+            write_manifest(self, len)
         return self._fp
 
 
@@ -147,10 +151,6 @@ def single_color(head, bits) -> bool:
     an empty head has one color."""
     bit = bits.__getitem__
     return not head or not any(map(bit(head[0]).__ne__, map(bit, head)))
-
-
-def _text_fingerprint(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _int_nth_root(x: int, d: int) -> int:
@@ -240,6 +240,12 @@ def _chosen_cells(
     return sorted(set(cells))
 
 
+def _in_window(dom: tuple[int, ...], window: int) -> tuple[int, ...]:
+    """The positions of ``dom`` below ``window``: ``dom`` itself when it
+    ends inside the window, so only an item that straddles it is sliced."""
+    return dom if dom[-1] < window else dom[: bisect_left(dom, window)]
+
+
 def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     """Check the point bound ``count <= 2**(q*m)`` over the window and
     cross-check the stream's locality oracle against the enumeration.
@@ -251,22 +257,25 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     report's size follows the stream, not the window.
     The locality cross-check runs on every nonzero cell up to 20 000 of them
     ("full"), else on a deterministic stratified sample of 12 per size
-    ("sampled"), plus zero-count probes either way; any disagreement raises
-    ``StreamIntegrityError`` with a ``(j, m, n)`` witness.  A stream without
-    an oracle has nothing to cross-check: the report says "none", with no
-    cell checked, and its counts and verdicts are the same.
+    ("sampled"), plus zero-count probes either way.  It checks one size at
+    a time, against the items the enumeration lists for that size's chosen
+    cells, and any disagreement raises ``StreamIntegrityError`` with a
+    ``(j, m, n)`` witness.  A stream without an oracle has nothing to
+    cross-check: the report says "none", with no cell checked, and its
+    counts and verdicts are the same.
     """
     if window < 1:
         raise InvalidParameterError("window must be at least 1")
-    # groups[m]: j -> the positions inside the window of each item of size m
-    groups: dict[int, dict[int, tuple[int, ...]]] = {}
-    for j, dom in enumerate(stream.items):
+    items = stream.items
+    # groups[m]: the ids of the items of size m that fit the window and start inside it
+    groups: dict[int, list[int]] = {}
+    for j, dom in enumerate(items):
         if len(dom) <= window and dom[0] < window:
-            groups.setdefault(len(dom), {})[j] = dom[: bisect_left(dom, window)]
+            groups.setdefault(len(dom), []).append(j)
     counts: dict[int, list[int]] = {}
     nonzero: dict[int, list[int]] = {}
-    for m, group in groups.items():
-        tally = Counter(chain.from_iterable(group.values()))
+    for m, ids in groups.items():
+        tally = Counter(chain.from_iterable(_in_window(items[j], window) for j in ids))
         hits = nonzero[m] = sorted(tally)
         counts[m] = list(map(tally.get, range(hits[-1] + 1), repeat(0)))
 
@@ -287,27 +296,25 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         total_nonzero = sum(map(len, nonzero.values()))
         mode = "full" if total_nonzero <= _FULL_CHECK_CELLS else "sampled"
         cells = _chosen_cells(counts, nonzero, window, mode)
-        # want[m][n]: the items of size m through n, filled for the chosen cells only
-        want: dict[int, dict[int, list[int]]] = {m: {} for m in groups}
-        for m, n in cells:
-            want[m][n] = []
-        for m, group in groups.items():
-            want_m = want[m]
-            for j, pos in group.items():
+        # cells run in (m, n) order: one size's expected lists at a time
+        for m, size_cells in groupby(cells, operator.itemgetter(0)):
+            # want[n]: the items of size m through n, for the chosen cells only
+            want: dict[int, list[int]] = {n: [] for _, n in size_cells}
+            for j in groups[m]:
+                pos = _in_window(items[j], window)
                 # a full check visits every nonzero cell, so every position
-                for n in pos if mode == "full" else want_m.keys() & pos:
-                    want_m[n].append(j)
-        for m, n in cells:
-            got = tuple(stream.locality(m, n))
-            expect = tuple(want[m][n])
-            if got != expect:
-                diff = sorted(set(got).symmetric_difference(expect))
-                witness_j = diff[0] if diff else -1
-                raise StreamIntegrityError(
-                    f"locality({m}, {n}) returned {list(got)} but the enumeration "
-                    f"holds {list(expect)}",
-                    witness=(witness_j, m, n),
-                )
+                for n in pos if mode == "full" else want.keys() & pos:
+                    want[n].append(j)
+            for n, expect in want.items():
+                got = tuple(stream.locality(m, n))
+                if got != tuple(expect):
+                    diff = sorted(set(got).symmetric_difference(expect))
+                    witness_j = diff[0] if diff else -1
+                    raise StreamIntegrityError(
+                        f"locality({m}, {n}) returned {list(got)} but the enumeration "
+                        f"holds {expect}",
+                        witness=(witness_j, m, n),
+                    )
 
     return SparsityReport(
         window=window,
@@ -439,20 +446,40 @@ def parse_coloring(text: str) -> Coloring:
     return Coloring(bits, seed, fingerprint, n0, phases)
 
 
-def format_manifest(stream: ConstraintStream) -> str:
-    """The manifest text; the stream's fingerprint is taken from it."""
-    lines = [f"stream sets M {stream.M} q {frac_str(stream.q)}"]
+def _manifest_lines(stream: ConstraintStream):
+    """Each line of the manifest text, with its line break."""
+    yield f"stream sets M {stream.M} q {frac_str(stream.q)}\n"
     prov = stream.provenance
     text_of = _Positions(str).__getitem__
     for j, dom in enumerate(stream.items):
         if prov is not None:
             i, s = prov[j]
-            lines.append(f"# by {i} at {s}")
-        lines.append(f"item {j} {len(dom)} " + " ".join(map(text_of, dom)))
-    text = "\n".join(lines) + "\n"
+            yield f"# by {i} at {s}\n"
+        yield f"item {j} {len(dom)} {' '.join(map(text_of, dom))}\n"
+
+
+def write_manifest(stream: ConstraintStream, write: Callable[[str], object]) -> str:
+    """Hand the manifest text to ``write`` in blocks of whole lines and
+    return its fingerprint: the first 16 hex digits of the sha256 of the
+    text.  The stream takes that fingerprint unless it already has one (a
+    parsed stream keeps the hash of the text it was read from).  No more
+    than a block of the text is held at once."""
+    sha = hashlib.sha256()
+    lines = _manifest_lines(stream)
+    while block := "".join(islice(lines, _BLOCK_LINES)):
+        sha.update(block.encode("utf-8"))
+        write(block)
+    fingerprint = sha.hexdigest()[:16]
     if stream._fp is None:
-        stream._fp = _text_fingerprint(text)
-    return text
+        stream._fp = fingerprint
+    return fingerprint
+
+
+def format_manifest(stream: ConstraintStream) -> str:
+    """The manifest text :func:`write_manifest` writes, as one string."""
+    blocks: list[str] = []
+    write_manifest(stream, blocks.append)
+    return "".join(blocks)
 
 
 class ManifestReader:

@@ -23,6 +23,7 @@ from lllcolor.streams import (
     gen_sets_stream,
     parse_coloring,
     parse_manifest,
+    write_manifest,
 )
 
 ARTIFACTS = {
@@ -38,6 +39,17 @@ ARTIFACTS = {
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def alternating_met_stream(count):
+    """``count`` items of 8 positions below 4 060, with provenance, each
+    met by the alternating coloring: a 1.3 MB manifest at 20 000 items."""
+    items = tuple(
+        tuple(range(j % 4000, j % 4000 + 8 * (2 * (j % 4) + 1), 2 * (j % 4) + 1))
+        for j in range(count)
+    )
+    provenance = tuple((j % 24, j % 512) for j in range(count))
+    return ConstraintStream(8, Fraction(1, 2), items, provenance)
 
 
 class TestRun:
@@ -218,11 +230,12 @@ class TestVerify:
 
     def test_verify_formats_nothing(self, artifacts, monkeypatch):
         # the parsed stream's fingerprint is the hash of the manifest text
-        def refuse(stream):
+        def refuse(stream, *write):
             raise AssertionError("verify formatted the manifest")
 
-        monkeypatch.setattr("lllcolor.streams.format_manifest", refuse)
-        monkeypatch.setattr("lllcolor.cli.format_manifest", refuse)
+        for name in ("format_manifest", "write_manifest"):
+            monkeypatch.setattr(f"lllcolor.streams.{name}", refuse)
+            monkeypatch.setattr(f"lllcolor.cli.{name}", refuse)
         assert run_cli("verify", "--coloring", artifacts / "coloring.txt",
                        "--stream", artifacts / "stream.txt") == 0
 
@@ -431,21 +444,15 @@ class TestStreamingVerify:
         assert json.loads(captured(reference_verify, *args)[2])["error"] == "UnicodeDecodeError"
 
     def test_peak_memory_does_not_follow_the_manifest(self, tmp_path):
-        # 20 000 items of 8 positions below 4 060, each met by the
-        # alternating coloring: a 1.3 MB manifest.  Parsing it whole, then
-        # walking the stream, peaks at 8.8 MB under tracemalloc; streaming
-        # it peaks at 1.08 MB, and at 1.09 MB on 60 000 items
+        # a 1.3 MB manifest.  Parsing it whole, then walking the stream,
+        # peaks at 8.8 MB under tracemalloc; streaming it peaks at 1.08 MB,
+        # and at 1.09 MB on 60 000 items
         count = 20_000
-        items = tuple(
-            tuple(range(j % 4000, j % 4000 + 8 * (2 * (j % 4) + 1), 2 * (j % 4) + 1))
-            for j in range(count)
-        )
-        provenance = tuple((j % 24, j % 512) for j in range(count))
-        stream = ConstraintStream(8, Fraction(1, 2), items, provenance)
+        stream = alternating_met_stream(count)
         (tmp_path / "stream.txt").write_text(format_manifest(stream))
         coloring = Coloring("01" * 2030, 0, stream.fingerprint(), 0, 0)
         (tmp_path / "coloring.txt").write_text(format_coloring(coloring))
-        del stream, items
+        del stream
         args = ["verify", "--coloring", str(tmp_path / "coloring.txt"),
                 "--stream", str(tmp_path / "stream.txt")]
         tracemalloc.start()
@@ -457,6 +464,28 @@ class TestStreamingVerify:
         assert (rc, err) == (0, "")
         assert out.endswith(f"total: {count} checked, 0 violated\n")
         assert peak < 2_000_000
+
+
+class TestManifestWrite:
+    def test_peak_memory_is_a_block_not_the_manifest(self, tmp_path):
+        # the 1.3 MB manifest of the streaming verify test, written into a
+        # file as `run` writes it.  Formatting the whole text, then writing
+        # it, peaked at 6.5 MB under tracemalloc; blocks of 2 048 lines
+        # peak at 0.64-0.69 MB on Python 3.10-3.13, a third of it the text
+        # of each distinct position
+        stream = alternating_met_stream(20_000)
+        with (tmp_path / "stream.txt").open("w", encoding="utf-8") as file:
+            tracemalloc.start()
+            try:
+                fingerprint = write_manifest(stream, file.write)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        text = (tmp_path / "stream.txt").read_text(encoding="utf-8")
+        assert len(text) > 1_250_000
+        assert text == format_manifest(stream)
+        assert fingerprint == stream.fingerprint() == parse_manifest(text).fingerprint()
+        assert peak < 1_000_000
 
 
 class TestRoundTrips:
