@@ -45,7 +45,7 @@ from .lll import (
 )
 from .rng import derive_seed
 from .streams import (
-    format_coloring,
+    format_coloring,  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
     format_manifest,  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
     is_canonical,
     ManifestReader,
@@ -53,9 +53,14 @@ from .streams import (
     parse_manifest,  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
     single_color,
     validate_sparsity,
+    write_coloring,
     write_manifest,
 )
-from .verify import audit_solution, sparsity_counts_csv
+from .verify import (
+    audit_solution,
+    sparsity_counts_csv,  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
+    write_sparsity_csv,
+)
 
 ENV_OUT = "LLLCOLOR_OUT"
 
@@ -147,14 +152,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_manifest(stream, file.write)
 
     sparsity = validate_sparsity(stream, args.horizon)
-    (out / "sparsity.csv").write_text(sparsity_counts_csv(sparsity), encoding="utf-8")
+    with (out / "sparsity.csv").open("w", encoding="utf-8") as file:
+        write_sparsity_csv(sparsity, file.write)
     (out / "sparsity.json").write_text(sparsity.summary_json(), encoding="utf-8")
     if not sparsity.ok:
         print(f"sparsity violations: {len(sparsity.violations)}", file=sys.stderr)
         return 1
 
     coloring = color_prefix(stream, args.horizon, derive_seed(args.seed, 2))
-    (out / "coloring.txt").write_text(format_coloring(coloring), encoding="utf-8")
+    with (out / "coloring.txt").open("w", encoding="utf-8") as file:
+        write_coloring(coloring, file.write)
 
     audit = audit_solution(coloring, family, fn, stream=stream)
     (out / "audit.json").write_text(audit.to_json(), encoding="utf-8")

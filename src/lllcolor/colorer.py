@@ -8,6 +8,8 @@ resampler with a phase-keyed seed: fair bits on the uncommitted positions,
 and for each set the one color its committed head carries, if it has a
 head.  Samples are keyed per position, so the free bits are those a
 resampler over the sets restricted to their uncommitted tails would draw.
+A set is read from the stream as its base and shift: its positions are
+``shift + x`` for x in the base, and no phase derives its domain.
 On quiescence the prefix [0, N_{k-1}) commits; bits in [N_{k-1}, N_k) stay
 resampleable for one more phase so straddling constraints keep a wide
 uncommitted margin.
@@ -53,36 +55,40 @@ def committed_length(M: int, horizon: int) -> int:
 
 def _open_sets(
     stream: ConstraintStream, committed: bytearray, ids: list[int], phase: int
-) -> list[tuple[int, tuple[int, ...], int, int | None]]:
-    """``(id, dom, cut, head)`` of each set in ``ids`` the committed bits leave
-    single-colored: ``dom[:cut]`` is committed and carries color ``head``."""
+) -> list[tuple[int, tuple[int, ...], int, int, int | None]]:
+    """``(id, base, shift, cut, head)`` of each set in ``ids`` the committed
+    bits leave single-colored: the set's domain is ``shift + x`` for x in
+    ``base``, and its first ``cut`` positions are committed and carry color
+    ``head``."""
     sets = []
     pinned: dict[int, tuple[int, int]] = {}
     prefix = len(committed)
+    bases, base_ids, shifts = stream.bases, stream.base_ids, stream.shifts
     for j in ids:
-        dom = stream.items[j]
-        cut = bisect_left(dom, prefix)
+        base, shift = bases[base_ids[j]], shifts[j]
+        cut = bisect_left(base, prefix - shift)
         # an empty head has one color
         if cut and not stream.is_violated(j, committed, cut):
             continue
-        if cut == len(dom):
+        if cut == len(base):
             raise ConstructionFailureError(
                 phase, (j,), "constraint violated on its committed positions"
             )
-        head = committed[dom[0]] - _ZERO if cut else None
+        head = committed[shift] - _ZERO if cut else None
         # one committed color and one uncommitted position pin that position
-        if 0 < cut == len(dom) - 1:
-            prior = pinned.get(dom[-1])
+        if 0 < cut == len(base) - 1:
+            last = shift + base[-1]
+            prior = pinned.get(last)
             if prior is not None and prior[0] != head:
                 raise ConstructionFailureError(
                     phase,
                     (prior[1], j),
-                    f"constraints pin position {dom[-1]} to opposite bits",
+                    f"constraints pin position {last} to opposite bits",
                 )
-            pinned[dom[-1]] = (head, j)
-        sets.append((j, dom, cut, head))
+            pinned[last] = (head, j)
+        sets.append((j, base, shift, cut, head))
     # no coloring meets a one-position set, which only M = 1 admits
-    lone = [j for j, dom, _, _ in sets if len(dom) == 1] if stream.M == 1 else ()
+    lone = [j for j, base, *_ in sets if len(base) == 1] if stream.M == 1 else ()
     if lone:
         raise ConstructionFailureError(phase, lone[:1], "constraint forbids its whole cube")
     return sets
@@ -109,10 +115,10 @@ def _run_phases(
     n0 = phase_base(stream.M)
     final = committed_length(stream.M, horizon)
     slack = math.ceil(1 / (1 - stream.q))
-    items = stream.items
+    bases, base_ids, shifts = stream.bases, stream.base_ids, stream.shifts
 
     def last(j: int) -> int:
-        return items[j][-1]
+        return shifts[j] + bases[base_ids[j]][-1]
 
     # set ids by last position: a phase's entering sets are the next run
     by_end = array("l", sorted(range(len(stream)), key=last))
@@ -129,7 +135,7 @@ def _run_phases(
         entered = entering
         sets = _open_sets(stream, committed, open_ids, k)
         committed += b"0" * (target - len(committed))
-        open_ids = [j for j, _, _, _ in sets]
+        open_ids = [record[0] for record in sets]
         budget = default_budget(len(sets)) * slack
         try:
             free = resample_sets(sets, derive_seed(seed, k), budget)

@@ -242,10 +242,12 @@ def build_translate_stream(
 
     Member i contributes once it has enumerated ``M + i`` elements; from its
     defining stage onward every translate prefix+s joins the stream.  The
-    locality oracle inverts n = x + s over the member's elements, so at most
-    m translates of size m pass through any point.  Diagonal order emits a
-    member's shifts in increasing s, so the oracle finds the id of shift s
-    at ``ids[i][s - defined]`` in that member's list of item ids.
+    stream holds each member's prefix once, as a base, and each translate
+    as that base's id and a shift.  The locality oracle inverts n = x + s
+    over the member's elements, so at most m translates of size m pass
+    through any point.  Diagonal order emits a member's shifts in
+    increasing s, so the oracle finds the id of shift s at
+    ``ids[i][s - defined]`` in that member's list of item ids.
     """
     if family.mode != MODE_CE:
         raise InvalidInputError("translate streams require a ce-mode family")
@@ -263,22 +265,28 @@ def build_translate_stream(
         s = _first_selected(timeline)
         base.append(None if s is None else (tuple(sorted(timeline[s][0])), s))
 
-    items: list[tuple[int, ...]] = []
+    bases: list[tuple[int, ...]] = []
+    # base_id[i]: the id of member i's base, numbered in order of first use
+    base_id: dict[int, int] = {}
+    base_ids: list[int] = []
+    shifts: list[int] = []
     prov: list[tuple[int, int]] = []
     # ids[i]: member i's item ids, in increasing shift
     ids: list[list[int]] = [[] for _ in range(count)]
-    # translates overlap heavily: they share one int per distinct position
-    position = _Positions(int).__getitem__
     # Bases of different members differ in size and the shifts of one base
     # are distinct, so every translate is new.
     for i, s in _diagonal_pairs(count, stages):
         got = base[i]
         if got is None or s < got[1]:
             continue
-        ids[i].append(len(items))
+        elements = got[0]
+        if i not in base_id:
+            base_id[i] = len(bases)
+            bases.append(tuple(map(elements[0].__rsub__, elements)))
+        ids[i].append(len(shifts))
         prov.append((i, s))
-        # shifting keeps the base sorted
-        items.append(tuple(map(position, map(s.__add__, got[0]))))
+        base_ids.append(base_id[i])
+        shifts.append(s + elements[0])
 
     def locality(m: int, n: int) -> tuple[int, ...]:
         i = m - M
@@ -289,7 +297,7 @@ def build_translate_stream(
         shifts = (n - x for x in reversed(elements))
         return tuple(ids[i][s - defined] for s in shifts if defined <= s < stages)
 
-    return ConstraintStream(M, q, tuple(items), tuple(prov), locality)
+    return ConstraintStream.from_bases(M, q, bases, base_ids, shifts, tuple(prov), locality)
 
 
 def build_image_stream(
@@ -307,14 +315,15 @@ def build_image_stream(
     growth witness: beyond the stage bound it yields, images are too large
     to contain the queried point.
 
-    Each item is stored once.  The oracle keeps each member's emissions
-    per image size in stage order, indexed by position: bit r of
-    ``hits[n]`` is set iff the r-th emission holds n.  A query drops the
-    bits at or past the stage bound, computed from the member's selection
-    at stage n.  ``growth`` is an arbitrary callable, so nothing about it
-    is cached or assumed monotone; a query scans its values and stops at
-    the first that reaches the stage of the last emission holding n, as
-    then no bit can be dropped.
+    Each item is stored once, as the id of its base (the image minus its
+    least value, held once in a table) and its least value as the shift.
+    The oracle keeps each member's emissions per image size in stage
+    order, indexed by position: bit r of ``hits[n]`` is set iff the r-th
+    emission holds n.  A query drops the bits at or past the stage bound,
+    computed from the member's selection at stage n.  ``growth`` is an
+    arbitrary callable, so nothing about it is cached or assumed monotone;
+    a query scans its values and stops at the first that reaches the stage
+    of the last emission holding n, as then no bit can be dropped.
     """
     if family.mode != MODE_SIGMA2:
         raise InvalidInputError("image streams require a sigma2-mode family")
@@ -333,10 +342,16 @@ def build_image_stream(
     # first, where the builtin growth witnesses peak; stages with one
     # selection share one tuple
     selections: list[list[tuple[int, ...]]] = []
-    # (i + s, s, i, image): sorting gives the diagonal pairing order, and
-    # (i + s, s) is unique, so no two images are ever compared
-    emitted: list[tuple[int, int, int, tuple[int, ...]]] = []
-    # images overlap heavily: they share one int per distinct position
+    # (i + s, s, i, base key, shift): sorting gives the diagonal pairing
+    # order, and (i + s, s) is unique, so nothing after it is compared
+    emitted: list[tuple[int, int, int, int, int]] = []
+    # key[base]: a key per distinct image base, in order of computation
+    key: dict[tuple[int, ...], int] = {}
+    # records[size][i]: (stages, ids, hits) of member i's emissions of that
+    # size, in stage order, where bit r of hits[n] is set iff the r-th one
+    # holds position n; the ids follow once the diagonal order numbers them
+    records: dict[int, dict[int, tuple[list[int], list[int], dict[int, int]]]] = {}
+    # the oracle's index shares one int per distinct position
     position = _Positions(int).__getitem__
     for i in range(count):
         timeline = _selection_timeline(family, i, b * (M + i))
@@ -351,36 +366,42 @@ def build_image_stream(
                 lo = min(values)
                 prior = running_max[s0 - 1] if s0 > 0 else None
                 if lo > s0 and (prior is None or lo > prior):
-                    image = tuple(sorted(set(map(position, values))))
-                    emitted.append((i + s, s, i, image))
+                    image = sorted(set(map(position, values)))
+                    base = tuple(map(lo.__rsub__, image))
+                    emitted.append((i + s, s, i, key.setdefault(base, len(key)), lo))
+                    at, _, hits = records.setdefault(len(image), {}).setdefault(i, ([], [], {}))
+                    bit = 1 << len(at)
+                    at.append(s)
+                    for n in image:
+                        hits[n] = hits.get(n, 0) | bit
                 peak = max(values)
                 run = peak if run is None else max(run, peak)
             running_max.append(run)
     emitted.sort()
 
-    items: list[tuple[int, ...]] = []
+    bases = list(key)
+    # base_id[k]: the id of the base with key k, numbered in order of first use
+    base_id: dict[int, int] = {}
+    base_ids: list[int] = []
+    shifts: list[int] = []
     prov: list[tuple[int, int]] = []
-    # records[size][i]: (stages, ids, hits) of member i's emissions of that
-    # size, where bit r of hits[n] is set iff the r-th one holds position n
-    records: dict[int, dict[int, tuple[list[int], list[int], dict[int, int]]]] = {}
-    seen: dict[tuple[int, ...], int] = {}
-    for _, s, i, image in emitted:
-        if len(image) < M + i:
+    # seen[(k, shift)]: the id of the item with base key k and that shift
+    seen: dict[tuple[int, int], int] = {}
+    for _, s, i, k, shift in emitted:
+        base = bases[k]
+        if len(base) < M + i:
             raise StreamIntegrityError(
-                f"image of member {i} at stage {s} has {len(image)} values; "
+                f"image of member {i} at stage {s} has {len(base)} values; "
                 f"multiplicity bound {b} promises at least {M + i}",
                 witness=(i, s),
             )
-        j = seen.setdefault(image, len(items))
-        if j == len(items):
-            items.append(image)
+        j = seen.setdefault((k, shift), len(shifts))
+        if j == len(shifts):
+            base_ids.append(base_id.setdefault(k, len(base_id)))
+            shifts.append(shift)
             prov.append((i, s))
-        at, ids, hits = records.setdefault(len(image), {}).setdefault(i, ([], [], {}))
-        bit = 1 << len(at)
-        at.append(s)
-        ids.append(j)
-        for n in image:
-            hits[n] = hits.get(n, 0) | bit
+        # a member's emissions of one size come in stage order here too
+        records[len(base)][i][1].append(j)
 
     def locality(m: int, n: int) -> tuple[int, ...]:
         out: set[int] = set()
@@ -401,7 +422,9 @@ def build_image_stream(
             out.update(compress(ids, map("1".__eq__, bin(mask)[:1:-1])))
         return tuple(sorted(out))
 
-    return ConstraintStream(M, q, tuple(items), tuple(prov), locality)
+    return ConstraintStream.from_bases(
+        M, q, [bases[k] for k in base_id], base_ids, shifts, tuple(prov), locality
+    )
 
 
 def baseline_coloring(a: int, b: int, announce_stage: int, horizon: int) -> str:

@@ -23,7 +23,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, compress
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -364,39 +364,51 @@ def solve_moser_tardos(
 
 
 def resample_sets(
-    sets: Sequence[tuple[int, tuple[int, ...], int, int | None]], seed: int, budget: int
+    sets: Sequence[tuple[int, tuple[int, ...], int, int, int | None]], seed: int, budget: int
 ) -> dict[int, int]:
     """Resample fair bits until every set carries both colors.
 
-    ``sets`` lists ``(id, dom, cut, head)`` in increasing id order: the first
-    ``cut`` positions of the sorted domain ``dom`` are committed and carry the
-    one color ``head`` (None when ``cut`` is 0), and the rest are free.  Each
+    ``sets`` lists ``(id, base, shift, cut, head)`` in increasing id order:
+    the set's domain is ``shift + x`` for each x in the sorted ``base``, its
+    first ``cut`` positions are committed and carry the one color ``head``
+    (None when ``cut`` is 0), and the rest are free.  Each
     free position ``n`` draws ``u64(seed, n, counter) >> 63``, with its own
     counter.  Order, budget and ``NonConvergenceError`` are those of
     :func:`solve_moser_tardos`, which draws the same free bits when each
     committed position is a variable fixed to its bit.  Returns the bit of
     every free position.
     """
-    bit = {
-        n: u64(seed, n, 0) >> 63
-        for n in set(chain.from_iterable(islice(d, c, None) for _, d, c, _ in sets))
-    }
+    # the free positions as the bits of one int: a set's tail is its base's
+    # mask cut below the first free offset and moved by the shift, and
+    # masks[base] is made once per distinct base
+    masks: dict[tuple[int, ...], int] = {}
+    free = 0
+    for _, base, shift, cut, _ in sets:
+        mask = masks.get(base)
+        if mask is None:
+            mask = masks[base] = sum(1 << x for x in base)
+        if cut < len(base):
+            free |= mask >> base[cut] << (shift + base[cut])
+    digits = bin(free)[:1:-1]
+    bit = {n: u64(seed, n, 0) >> 63 for n in compress(range(len(digits)), map("1".__eq__, digits))}
     count = dict.fromkeys(bit, 0)
-    # watch[2i + c] is a free position of color c in set i: -1 while the set
-    # needs c and has none (it is violated), -2 when its head carries c.
+    # watch[2i + c] is the offset in set i's base of a free position of
+    # color c: -1 while the set needs c and has none (it is violated), -2
+    # when its head carries c.
     # watchers[n] lists the slots watching n, to move on when n flips; none
     # of this changes the resampling order.
-    watch = [-2 if head == c else -1 for _, _, _, head in sets for c in (0, 1)]
+    watch = [-2 if record[4] == c else -1 for record in sets for c in (0, 1)]
     watchers: defaultdict[int, list[int]] = defaultdict(list)
 
     def settle(i: int) -> bool:
         # watch a free position of each color set i lacks a watch for
-        _, dom, cut, _ = sets[i]
+        _, base, shift, cut, _ = sets[i]
         for slot in (2 * i, 2 * i + 1):
             if watch[slot] == -1:
-                for n in dom[cut:]:
+                for x in base[cut:]:
+                    n = shift + x
                     if bit[n] == slot & 1:
-                        watch[slot] = n
+                        watch[slot] = x
                         watchers[n].append(slot)
                         break
                 else:
@@ -414,9 +426,10 @@ def resample_sets(
             stuck = [s[0] for j, s in enumerate(sets) if not settle(j)]
             raise NonConvergenceError(resamplings, list(trace), stuck)
         resamplings += 1
-        sid, dom, cut, _ = sets[i]
+        sid, base, shift, cut, _ = sets[i]
         trace.append(sid)
-        for n in dom[cut:]:
+        for x in base[cut:]:
+            n = shift + x
             count[n] += 1
             new = u64(seed, n, count[n]) >> 63
             if new != bit[n]:

@@ -13,11 +13,14 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby, islice, repeat
+from itertools import compress, groupby, islice
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .errors import (
@@ -33,7 +36,10 @@ from .rng import u64
 # validate_sparsity checks up to this many nonzero cells, else samples per size
 _FULL_CHECK_CELLS = 20000
 _SAMPLE_PER_SIZE = 12
-# write_manifest hands out the text this many lines at a time
+# point counts are packed as unsigned 8-byte coefficients of one big int
+_COUNT_TYPE = "Q"
+_COUNT_WIDTH = array(_COUNT_TYPE).itemsize
+# the block writers hand out their text this many lines at a time
 _BLOCK_LINES = 2048
 
 
@@ -55,16 +61,31 @@ class _Positions(dict):
         return value
 
 
-@dataclass
+@dataclass(init=False)
 class ConstraintStream:
     """A finite, indexable family of finite sets with a locality oracle.
 
-    ``items`` holds each item once, as given: a tuple of strictly increasing
-    nonnegative ints, at least ``M`` long, which :func:`write_manifest`
-    writes out as the manifest.  The constructor sorts nothing and
-    refuses any other item, with its index as the witness.  A set is met when
-    its domain receives both colors, and :meth:`is_violated` is the one check
-    of whether the bits on a head of the domain still carry a single color.
+    Each item is a shift of a base.  ``bases`` holds each distinct base
+    once, in order of first use: a tuple of strictly increasing ints that
+    starts at 0 and is at least ``M`` long.  Item j is base
+    ``bases[base_ids[j]]`` moved by the nonnegative int ``shifts[j]``, so
+    its domain ``dom(j)`` is ``shifts[j] + x`` for each x in the base, and
+    its first position is the shift.  Equal offsets and shifts share one
+    int object.
+
+    ``ConstraintStream(M, q, items, provenance, locality_fn)`` takes the
+    items themselves: a tuple of tuples of strictly increasing nonnegative
+    ints, each at least ``M`` long, which it splits into base and shift and
+    interns.  It sorts nothing and refuses any other item, with its index
+    as the witness.  The builders hand over the base table and each item's
+    base id and shift through :meth:`from_bases` instead; either way the
+    same items give an equal stream and the same manifest, which
+    :func:`write_manifest` writes out.  ``items`` derives every domain at
+    once, for tests; no pipeline stage reads it.
+
+    A set is met when its domain receives both colors, and
+    :meth:`is_violated` is the one check of whether the bits on a head of
+    the domain still carry a single color.
 
     ``locality(m, n)`` lists exactly the indices whose item has size ``m``
     and touches position ``n``.  It asks the procedural oracle a builder
@@ -76,16 +97,17 @@ class ConstraintStream:
 
     M: int
     q: Fraction
-    items: tuple
+    bases: tuple[tuple[int, ...], ...]
+    base_ids: tuple[int, ...]
+    shifts: tuple[int, ...]
     provenance: tuple | None = None
     locality_fn: Callable[[int, int], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
-    _fp: str | None = field(init=False, default=None, compare=False, repr=False)
+    _fp: str | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        self.q = _checked_q(self.M, self.q)
-        items, M = self.items, self.M
+    def __init__(self, M: int, q, items: tuple, provenance=None, locality_fn=None):
+        q = _checked_q(M, q)
         # a list could change after the check
         if type(items) is not tuple:
             raise InvalidInputError(f"items must be a tuple, got {type(items).__name__}")
@@ -95,20 +117,79 @@ class ConstraintStream:
         if not set(map(type, set().union(*items))) <= {int}:
             j, n = next((j, n) for j, dom in enumerate(items) for n in dom if type(n) is not int)
             raise InvalidInputError(f"item {j}: position {n!r} is not an int")
+        # table: each distinct base and its id, in order of first use
+        table: dict[tuple[int, ...], int] = {}
+        base_ids = []
         for j, dom in enumerate(items):
             if not is_canonical(dom, M):
                 raise StreamIntegrityError(
                     f"item {j}: {dom!r} is not a tuple of at least {M} increasing "
                     "nonnegative positions", witness=(j,)
                 )
-        if self.provenance is not None and len(self.provenance) != len(items):
+            base = tuple(map(dom[0].__rsub__, dom))
+            base_ids.append(table.setdefault(base, len(table)))
+        shifts = [dom[0] for dom in items]
+        self._place(M, q, tuple(table), base_ids, shifts, provenance, locality_fn)
+
+    @classmethod
+    def from_bases(
+        cls, M: int, q, bases, base_ids, shifts, provenance=None, locality_fn=None
+    ) -> ConstraintStream:
+        """The stream whose item j is ``bases[base_ids[j]]`` moved by
+        ``shifts[j]``, with base ids in order of first use."""
+        stream = cls.__new__(cls)
+        q = _checked_q(M, q)
+        stream._place(M, q, tuple(bases), base_ids, shifts, provenance, locality_fn)
+        return stream
+
+    def _place(self, M, q, bases, base_ids, shifts, provenance, locality_fn) -> None:
+        """Check each base and each shift once, intern them and store them
+        with the checked ``q``."""
+        base_ids = tuple(base_ids)
+        for k, base in enumerate(bases):
+            if not (is_canonical(base, M) and base[0] == 0 and set(map(type, base)) <= {int}):
+                raise StreamIntegrityError(
+                    f"base {k}: {base!r} is not a tuple of at least {M} increasing "
+                    "int positions from 0", witness=(k,)
+                )
+        if len(set(bases)) != len(bases):
+            raise StreamIntegrityError("the base table holds a base twice")
+        if list(dict.fromkeys(base_ids)) != list(range(len(bases))) or not set(
+            map(type, base_ids)
+        ) <= {int}:
+            raise StreamIntegrityError("base ids must number the bases in order of first use")
+        if not set(map(type, shifts)) <= {int} or min(shifts, default=0) < 0:
+            j, s = next((j, s) for j, s in enumerate(shifts) if type(s) is not int or s < 0)
+            raise StreamIntegrityError(
+                f"item {j}: shift {s!r} is not a nonnegative int", witness=(j,)
+            )
+        # one int object per distinct value, offset or shift
+        position = _Positions(int).__getitem__
+        bases = tuple(tuple(map(position, base)) for base in bases)
+        shifts = tuple(map(position, shifts))
+        if len(shifts) != len(base_ids):
+            raise InvalidInputError("one shift per base id required")
+        if provenance is not None and len(provenance) != len(shifts):
             raise InvalidInputError("provenance length must match item count")
+        self.M, self.q = M, q
+        self.bases, self.base_ids, self.shifts = bases, base_ids, shifts
+        self.provenance, self.locality_fn = provenance, locality_fn
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.shifts)
+
+    def base_shift(self, j: int) -> tuple[tuple[int, ...], int]:
+        """Item j's base and shift."""
+        return self.bases[self.base_ids[j]], self.shifts[j]
 
     def dom(self, j: int) -> tuple[int, ...]:
-        return self.items[j]
+        base, shift = self.base_shift(j)
+        return tuple(map(shift.__add__, base))
+
+    @property
+    def items(self) -> tuple[tuple[int, ...], ...]:
+        """Every item's domain, derived anew on each read."""
+        return tuple(map(self.dom, range(len(self))))
 
     def locality(self, m: int, n: int) -> tuple[int, ...]:
         if self.locality_fn is None:
@@ -119,7 +200,7 @@ class ConstraintStream:
         """True iff the first ``cut`` positions of ``dom(j)`` (all of them
         when ``cut`` is None) carry a single color in ``bits``, a str, bytes
         or bytearray of 0/1 by position.  An empty head has one color."""
-        return single_color(self.items[j][:cut], bits)
+        return single_color(self.bases[self.base_ids[j]][:cut], bits, self.shifts[j])
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the sha256 of the manifest text the stream
@@ -146,11 +227,24 @@ def is_canonical(dom, M: int) -> bool:
     return type(dom) is tuple and len(dom) >= M and all(map(operator.lt, (-1, *dom), dom))
 
 
-def single_color(head, bits) -> bool:
-    """True iff the positions in ``head`` carry a single color in ``bits``;
-    an empty head has one color."""
-    bit = bits.__getitem__
-    return not head or not any(map(bit(head[0]).__ne__, map(bit, head)))
+def single_color(head, bits, shift: int = 0) -> bool:
+    """True iff the positions ``shift + x`` for x in ``head`` carry a single
+    color in ``bits``; an empty head has one color."""
+    if head:
+        first = bits[shift + head[0]]
+        for x in head:
+            if bits[shift + x] != first:
+                return False
+    return True
+
+
+def _gather(offsets: tuple[int, ...]) -> Callable:
+    """``seq -> tuple(seq[x] for x in offsets)``, looped in C; a bare
+    ``itemgetter`` of one offset returns the item, not a 1-tuple."""
+    if len(offsets) == 1:
+        (x,) = offsets
+        return lambda seq: (seq[x],)
+    return itemgetter(*offsets)
 
 
 def _int_nth_root(x: int, d: int) -> int:
@@ -240,18 +334,61 @@ def _chosen_cells(
     return sorted(set(cells))
 
 
-def _in_window(dom: tuple[int, ...], window: int) -> tuple[int, ...]:
-    """The positions of ``dom`` below ``window``: ``dom`` itself when it
-    ends inside the window, so only an item that straddles it is sliced."""
-    return dom if dom[-1] < window else dom[: bisect_left(dom, window)]
+def _point_counts(shapes, window: int) -> array:
+    """For each position n below ``window``, the number of pairs (s, x)
+    with ``s + x == n``, over every ``(base, shifts)`` in ``shapes``: the
+    point counts of the items each base makes with its shifts.  Positions
+    at or past the window are cut off, as if each item that straddles it
+    were sliced there.
+
+    A base with as many items as the positions up to its last one counts
+    them at once: its shifts and its offsets are packed as polynomials in
+    ``z = 2**64``, one coefficient per position, and their product holds
+    its counts as coefficients, exact while each stays below ``2**64``,
+    which no count of items reaches.  The product costs about as many
+    machine words as positions it spans; counting one by one costs a dict
+    update per item and offset.  A base whose items times offsets fall
+    short of its span is counted one by one: timed over bases of 8 to 40
+    offsets, the two costs meet where that ratio is 0.2 to 1, so either
+    side of the threshold stays within about 2x of the faster way.  The
+    pipeline's translates and images take the product; a stream of
+    unrelated sets, each its own base, counts one by one."""
+    width = _COUNT_WIDTH
+    total = top = 0
+    one_by_one: Counter[int] = Counter()
+    for base, shifts in shapes:
+        by_shift = Counter(shifts)
+        end = max(by_shift) + base[-1] + 1
+        top = max(top, end)
+        if len(by_shift) * len(base) < end:
+            for s, c in by_shift.items():
+                for n in map(s.__add__, base):
+                    one_by_one[n] += c
+            continue
+        moved = bytearray(width * max(by_shift) + width)
+        for s, c in by_shift.items():
+            moved[width * s : width * (s + 1)] = c.to_bytes(width, "little")
+        shape = bytearray(width * (base[-1] + 1))
+        for x in base:
+            shape[width * x] = 1
+        total += int.from_bytes(moved, "little") * int.from_bytes(shape, "little")
+    counts = array(_COUNT_TYPE, total.to_bytes(width * top, "little"))
+    if sys.byteorder == "big":
+        # the array reads its items in the machine's byte order
+        counts.byteswap()
+    for n, c in one_by_one.items():
+        counts[n] += c
+    del counts[window:]
+    return counts
 
 
 def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     """Check the point bound ``count <= 2**(q*m)`` over the window and
     cross-check the stream's locality oracle against the enumeration.
 
-    Counts come from one pass over the enumerated items, so the bound check
-    is complete for every cell with ``m <= window`` and ``n < window``.
+    Counts come from every enumerated item, through its base and shift, so
+    the bound check is complete for every cell with ``m <= window`` and
+    ``n < window``.
     ``counts[m]`` covers ``[0, len(counts[m]))``, up to the last position
     an item of size m touches; every cell beyond it is zero, so the
     report's size follows the stream, not the window.
@@ -266,18 +403,26 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     """
     if window < 1:
         raise InvalidParameterError("window must be at least 1")
-    items = stream.items
-    # groups[m]: the ids of the items of size m that fit the window and start inside it
-    groups: dict[int, list[int]] = {}
-    for j, dom in enumerate(items):
-        if len(dom) <= window and dom[0] < window:
-            groups.setdefault(len(dom), []).append(j)
+    bases, shifts = stream.bases, stream.shifts
+    # groups[m][b]: the ids of the items with base b, of size m, that fit
+    # the window and start inside it
+    groups: dict[int, dict[int, list[int]]] = {}
+    sizes = list(map(len, bases))
+    for j, (b, shift) in enumerate(zip(stream.base_ids, shifts)):
+        if sizes[b] <= window and shift < window:
+            groups.setdefault(sizes[b], {}).setdefault(b, []).append(j)
+    # positions[n] is n: every size's cells share one int per position
+    positions: list[int] = []
     counts: dict[int, list[int]] = {}
     nonzero: dict[int, list[int]] = {}
-    for m, ids in groups.items():
-        tally = Counter(chain.from_iterable(_in_window(items[j], window) for j in ids))
-        hits = nonzero[m] = sorted(tally)
-        counts[m] = list(map(tally.get, range(hits[-1] + 1), repeat(0)))
+    for m, by_base in groups.items():
+        arr = _point_counts(
+            [(bases[b], map(shifts.__getitem__, ids)) for b, ids in by_base.items()], window
+        )
+        positions += range(len(positions), len(arr))
+        # every item counts at its shift, which lies inside the window
+        hits = nonzero[m] = list(compress(positions, arr))
+        counts[m] = arr[: hits[-1] + 1].tolist()
 
     violations = []
     near = []
@@ -300,12 +445,28 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         for m, size_cells in groupby(cells, operator.itemgetter(0)):
             # want[n]: the items of size m through n, for the chosen cells only
             want: dict[int, list[int]] = {n: [] for _, n in size_cells}
-            for j in groups[m]:
-                pos = _in_window(items[j], window)
-                # a full check visits every nonzero cell, so every position
-                for n in pos if mode == "full" else want.keys() & pos:
-                    want[n].append(j)
+            for b, ids in groups[m].items():
+                base = bases[b]
+                if mode == "full":
+                    # every position in the window is a chosen cell: walk
+                    # each item's positions
+                    for j in ids:
+                        shift, cut = shifts[j], base
+                        if shift + base[-1] >= window:
+                            cut = base[: bisect_left(base, window - shift)]
+                        for n in map(shift.__add__, cut):
+                            want[n].append(j)
+                else:
+                    # a few cells: an item holds n iff its shift is n - x
+                    # for an x in its base
+                    by_shift: dict[int, list[int]] = {}
+                    for j in ids:
+                        by_shift.setdefault(shifts[j], []).append(j)
+                    for n, expect in want.items():
+                        for at in filter(None, map(by_shift.get, map(n.__sub__, base))):
+                            expect += at
             for n, expect in want.items():
+                expect.sort()
                 got = tuple(stream.locality(m, n))
                 if got != tuple(expect):
                     diff = sorted(set(got).symmetric_difference(expect))
@@ -325,8 +486,8 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         near=tuple(near),
         cross_check=mode,
         cells_checked=len(cells),
-        max_size_seen=max(map(len, stream.items), default=0),
-        items_in_window=sum(map(len, groups.values())),
+        max_size_seen=max(sizes, default=0),
+        items_in_window=sum(len(ids) for by_base in groups.values() for ids in by_base.values()),
     )
 
 
@@ -390,17 +551,36 @@ class Coloring:
         return len(self.bits)
 
 
-def format_coloring(coloring: Coloring) -> str:
+def write_blocks(lines: Iterable[str], write: Callable[[str], object]) -> None:
+    """Hand ``lines``, each with its line break, to ``write`` joined in
+    blocks of whole lines: no more than a block of the text is held."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, _BLOCK_LINES)):
+        write(block)
+
+
+def _coloring_lines(coloring: Coloring):
     # a coloring built without a stream carries no `# stream` comment,
     # which parse_coloring reads back as the empty fingerprint
-    lines = [f"# stream {coloring.stream_fingerprint}"] if coloring.stream_fingerprint else []
-    lines += [
-        f"# phases {coloring.n0} {coloring.phases}",
-        f"coloring {coloring.committed_len} {coloring.seed}",
-    ]
-    for start in range(0, len(coloring.bits), 64):
-        lines.append(coloring.bits[start : start + 64])
-    return "\n".join(lines) + "\n"
+    if coloring.stream_fingerprint:
+        yield f"# stream {coloring.stream_fingerprint}\n"
+    yield f"# phases {coloring.n0} {coloring.phases}\n"
+    yield f"coloring {coloring.committed_len} {coloring.seed}\n"
+    bits = coloring.bits
+    for start in range(0, len(bits), 64):
+        yield bits[start : start + 64] + "\n"
+
+
+def write_coloring(coloring: Coloring, write: Callable[[str], object]) -> None:
+    """Hand the coloring text to ``write`` in blocks of whole lines."""
+    write_blocks(_coloring_lines(coloring), write)
+
+
+def format_coloring(coloring: Coloring) -> str:
+    """The coloring text :func:`write_coloring` writes, as one string."""
+    blocks: list[str] = []
+    write_coloring(coloring, blocks.append)
+    return "".join(blocks)
 
 
 def parse_coloring(text: str) -> Coloring:
@@ -450,12 +630,28 @@ def _manifest_lines(stream: ConstraintStream):
     """Each line of the manifest text, with its line break."""
     yield f"stream sets M {stream.M} q {frac_str(stream.q)}\n"
     prov = stream.provenance
-    text_of = _Positions(str).__getitem__
-    for j, dom in enumerate(stream.items):
+    bases, base_ids, shifts = stream.bases, stream.base_ids, stream.shifts
+    sizes = list(map(len, bases))
+    spans = [base[-1] + 1 for base in bases]
+    # gathers[b] picks base b's words out of the slice of texts its item
+    # spans; a base with fewer offsets than a quarter of its span is
+    # written word by word instead, as most of its slice would be skipped
+    gathers = [_gather(base) if span <= 4 * len(base) else None for base, span in zip(bases, spans)]
+    # texts[n] is the text of position n, up to the last position an item
+    # covers, or up to as many as the items list if that is fewer
+    ends = map(operator.add, shifts, map(spans.__getitem__, base_ids))
+    listed = sum(map(sizes.__getitem__, base_ids))
+    texts = list(map(str, range(min(max(ends, default=0), listed))))
+    for j, (b, shift) in enumerate(zip(base_ids, shifts)):
         if prov is not None:
             i, s = prov[j]
             yield f"# by {i} at {s}\n"
-        yield f"item {j} {len(dom)} {' '.join(map(text_of, dom))}\n"
+        end = shift + spans[b]
+        if end <= len(texts) and gathers[b] is not None:
+            words = gathers[b](texts[shift:end])
+        else:
+            words = map(str, map(shift.__add__, bases[b]))
+        yield f"item {j} {sizes[b]} {' '.join(words)}\n"
 
 
 def write_manifest(stream: ConstraintStream, write: Callable[[str], object]) -> str:
@@ -465,10 +661,12 @@ def write_manifest(stream: ConstraintStream, write: Callable[[str], object]) -> 
     parsed stream keeps the hash of the text it was read from).  No more
     than a block of the text is held at once."""
     sha = hashlib.sha256()
-    lines = _manifest_lines(stream)
-    while block := "".join(islice(lines, _BLOCK_LINES)):
+
+    def hashed(block: str) -> None:
         sha.update(block.encode("utf-8"))
         write(block)
+
+    write_blocks(_manifest_lines(stream), hashed)
     fingerprint = sha.hexdigest()[:16]
     if stream._fp is None:
         stream._fp = fingerprint

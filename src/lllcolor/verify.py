@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .colorer import phase_base
 from .errors import InvalidParameterError, WrongStreamError
@@ -22,7 +23,7 @@ from .hindman import (
     _selection_timeline,
 )
 from .rng import u64
-from .streams import Coloring, ConstraintStream, SparsityReport
+from .streams import Coloring, ConstraintStream, SparsityReport, write_blocks
 
 
 @dataclass(frozen=True)
@@ -141,14 +142,14 @@ def audit_solution(
             stage = stream.provenance[j][1]
             if stage < active_from:
                 continue
-            positions = stream.dom(j)
+            base, shift = stream.base_shift(j)
             if first_emission is None or stage < first_emission:
                 first_emission = stage
-            if positions[0] < guard or positions[-1] >= coloring.committed_len:
+            if shift < guard or shift + base[-1] >= coloring.committed_len:
                 continue
             checked += 1
             if stream.is_violated(j, coloring.bits):
-                violations.append((stage, positions))
+                violations.append((stage, stream.dom(j)))
         total_checked += checked
         total_violations += len(violations)
         verdicts.append(
@@ -201,12 +202,22 @@ def monte_carlo_homogeneity(f_size: int, trials: int, seed: int) -> Fraction:
     return Fraction(hits, trials)
 
 
-def sparsity_counts_csv(report: SparsityReport) -> str:
-    """Per-(size, position) nonzero counts, one row each, for plotting."""
-    lines = ["m,n,count"]
+def _sparsity_rows(report: SparsityReport):
+    yield "m,n,count\n"
     for m in sorted(report.counts):
-        arr = report.counts[m]
-        for n, c in enumerate(arr):
+        for n, c in enumerate(report.counts[m]):
             if c:
-                lines.append(f"{m},{n},{c}")
-    return "\n".join(lines) + "\n"
+                yield f"{m},{n},{c}\n"
+
+
+def write_sparsity_csv(report: SparsityReport, write: Callable[[str], object]) -> None:
+    """Hand the per-(size, position) nonzero counts, one CSV row each, for
+    plotting, to ``write`` in blocks of whole lines."""
+    write_blocks(_sparsity_rows(report), write)
+
+
+def sparsity_counts_csv(report: SparsityReport) -> str:
+    """The CSV text :func:`write_sparsity_csv` writes, as one string."""
+    blocks: list[str] = []
+    write_sparsity_csv(report, blocks.append)
+    return "".join(blocks)

@@ -101,6 +101,26 @@ class TestRun:
         for name in ARTIFACTS:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("config", [
+        ("--mode", "comp", "--f", "sum", "--members", "12"),
+        ("--mode", "main", "--f", "absdiff", "--members", "4"),
+    ], ids=["comp-sum", "main-absdiff"])
+    def test_pipeline_never_derives_every_item(self, tmp_path, monkeypatch, config):
+        # every stage reads a stream's items as bases and shifts: none
+        # builds the tuple of all item domains
+        args = ("run", *config, "--seed", "7", "--horizon", "2048")
+        assert run_cli(*args, "--out", tmp_path / "plain") == 0
+
+        def refuse(stream):
+            raise AssertionError("a pipeline stage derived every item")
+
+        monkeypatch.setattr(ConstraintStream, "items", property(refuse))
+        assert run_cli(*args, "--out", tmp_path / "based") == 0
+        for name in sorted(ARTIFACTS):
+            assert (tmp_path / "based" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes(), name
+
     def test_custom_q_plumbs_through(self, tmp_path):
         out = tmp_path / "q25"
         rc = run_cli("run", "--mode", "comp", "--f", "sum", "--q", "2/5",

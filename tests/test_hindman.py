@@ -3,6 +3,7 @@ stream builders, and the warm-up demonstrations."""
 
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from lllcolor.hindman import (
     AdditionLike,
     StagedFamily,
     _diagonal_pairs,
+    _first_selected,
     _selection_timeline,
     baseline_coloring,
     build_image_stream,
@@ -30,7 +32,7 @@ from lllcolor.hindman import (
     pigeonhole_check,
 )
 from lllcolor.rng import derive_seed
-from lllcolor.streams import point_bound, validate_sparsity
+from lllcolor.streams import ConstraintStream, format_manifest, point_bound, validate_sparsity
 
 F = Fraction
 
@@ -331,12 +333,16 @@ class TestBuildTranslateStream:
         assert len(set(stream.items)) == len(stream)
 
     def test_translates_share_one_int_per_distinct_position(self):
-        # the image build shares its positions the same way
+        # a stream holds a translate as its member's base and a shift, which
+        # is the translate's first position; the image build holds its
+        # images the same way.  Shifts lie past 256, where the interpreter
+        # shares no ints, and equal values share one int
         image = TestBuildImageStream().build("absdiff")[3]
         for stream in (self.small(stages=1024)[1], image):
-            positions = {n for dom in stream.items for n in dom}
-            assert max(positions) > 256
-            assert len({id(n) for dom in stream.items for n in dom}) == len(positions)
+            held = [*stream.shifts, *chain.from_iterable(stream.bases)]
+            assert max(stream.shifts) > 256
+            assert len({id(n) for n in held}) == len(set(held))
+            assert all(stream.dom(j)[0] == stream.shifts[j] for j in range(len(stream)))
 
     def test_locality_counts_at_most_m(self):
         fam, stream = self.small()
@@ -392,6 +398,23 @@ class TestBuildTranslateStream:
         )
         stream = build_translate_stream(fam, 4)
         assert all(i == 0 for i, _ in stream.provenance)
+
+    def test_build_holds_no_position_tuples(self):
+        # the translate-dense bench config: 23 377 translates of 50 bases.
+        # Holding every translate's positions, the build held 9.9 MB and
+        # peaked at 10.3 MB under tracemalloc; as bases and shifts it holds
+        # 3.1 MB (1.5 MB of it the provenance) and peaks at 4.3 MB
+        M = 8
+        fam = gen_family(derive_seed(7, 1), 50, 512, "ce", tuple(M + i + 8 for i in range(50)))
+        tracemalloc.start()
+        try:
+            stream = build_translate_stream(fam, M)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(stream), len(stream.bases)) == (23377, 50)
+        assert held < 4_500_000
+        assert peak < 6_000_000
 
     def test_m_validated(self):
         fam = gen_family(2, 1, 64, "ce", (8,))
@@ -537,9 +560,11 @@ class TestBuildImageStream:
         assert dropped > 0
 
     def test_stream_holds_each_item_once(self):
-        # the image-absdiff bench config: holding each item once, the
-        # build keeps about 6 MB and peaks near 7 MB; a second copy of
-        # every item in the oracle would hold about 29 MB
+        # the image-absdiff bench config: holding each item once as a tuple
+        # of positions, the build kept 6.0 MB and peaked at 7.2 MB; a
+        # second copy of every item in the oracle would hold about 29 MB.
+        # As 24 bases and a shift per item it keeps 2.3 MB (the oracle's
+        # index and the provenance) and peaks at 4.1 MB
         fn = builtin_addition_like("absdiff")
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         sizes = tuple(fn.mult_bound * (M + i) + 8 for i in range(24))
@@ -550,9 +575,9 @@ class TestBuildImageStream:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(stream) == 7284
-        assert held < 12_000_000
-        assert peak < 16_000_000
+        assert (len(stream), len(stream.bases)) == (7284, 24)
+        assert held < 3_500_000
+        assert peak < 5_500_000
 
     def test_m_validated(self):
         fn = builtin_addition_like("absdiff")
@@ -566,6 +591,59 @@ class TestBuildImageStream:
         fam = gen_family(2, 1, 64, "ce", (8,))
         with pytest.raises(InvalidInputError):
             build_image_stream(fam, fn, 16)
+
+
+@st.composite
+def built_stream(draw):
+    """A stream from either builder, over a small generated family: a
+    translate stream, or an image stream of ``sum`` or ``absdiff`` whose
+    last member may churn late.  Returns the builder's kind, the pair
+    function, M, the family and the stream."""
+    kind = draw(st.sampled_from(["translate", "sum", "absdiff"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    members = draw(st.integers(1, 4))
+    slack = draw(st.integers(0, 40))
+    if kind == "translate":
+        fn = builtin_addition_like("sum")
+        M = draw(st.integers(4, 6))
+        sizes = tuple(M + i + draw(st.integers(-2, 6)) for i in range(members))
+        fam = gen_family(seed, members, max(sizes) + 17 + slack, "ce", sizes)
+        return kind, fn, M, fam, build_translate_stream(fam, M)
+    fn = builtin_addition_like(kind)
+    M = choose_M(fn.mult_bound, F(1, 2), "main")
+    sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(members))
+    unstable = (members - 1,) if draw(st.booleans()) else ()
+    stages = 4 * (sizes[-1] + 16) + 18 + slack
+    fam = gen_family(seed, members, stages, "sigma2", sizes, unstable_members=unstable)
+    return kind, fn, M, fam, build_image_stream(fam, fn, M)
+
+
+class TestBaseForm:
+    """A built stream holds each item as a base and a shift; the domain it
+    derives must be the set the paper's construction emits at the item's
+    provenance, and handing the same domains in as item tuples must give an
+    equal stream."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(built=built_stream())
+    def test_domains_match_the_family(self, built):
+        kind, fn, M, fam, stream = built
+        b = 1 if kind == "translate" else fn.mult_bound
+        timelines = [_selection_timeline(fam, i, b * (M + i)) for i in range(fam.count)]
+        doms = []
+        for j, (i, s) in enumerate(stream.provenance):
+            timeline = timelines[i]
+            if kind == "translate":
+                # E + s, for the member's first selection E
+                expect = tuple(x + s for x in sorted(timeline[_first_selected(timeline)][0]))
+            else:
+                expect = tuple(sorted({fn.pair(x, s) for x in timeline[s][0]}))
+            assert stream.dom(j) == expect, (j, i, s)
+            doms.append(expect)
+        assert len(stream.bases) == len({tuple(n - d[0] for n in d) for d in doms})
+        again = ConstraintStream(M, F(1, 2), tuple(doms), stream.provenance)
+        assert again == stream
+        assert format_manifest(again) == format_manifest(stream)
 
 
 class TestBaselineColoring:

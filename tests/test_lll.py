@@ -451,7 +451,8 @@ class TestSolver:
 def phase_instance(draw):
     """A colorer-shaped phase: committed bits below a prefix, and sets in
     increasing id order whose committed head carries one color.  Each keeps
-    a free position, and a set without a head keeps two."""
+    a free position, and a set without a head keeps two.  Each record holds
+    its domain as its base, with shift 0."""
     prefix = draw(st.integers(0, 6))
     committed = draw(st.lists(st.integers(0, 1), min_size=prefix, max_size=prefix))
     window = prefix + draw(st.integers(2, 8))
@@ -461,7 +462,7 @@ def phase_instance(draw):
         dom = tuple(sorted(draw(st.sets(st.integers(0, window - 1), min_size=2, max_size=5))))
         cut = bisect_left(dom, prefix)
         if cut < len(dom) and len({committed[n] for n in dom[:cut]}) < 2:
-            sets.append((j, dom, cut, committed[dom[0]] if cut else None))
+            sets.append((j, dom, 0, cut, committed[dom[0]] if cut else None))
     return committed, sets
 
 
@@ -469,8 +470,8 @@ def as_events(committed, sets):
     """The same phase for the validated door: each set as its whole domain
     with both constant rows, fair bits on the free positions and each
     committed position as a variable fixed to its bit."""
-    events = [Event(j, dom, [(0,) * len(dom), (1,) * len(dom)]) for j, dom, _, _ in sets]
-    used = sorted({n for _, dom, _, _ in sets for n in dom})
+    events = [Event(j, dom, [(0,) * len(dom), (1,) * len(dom)]) for j, dom, _, _, _ in sets]
+    used = sorted({n for _, dom, _, _, _ in sets for n in dom})
     point_mass = {0: (1, 0), 1: (0, 1)}
     variables = [
         VarSpec(n, 2, point_mass[committed[n]]) if n < len(committed) else fair_bit(n)
@@ -512,9 +513,20 @@ class TestResampleSets:
         })
         assert core == door
 
+    @settings(max_examples=100, deadline=None)
+    @given(phase=phase_instance(), seed=st.integers(0, 10**6), budget=st.integers(1, 30))
+    def test_a_record_reads_its_positions_as_shift_plus_base(self, phase, seed, budget):
+        # each set split into its first position and the offsets from it
+        # resamples as the same set held whole with shift 0
+        _, sets = phase
+        moved = [(j, tuple(n - dom[0] for n in dom), dom[0], cut, head)
+                 for j, dom, _, cut, head in sets]
+        assert resampled(lambda: resample_sets(moved, seed, budget)) == resampled(
+            lambda: resample_sets(sets, seed, budget))
+
     def test_exhaustion_matches_on_a_triangle(self):
         # no coloring gives three free 2-sets over three positions both colors
-        sets = [(1, (0, 1), 0, None), (4, (0, 2), 0, None), (6, (1, 2), 0, None)]
+        sets = [(1, (0, 1), 0, 0, None), (4, (0, 2), 0, 0, None), (6, (1, 2), 0, 0, None)]
         events, variables = as_events([], sets)
         with pytest.raises(NonConvergenceError) as core:
             resample_sets(sets, 3, 40)
@@ -526,7 +538,7 @@ class TestResampleSets:
 
     def test_head_color_is_never_needed_again(self):
         # a head of 1s leaves only a 0 to find among the free positions
-        free = resample_sets([(0, (0, 1, 2, 3), 2, 1)], 11, 100)
+        free = resample_sets([(0, (0, 1, 2, 3), 0, 2, 1)], 11, 100)
         assert set(free) == {2, 3}
         assert 0 in free.values()
 

@@ -4,6 +4,7 @@ the text interchange formats (with the header rule every parser shares)."""
 import hashlib
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from lllcolor.streams import (
     parse_manifest,
     point_bound,
     validate_sparsity,
+    write_coloring,
     write_manifest,
 )
 from lllcolor.verify import sparsity_counts_csv
@@ -154,12 +156,36 @@ class TestConstraintStream:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
-    def test_canonical_items_are_stored_as_given(self):
-        items = ((3, 5, 9), (1, 4))
-        provenance = ((0, 1), (2, 3))
+    def test_items_are_stored_as_bases_and_shifts(self):
+        items = ((3, 5, 9), (1, 4), (7, 9, 13))
+        provenance = ((0, 1), (2, 3), (4, 5))
         s = ConstraintStream(2, F(1, 2), items, provenance)
-        assert s.items is items and s.provenance is provenance
-        assert all(s.items[j] is s.dom(j) is items[j] for j in range(2))
+        # bases in order of first use, each item a base id and its first position
+        assert s.bases == ((0, 2, 6), (0, 3))
+        assert (s.base_ids, s.shifts) == ((0, 1, 0), (3, 1, 7))
+        assert s.provenance is provenance
+        assert s.items == items and all(s.dom(j) == items[j] for j in range(3))
+        assert s.base_shift(2) == ((0, 2, 6), 7)
+        # the builders' door makes the same stream from the same table
+        built = ConstraintStream.from_bases(2, F(1, 2), s.bases, [0, 1, 0], [3, 1, 7], provenance)
+        assert built == s and format_manifest(built) == format_manifest(s)
+
+    @pytest.mark.parametrize(
+        "bases, base_ids, shifts, message",
+        [
+            (((1, 2),), (0,), (0,), r"^base 0: \(1, 2\) is not a tuple"),
+            (((0,),), (0,), (0,), r"^base 0: \(0,\) is not a tuple"),
+            (((0, 1), (0, 1)), (0, 1), (0, 5), "^the base table holds a base twice$"),
+            (((0, 1), (0, 2)), (1, 0), (0, 5), "^base ids must number the bases"),
+            (((0, 1), (0, 2)), (0, 0), (0, 5), "^base ids must number the bases"),
+            (((0, 1),), (0, 0), (3, -1), r"^item 1: shift -1 is not a nonnegative int$"),
+            (((0, 1),), (0,), (True,), r"^item 0: shift True is not a nonnegative int$"),
+        ],
+        ids=["off-zero", "undersized", "repeated", "unordered", "unused", "negative", "bool"],
+    )
+    def test_builders_table_is_checked_once(self, bases, base_ids, shifts, message):
+        with pytest.raises(StreamIntegrityError, match=message):
+            ConstraintStream.from_bases(2, F(1, 2), bases, base_ids, shifts)
 
     @pytest.mark.parametrize(
         "item",
@@ -334,6 +360,25 @@ class TestValidateSparsity:
         s = with_reference(s)
         assert sweep_fields(validate_sparsity(s, window)) == naive_sparsity(s, window)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), window=st.integers(1, 300))
+    def test_sweep_of_shifted_bases_matches_naive_recount(self, data, window):
+        # translates of a few bases: shifts dense enough for a base's items
+        # to be counted at once or too sparse for it, bases of one size
+        # side by side, repeated items, and windows that cut domains
+        items = []
+        for rest in data.draw(st.lists(st.frozensets(st.integers(1, 40), min_size=1, max_size=5),
+                                       min_size=1, max_size=4)):
+            base = (0, *sorted(rest))
+            # a run of consecutive shifts, as a builder emits them, and a
+            # few scattered ones
+            start, run = data.draw(st.integers(0, 250)), data.draw(st.integers(0, 120))
+            scattered = data.draw(st.lists(st.integers(0, 250), max_size=8))
+            shifts = [*range(start, start + run), *scattered]
+            items += [tuple(s + x for x in base) for s in shifts]
+        s = with_reference(ConstraintStream(2, F(1, 2), tuple(data.draw(st.permutations(items)))))
+        assert sweep_fields(validate_sparsity(s, window)) == naive_sparsity(s, window)
+
     def test_sampled_sweep_matches_naive_recount(self):
         # more than 20 000 nonzero cells at both windows; 3600 cuts domains
         s = with_reference(gen_sets_stream(1, 3500, 4096, 8))
@@ -434,6 +479,29 @@ class TestColoringFormat:
         text = format_coloring(col)
         assert parse_coloring(text) == col
         assert ("# stream" in text) == bool(fingerprint)
+
+    def test_blocks_write_the_coloring_text(self, tmp_path):
+        # 2**20 bits, 16 384 lines of 64.  Building the whole text, then
+        # writing it, peaked at 4 MB under tracemalloc; blocks of 2 048
+        # lines peak at 0.52 MB
+        col = Coloring("0110" * (1 << 18), 3, "0123456789abcdef", 64, 15)
+        # the text written out by hand, not by the writer under test
+        text = "# stream 0123456789abcdef\n# phases 64 15\ncoloring 1048576 3\n" + "".join(
+            col.bits[k : k + 64] + "\n" for k in range(0, 1 << 20, 64)
+        )
+        blocks = []
+        write_coloring(col, blocks.append)
+        assert "".join(blocks) == text == format_coloring(col)
+        assert [b.count("\n") for b in blocks[:-1]] == [_BLOCK_LINES] * (len(blocks) - 1)
+        with (tmp_path / "coloring.txt").open("w", encoding="utf-8") as file:
+            tracemalloc.start()
+            try:
+                write_coloring(col, file.write)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert parse_coloring((tmp_path / "coloring.txt").read_text(encoding="utf-8")) == col
+        assert peak < 800_000
 
     def test_length_mismatch(self):
         with pytest.raises(ParseError):
@@ -570,11 +638,12 @@ class TestManifestFormat:
         assert str(exc.value) == f"line {lineno}: {message}"
 
     def test_parsed_stream_holds_one_int_per_distinct_position(self):
-        # most positions lie past 256, where the interpreter shares no ints
+        # the stream holds its shifts and its bases' offsets, many past 256,
+        # where the interpreter shares no ints
         back = parse_manifest(format_manifest(gen_sets_stream(4, 300, 1000, 8)))
-        positions = {n for dom in back.items for n in dom}
-        assert max(positions) > 256
-        assert len({id(n) for dom in back.items for n in dom}) == len(positions)
+        held = [*back.shifts, *chain.from_iterable(back.bases)]
+        assert max(back.shifts) > 256
+        assert len({id(n) for n in held}) == len(set(held))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -594,6 +663,20 @@ class TestManifestFormat:
         back = parse_manifest(text)
         assert format_manifest(back) == text
         assert back.fingerprint() == s.fingerprint()
+
+    def test_every_way_to_write_an_item_gives_its_positions(self):
+        # translates of a dense base, gathered from the table of position
+        # texts; a base with fewer offsets than a quarter of its span and
+        # items past the table, which is no longer than the positions the
+        # items list, written word by word; one-offset items
+        items = (
+            *(tuple(s + x for x in (0, 1, 3)) for s in range(40)),
+            (2, 32), (9, 39), (5,), (7,), (10**6, 10**6 + 2),
+        )
+        s = ConstraintStream(1, F(1, 2), items)
+        text = "".join(f"item {j} {len(d)} {' '.join(map(str, d))}\n" for j, d in enumerate(items))
+        assert format_manifest(s) == "stream sets M 1 q 1/2\n" + text
+        assert parse_manifest(format_manifest(s)) == s
 
     @pytest.mark.parametrize(
         "provenance, block, lines",
