@@ -28,8 +28,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import le
+from itertools import pairwise, repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     StreamIntegrityError,
 )
 from .rng import u64
-from .streams import ConstraintStream, _Positions
+from .streams import ConstraintStream
 
 MODE_CE = "ce"
 MODE_SIGMA2 = "sigma2"
@@ -317,13 +316,19 @@ def build_image_stream(
 
     Each item is stored once, as the id of its base (the image minus its
     least value, held once in a table) and its least value as the shift.
-    The oracle keeps each member's emissions per image size in stage
-    order, indexed by position: bit r of ``hits[n]`` is set iff the r-th
-    emission holds n.  A query drops the bits at or past the stage bound,
-    computed from the member's selection at stage n.  ``growth`` is an
-    arbitrary callable, so nothing about it is cached or assumed monotone;
-    a query scans its values and stops at the first that reaches the stage
-    of the last emission holding n, as then no bit can be dropped.
+    The oracle keeps, per image size, member and base, the shifts the
+    member emitted with that base, each with its item id and the least
+    stage that emitted it, cut into maximal runs ``[a, z]`` of consecutive
+    shifts whose stages never fall.  The holders of n in a run are the
+    offsets x of the base with ``n - z <= x <= n - a``, found by two
+    bisects.  Images that are not translates of one base give more bases
+    and shorter runs, not a different answer.  A query drops the holders
+    past the stage bound, computed from the member's selection at stage
+    n; in a run they are the last shifts, found by a bisect of its
+    stages.  ``growth`` is an arbitrary callable, so nothing about it is
+    cached or assumed monotone; a query scans its values and stops at the
+    first that reaches the latest stage of the member's holders of n, as
+    then none can be dropped.
     """
     if family.mode != MODE_SIGMA2:
         raise InvalidInputError("image streams require a sigma2-mode family")
@@ -347,12 +352,6 @@ def build_image_stream(
     emitted: list[tuple[int, int, int, int, int]] = []
     # key[base]: a key per distinct image base, in order of computation
     key: dict[tuple[int, ...], int] = {}
-    # records[size][i]: (stages, ids, hits) of member i's emissions of that
-    # size, in stage order, where bit r of hits[n] is set iff the r-th one
-    # holds position n; the ids follow once the diagonal order numbers them
-    records: dict[int, dict[int, tuple[list[int], list[int], dict[int, int]]]] = {}
-    # the oracle's index shares one int per distinct position
-    position = _Positions(int).__getitem__
     for i in range(count):
         timeline = _selection_timeline(family, i, b * (M + i))
         ordered = {e: tuple(sorted(e, reverse=True)) for e, _ in dict.fromkeys(timeline)}
@@ -366,14 +365,8 @@ def build_image_stream(
                 lo = min(values)
                 prior = running_max[s0 - 1] if s0 > 0 else None
                 if lo > s0 and (prior is None or lo > prior):
-                    image = sorted(set(map(position, values)))
-                    base = tuple(map(lo.__rsub__, image))
+                    base = tuple(map(lo.__rsub__, sorted(set(values))))
                     emitted.append((i + s, s, i, key.setdefault(base, len(key)), lo))
-                    at, _, hits = records.setdefault(len(image), {}).setdefault(i, ([], [], {}))
-                    bit = 1 << len(at)
-                    at.append(s)
-                    for n in image:
-                        hits[n] = hits.get(n, 0) | bit
                 peak = max(values)
                 run = peak if run is None else max(run, peak)
             running_max.append(run)
@@ -387,6 +380,9 @@ def build_image_stream(
     prov: list[tuple[int, int]] = []
     # seen[(k, shift)]: the id of the item with base key k and that shift
     seen: dict[tuple[int, int], int] = {}
+    # shifts_of[(k, i)][shift]: the id of the item with base key k and that
+    # shift, and the least stage at which member i emitted it
+    shifts_of: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     for _, s, i, k, shift in emitted:
         base = bases[k]
         if len(base) < M + i:
@@ -400,27 +396,68 @@ def build_image_stream(
             base_ids.append(base_id.setdefault(k, len(base_id)))
             shifts.append(shift)
             prov.append((i, s))
-        # a member's emissions of one size come in stage order here too
-        records[len(base)][i][1].append(j)
+        # a member's stages come in increasing order, so the first is least
+        shifts_of.setdefault((k, i), {}).setdefault(shift, (j, s))
+
+    # runs[m][i]: member i's runs with a base of size m, each as
+    # (a, z, base, ids, stages): a maximal run [a, z] of consecutive shifts
+    # whose stages never fall, where ids[t] and stages[t] belong to shift
+    # a + t
+    runs: dict[int, dict[int, list[tuple]]] = {}
+    for (k, i), by_shift in shifts_of.items():
+        base = bases[k]
+        order = sorted(by_shift)
+        # a run ends where the next shift skips a value or has an earlier stage
+        ends = [
+            r for r, (u, v) in enumerate(pairwise(order), 1)
+            if v > u + 1 or by_shift[v][1] < by_shift[u][1]
+        ]
+        for start, stop in zip([0, *ends], [*ends, len(order)]):
+            ids, stages = zip(*map(by_shift.__getitem__, order[start:stop]))
+            runs.setdefault(len(base), {}).setdefault(i, []).append(
+                (order[start], order[stop - 1], base, ids, stages)
+            )
+    # freed before the stream interns its positions
+    del shifts_of
 
     def locality(m: int, n: int) -> tuple[int, ...]:
-        out: set[int] = set()
-        for i, (at, ids, hits) in records.get(m, {}).items():
-            mask = hits.get(n, 0)
-            if not mask:
+        found: list[int] = []
+        for i, member in runs.get(m, {}).items():
+            # (n - a, first, end, base, ids, stages) for each of member i's
+            # runs that holds n: x in base[first:end] holds n at t = n - a - x
+            held = []
+            last = 0
+            for a, z, base, ids, stages in member:
+                first = bisect_left(base, n - z)
+                end = bisect_right(base, n - a, first)
+                if first < end:
+                    held.append((n - a, first, end, base, ids, stages))
+                    # the least x gives the largest t, and so the run's
+                    # latest stage among its holders
+                    last = max(last, stages[n - a - base[first]])
+            if not held:
                 continue
-            # the bound drops a bit only if n and every growth value fall
-            # short of the stage of the last emission holding n, and then
-            # it lies inside the stages
-            last = at[mask.bit_length() - 1]
-            if n < last and not any(
-                map(le, repeat(last), map(fn.growth, selections[i][n], repeat(n)))
-            ):
-                growth = max(map(fn.growth, selections[i][n], repeat(n)), default=n)
-                mask &= (1 << bisect_left(at, max(n, growth) + 1)) - 1
-            # the mask's binary digits, lowest first, select from ids
-            out.update(compress(ids, map("1".__eq__, bin(mask)[:1:-1])))
-        return tuple(sorted(out))
+            # the bound drops a holder only if n and every growth value fall
+            # short of the latest stage of a holder, and then it lies inside
+            # the stages
+            if n < last:
+                cut = n
+                for g in map(fn.growth, selections[i][n], repeat(n)):
+                    if g >= last:
+                        break
+                    cut = max(cut, g)
+                else:
+                    # a run's stages up to cut come first: keep the holders
+                    # whose t is below their count
+                    held = [
+                        (na, bisect_left(base, na + 1 - bisect_right(stages, cut), first), end,
+                         base, ids, stages)
+                        for na, first, end, base, ids, stages in held
+                    ]
+            for na, first, end, base, ids, _ in held:
+                found += map(ids.__getitem__, map(na.__sub__, base[first:end]))
+        # one member's holders are distinct; two members may emit one item
+        return tuple(sorted(set(found)))
 
     return ConstraintStream.from_bases(
         M, q, [bases[k] for k in base_id], base_ids, shifts, tuple(prov), locality

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lllcolor.errors import (
@@ -525,6 +525,45 @@ class TestBuildImageStream:
             for n in range(2 * stages):
                 assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        members=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.integers(0, 48),
+        unstable=st.integers(0, 4),
+    )
+    @example(members=4, seed=3, slack=0, unstable=4)
+    @example(members=4, seed=4, slack=0, unstable=4)
+    def test_locality_matches_an_index_when_images_are_not_translates(
+        self, members, seed, slack, unstable
+    ):
+        # x + y rounded up to even: the parity of the stage decides the
+        # image's shape, so each member's images fall under several bases,
+        # each a run of single shifts, and a member's image sizes vary
+        fn = AdditionLike("even-sum", lambda x, y: x + y + (x + y) % 2, lambda x, n: n, 2)
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(members))
+        stages = 4 * (sizes[-1] + 16) + 18 + slack
+        fam = gen_family(
+            seed, members, stages, "sigma2", sizes,
+            unstable_members=(unstable,) if unstable < members else (),
+        )
+        stream = build_image_stream(fam, fn, M)
+        bases_of = {}
+        for j, (i, _) in enumerate(stream.provenance):
+            bases_of.setdefault(i, set()).add(stream.base_ids[j])
+        assert sorted(bases_of) == list(range(members))
+        assert min(map(len, bases_of.values())) >= 2
+        index = {}
+        for j, dom in enumerate(stream.items):
+            for n in dom:
+                index.setdefault((len(dom), n), []).append(j)
+        top = max(map(len, stream.items))
+        for m in range(M - 1, top + 2):
+            for n in range(2 * stages):
+                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
+        assert validate_sparsity(stream, 2 * stages).ok
+
     def test_oracle_keeps_its_stage_bound(self):
         # a growth witness that lies: its stage bound for point n is n + 1,
         # yet absdiff images from later stages still hold n, so an oracle
@@ -559,12 +598,39 @@ class TestBuildImageStream:
                 assert (j in stream.locality(len(dom), n)) == kept, (j, n)
         assert dropped > 0
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_oracle_cuts_runs_whose_stages_fall(self, seed):
+        # x + (y ^ 31) reverses each block of 32 stages, so a member's
+        # consecutive shifts of one base come from falling stages; with a
+        # growth witness of n, the oracle must drop exactly the holders of
+        # n emitted after stage n.  The pair is one-to-one in y, so each
+        # member's items have a size of their own and one emitting stage
+        fn = AdditionLike("sum-reversed", lambda x, y: x + (y ^ 31), lambda x, n: n, 1)
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        fam = gen_family(seed, 3, 512, "sigma2", tuple(M + i + 6 for i in range(3)))
+        stream = build_image_stream(fam, fn, M)
+        stage = {
+            (stream.base_ids[j], stream.shifts[j]): s for j, (_, s) in enumerate(stream.provenance)
+        }
+        assert any(stage.get((b, u + 1), s) < s for (b, u), s in stage.items())
+        index = {}
+        for j, dom in enumerate(stream.items):
+            for n in dom:
+                index.setdefault((len(dom), n), []).append(j)
+        dropped = 0
+        for (m, n), holders in index.items():
+            kept = tuple(j for j in holders if stream.provenance[j][1] <= n)
+            dropped += len(holders) - len(kept)
+            assert stream.locality(m, n) == kept, (m, n)
+        assert dropped > 0
+
     def test_stream_holds_each_item_once(self):
         # the image-absdiff bench config: holding each item once as a tuple
         # of positions, the build kept 6.0 MB and peaked at 7.2 MB; a
         # second copy of every item in the oracle would hold about 29 MB.
-        # As 24 bases and a shift per item it keeps 2.3 MB (the oracle's
-        # index and the provenance) and peaks at 4.1 MB
+        # As 24 bases and a shift per item, with the oracle's runs of
+        # shifts holding an id and a stage per item, it keeps 1.4 MB and
+        # peaks at 3.3 MB
         fn = builtin_addition_like("absdiff")
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         sizes = tuple(fn.mult_bound * (M + i) + 8 for i in range(24))
@@ -576,8 +642,8 @@ class TestBuildImageStream:
         finally:
             tracemalloc.stop()
         assert (len(stream), len(stream.bases)) == (7284, 24)
-        assert held < 3_500_000
-        assert peak < 5_500_000
+        assert held < 2_000_000
+        assert peak < 4_500_000
 
     def test_m_validated(self):
         fn = builtin_addition_like("absdiff")

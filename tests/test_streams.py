@@ -443,6 +443,32 @@ class TestValidateSparsity:
             rep = validate_sparsity(stream, 1024)
             assert rep.cross_check in ("full", "sampled") and rep.cells_checked > 0
 
+    @pytest.mark.parametrize("kind", ["translate", "absdiff"])
+    def test_sampled_cross_check_asks_the_builders_oracles(self, monkeypatch, kind):
+        # with the full-check threshold below a small stream's nonzero
+        # cells, the builder's own oracle answers the sampled cells, and
+        # the counts and verdicts are the full sweep's
+        from lllcolor.hindman import (
+            build_image_stream,
+            build_translate_stream,
+            builtin_addition_like,
+            gen_family,
+        )
+
+        if kind == "translate":
+            stream = build_translate_stream(gen_family(2, 3, 128, "ce", (10, 11, 12)), 4)
+        else:
+            sigma2 = gen_family(3, 3, 512, "sigma2", tuple(2 * (19 + i) + 6 for i in range(3)))
+            stream = build_image_stream(sigma2, builtin_addition_like(kind), 19)
+        full = validate_sparsity(stream, 1024)
+        assert full.cross_check == "full"
+        monkeypatch.setattr(streams, "_FULL_CHECK_CELLS", 10)
+        sampled = validate_sparsity(stream, 1024)
+        assert sampled.cross_check == "sampled"
+        assert 0 < sampled.cells_checked < full.cells_checked
+        for key in ("counts", "violations", "near", "items_in_window", "max_size_seen"):
+            assert getattr(sampled, key) == getattr(full, key), key
+
 
 class TestGenSetsStream:
     def test_deterministic(self):
