@@ -38,7 +38,7 @@ from .errors import (
     RecordReader,
     StreamIntegrityError,
 )
-from .rng import u64
+from .rng import u64, u64_from
 from .streams import ConstraintStream
 
 MODE_CE = "ce"
@@ -316,6 +316,9 @@ def build_image_stream(
 
     Each item is stored once, as the id of its base (the image minus its
     least value, held once in a table) and its least value as the shift.
+    An image whose values, in selection order, are the member's last
+    emitted image's moved by one constant has that image's base, so only
+    images of a new shape are sorted and looked up in the table.
     The oracle keeps, per image size, member and base, the shifts the
     member emitted with that base, each with its item id and the least
     stage that emitted it, cut into maximal runs ``[a, z]`` of consecutive
@@ -328,7 +331,9 @@ def build_image_stream(
     stages.  ``growth`` is an arbitrary callable, so nothing about it is
     cached or assumed monotone; a query scans its values and stops at the
     first that reaches the latest stage of the member's holders of n, as
-    then none can be dropped.
+    then none can be dropped.  Only an item that two members emit can be
+    found twice, so a query dedupes its holders only when two or more
+    members hold the size.
     """
     if family.mode != MODE_SIGMA2:
         raise InvalidInputError("image streams require a sigma2-mode family")
@@ -359,14 +364,22 @@ def build_image_stream(
         # running_max[s]: the largest image value over stages up to s
         running_max: list[int | None] = []
         run: int | None = None
+        # the last emitted image's values, least value and base key
+        last: list[int] = []
+        last_lo = last_k = 0
         for s, (selection, s0) in enumerate(timeline):
             if selection:
                 values = list(map(fn.pair, selection, repeat(s)))
                 lo = min(values)
                 prior = running_max[s0 - 1] if s0 > 0 else None
                 if lo > s0 and (prior is None or lo > prior):
-                    base = tuple(map(lo.__rsub__, sorted(set(values))))
-                    emitted.append((i + s, s, i, key.setdefault(base, len(key)), lo))
+                    # values equal to the last image's moved by a constant
+                    # have its base
+                    if values != list(map((lo - last_lo).__add__, last)):
+                        base = tuple(map(lo.__rsub__, sorted(set(values))))
+                        last_k = key.setdefault(base, len(key))
+                    last, last_lo = values, lo
+                    emitted.append((i + s, s, i, last_k, lo))
                 peak = max(values)
                 run = peak if run is None else max(run, peak)
             running_max.append(run)
@@ -422,7 +435,8 @@ def build_image_stream(
 
     def locality(m: int, n: int) -> tuple[int, ...]:
         found: list[int] = []
-        for i, member in runs.get(m, {}).items():
+        members = runs.get(m, {})
+        for i, member in members.items():
             # (n - a, first, end, base, ids, stages) for each of member i's
             # runs that holds n: x in base[first:end] holds n at t = n - a - x
             held = []
@@ -457,6 +471,8 @@ def build_image_stream(
             for na, first, end, base, ids, _ in held:
                 found += map(ids.__getitem__, map(na.__sub__, base[first:end]))
         # one member's holders are distinct; two members may emit one item
+        if len(members) == 1:
+            return tuple(sorted(found))
         return tuple(sorted(set(found)))
 
     return ConstraintStream.from_bases(
@@ -553,6 +569,11 @@ def gen_family(
     churn cutoff (a quarter of the stage range, or ``target + 20`` if that
     is larger) for stable members, so their candidate sets settle early in
     the stage range.
+
+    Every draw hashes a key ``(seed, tag, i, ...)``; the fixed prefix of a
+    member's keys, and of an element's toggle keys, is folded once and each
+    draw finished from it with ``u64_from``, which gives the words of the
+    whole keys.
     """
     if count < 1 or stage_count < 1:
         raise InvalidParameterError("count and stage_count must be at least 1")
@@ -571,8 +592,9 @@ def gen_family(
         values: list[int] = []
         seen: set[int] = set()
         t = 0
+        key11 = u64(seed, 11, i)
         while len(values) < need + (0 if mode == MODE_CE else min(6, max(2, need // 8))):
-            v = u64(seed, 11, i, t) % span
+            v = u64_from(key11, t) % span
             t += 1
             if v not in seen:
                 seen.add(v)
@@ -602,17 +624,19 @@ def gen_family(
                     f"churn; raise it to at least {4 * span + 18}"
                 )
             core = values[:need]
+            key13, key17, key19 = u64(seed, 13, i), u64(seed, 17, i), u64(seed, 19, i)
             for jx, v in enumerate(values):
-                entry = v + 1 + u64(seed, 13, i, jx) % (cutoff - 1 - v)
-                flips = u64(seed, 17, i, jx) % (max_mind_changes + 1)
+                entry = v + 1 + u64_from(key13, jx) % (cutoff - 1 - v)
+                flips = u64_from(key17, jx) % (max_mind_changes + 1)
                 flips = min(flips, max(0, cutoff - entry - 1))
                 if jx < need and flips % 2 == 1:
                     # core elements must end (and stay) present
                     flips -= 1
                 toggle(entry, v)
                 prev = entry
+                key19jx = u64_from(key19, jx)
                 for fx in range(flips):
-                    gap = 1 + u64(seed, 19, i, jx, fx) % max(1, (cutoff - prev - 1) // max(1, flips - fx))
+                    gap = 1 + u64_from(key19jx, fx) % max(1, (cutoff - prev - 1) // max(1, flips - fx))
                     stage = prev + gap
                     if stage >= cutoff:
                         break

@@ -4,6 +4,10 @@ Every random draw in this package comes from :func:`u64` keyed by an
 explicit tuple such as ``(seed, variable, counter)``.  Resampling one
 variable therefore never perturbs the sample stream of any other key,
 which is what makes solver runs exactly replayable.
+
+A key is folded one part at a time, so a caller that draws many keys
+sharing a prefix can fold the prefix once with :func:`u64` and finish
+each key with :func:`u64_from`; the words are the same.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -18,12 +22,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def u64(*parts: int) -> int:
-    """Hash a tuple of nonnegative ints to one uniform 64-bit word."""
-    acc = _INIT
+def u64_from(acc: int, *parts: int) -> int:
+    """Continue the fold of :func:`u64` from ``acc``, the word it returned
+    for a key prefix: ``u64_from(u64(*prefix), *rest) == u64(*prefix, *rest)``."""
     for p in parts:
         acc = mix64(acc ^ mix64(p & _MASK64))
     return acc
+
+
+def u64(*parts: int) -> int:
+    """Hash a tuple of nonnegative ints to one uniform 64-bit word."""
+    return u64_from(_INIT, *parts)
 
 
 def derive_seed(seed: int, tag: int) -> int:

@@ -4,6 +4,7 @@ re-verification path."""
 import hashlib
 import io
 import json
+import shutil
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -191,13 +192,20 @@ class TestRun:
 
 
 class TestVerify:
-    @pytest.fixture()
-    def artifacts(self, tmp_path):
-        out = tmp_path / "run"
+    @pytest.fixture(scope="class")
+    def run_once(self, tmp_path_factory):
+        # the slowest run of tier-1 (seed 5 at the default M resamples for
+        # seconds in its first phase), so the class shares one
+        out = tmp_path_factory.mktemp("verify") / "run"
         rc = run_cli("run", "--mode", "comp", "--f", "sum", "--seed", "5",
                      "--horizon", "2048", "--members", "10", "--out", out)
         assert rc == 0
         return out
+
+    @pytest.fixture()
+    def artifacts(self, run_once, tmp_path):
+        # a copy per test: some tests edit the stream or the coloring
+        return shutil.copytree(run_once, tmp_path / "run")
 
     def test_fresh_artifacts_verify(self, artifacts):
         assert run_cli("verify", "--coloring", artifacts / "coloring.txt",

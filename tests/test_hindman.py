@@ -658,6 +658,37 @@ class TestBuildImageStream:
         with pytest.raises(InvalidInputError):
             build_image_stream(fam, fn, 16)
 
+    def test_item_two_members_emit_is_listed_once(self):
+        # x + y rounded up to even sends 1 where 0 or 2 goes and 3 where 2
+        # or 4 goes, so member 1, selecting member 0's elements plus 1 and
+        # 3, has member 0's image at every stage: two members hold size m
+        # and emit the same items, which the stream and the oracle must
+        # each hold once
+        fn = AdditionLike("even-sum", lambda x, y: x + y + (x + y) % 2, lambda x, n: n, 2)
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        first = frozenset(range(0, 4 * M, 2))
+        stages = 8 * M
+        fam = StagedFamily("sigma2", 2, stages, (
+            ((4 * M, first),),
+            ((4 * M, first | {1, 3}),),
+        ))
+        stream = build_image_stream(fam, fn, M)
+        assert {i for i, _ in stream.provenance} == {0}
+        assert len(set(stream.items)) == len(stream)
+        index = {}
+        for j, dom in enumerate(stream.items):
+            for n in dom:
+                index.setdefault((len(dom), n), []).append(j)
+        assert {m for m, _ in index} == {2 * M}
+        shared = 0
+        for m in range(M - 1, 2 * M + 2):
+            for n in range(2 * stages):
+                got = stream.locality(m, n)
+                assert got == tuple(index.get((m, n), ())), (m, n)
+                shared += len(got) > 0
+        assert shared > 0
+        assert validate_sparsity(stream, 2 * stages).ok
+
 
 @st.composite
 def built_stream(draw):
@@ -693,7 +724,40 @@ class TestBaseForm:
     @settings(max_examples=30, deadline=None)
     @given(built=built_stream())
     def test_domains_match_the_family(self, built):
-        kind, fn, M, fam, stream = built
+        self.check_domains(*built)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        fn=st.sampled_from([
+            # x + y rounded up to even: an image's shape follows the
+            # stage's parity, so consecutive images differ in shape
+            AdditionLike("even-sum", lambda x, y: x + y + (x + y) % 2, lambda x, n: n, 2),
+            # x + (y ^ 31): an image is the selection moved by s ^ 31,
+            # which falls by one within a block of 32 stages and jumps
+            # between blocks
+            AdditionLike("sum-reversed", lambda x, y: x + (y ^ 31), lambda x, n: n, 1),
+        ]),
+        members=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        slack=st.integers(0, 40),
+        unstable=st.booleans(),
+    )
+    def test_domains_match_the_family_when_images_are_not_translates(
+        self, fn, members, seed, slack, unstable
+    ):
+        # the builder gives an image the last emitted image's base when it
+        # is that image moved by a constant; no reuse may merge two shapes
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(members))
+        stages = 4 * (sizes[-1] + 16) + 18 + slack
+        fam = gen_family(
+            seed, members, stages, "sigma2", sizes,
+            unstable_members=(members - 1,) if unstable else (),
+        )
+        self.check_domains(fn.name, fn, M, fam, build_image_stream(fam, fn, M))
+
+    @staticmethod
+    def check_domains(kind, fn, M, fam, stream):
         b = 1 if kind == "translate" else fn.mult_bound
         timelines = [_selection_timeline(fam, i, b * (M + i)) for i in range(fam.count)]
         doms = []
