@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from itertools import chain
+from typing import Iterable
 
 from .errors import (
     ConstructionFailureError,
@@ -54,13 +56,16 @@ def committed_length(M: int, horizon: int) -> int:
 
 
 def _open_sets(
-    stream: ConstraintStream, committed: bytearray, ids: list[int], phase: int
-) -> list[tuple[int, tuple[int, ...], int, int, int | None]]:
-    """``(id, base, shift, cut, head)`` of each set in ``ids`` the committed
-    bits leave single-colored: the set's domain is ``shift + x`` for x in
-    ``base``, and its first ``cut`` positions are committed and carry color
-    ``head``."""
-    sets = []
+    stream: ConstraintStream, committed: bytearray, ids: Iterable[int], phase: int
+) -> tuple[array, list[tuple[int, ...]], list[int], array, array]:
+    """The sets in ``ids`` the committed bits leave single-colored, as the
+    columns :func:`resample_sets` takes: their ids, each set's base and
+    shift (the stream's own objects), so that its domain is ``shift + x``
+    for x in ``base``, the count ``cut`` of its first positions that are
+    committed, and the color ``head`` they carry, -1 when ``cut`` is 0."""
+    # cuts and heads are small ints, which a list holds without an int
+    # object each and appends faster than an array
+    open_ids, set_bases, set_shifts, cuts, heads = array("q"), [], [], [], []
     pinned: dict[int, tuple[int, int]] = {}
     prefix = len(committed)
     bases, base_ids, shifts = stream.bases, stream.base_ids, stream.shifts
@@ -74,7 +79,7 @@ def _open_sets(
             raise ConstructionFailureError(
                 phase, (j,), "constraint violated on its committed positions"
             )
-        head = committed[shift] - _ZERO if cut else None
+        head = committed[shift] - _ZERO if cut else -1
         # one committed color and one uncommitted position pin that position
         if 0 < cut == len(base) - 1:
             last = shift + base[-1]
@@ -86,12 +91,16 @@ def _open_sets(
                     f"constraints pin position {last} to opposite bits",
                 )
             pinned[last] = (head, j)
-        sets.append((j, base, shift, cut, head))
+        open_ids.append(j)
+        set_bases.append(base)
+        set_shifts.append(shift)
+        cuts.append(cut)
+        heads.append(head)
     # no coloring meets a one-position set, which only M = 1 admits
-    lone = [j for j, base, *_ in sets if len(base) == 1] if stream.M == 1 else ()
+    lone = [j for j, base in zip(open_ids, set_bases) if len(base) == 1] if stream.M == 1 else ()
     if lone:
         raise ConstructionFailureError(phase, lone[:1], "constraint forbids its whole cube")
-    return sets
+    return open_ids, set_bases, set_shifts, array("q", cuts), array("b", heads)
 
 
 def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
@@ -123,22 +132,23 @@ def _run_phases(
     # set ids by last position: a phase's entering sets are the next run
     by_end = array("l", sorted(range(len(stream)), key=last))
     entered = 0
-    open_ids: list[int] = []
+    open_ids = array("q")
     while len(committed) < final:
         window = n0 << k
         target = n0 << (k - 1)
         entering = bisect_left(by_end, window, entered, key=last)
-        # the sets left open and the entering run, in id order; rebinding
-        # open_ids drops this list once _open_sets has read it
-        open_ids.extend(by_end[entered:entering])
-        open_ids.sort()
+        # the sets left open and the entering run, in id order: the sorted
+        # list of ids is dropped once the array is filled, before the phase
+        # builds its columns, and rebinding open_ids drops the array once
+        # _open_sets has read it
+        open_ids = array("q", sorted(chain(open_ids, by_end[entered:entering])))
         entered = entering
         sets = _open_sets(stream, committed, open_ids, k)
         committed += b"0" * (target - len(committed))
-        open_ids = [record[0] for record in sets]
-        budget = default_budget(len(sets)) * slack
+        open_ids = sets[0]
+        budget = default_budget(len(open_ids)) * slack
         try:
-            free = resample_sets(sets, derive_seed(seed, k), budget)
+            free = resample_sets(*sets, derive_seed(seed, k), budget)
         except NonConvergenceError as exc:
             raise ConstructionFailureError(
                 k,

@@ -25,6 +25,7 @@ pigeonhole obstruction.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,7 +247,7 @@ def build_translate_stream(
     over the member's elements, so at most m translates of size m pass
     through any point.  Diagonal order emits a member's shifts in
     increasing s, so the oracle finds the id of shift s at
-    ``ids[i][s - defined]`` in that member's list of item ids.
+    ``ids[i][s - defined]`` in that member's array of item ids.
     """
     if family.mode != MODE_CE:
         raise InvalidInputError("translate streams require a ce-mode family")
@@ -269,9 +270,10 @@ def build_translate_stream(
     base_id: dict[int, int] = {}
     base_ids: list[int] = []
     shifts: list[int] = []
-    prov: list[tuple[int, int]] = []
+    # each item's member and stage: the stream's provenance columns
+    by, at = array("q"), array("q")
     # ids[i]: member i's item ids, in increasing shift
-    ids: list[list[int]] = [[] for _ in range(count)]
+    ids = [array("q") for _ in range(count)]
     # Bases of different members differ in size and the shifts of one base
     # are distinct, so every translate is new.
     for i, s in _diagonal_pairs(count, stages):
@@ -283,20 +285,24 @@ def build_translate_stream(
             base_id[i] = len(bases)
             bases.append(tuple(map(elements[0].__rsub__, elements)))
         ids[i].append(len(shifts))
-        prov.append((i, s))
         base_ids.append(base_id[i])
         shifts.append(s + elements[0])
+        by.append(i)
+        at.append(s)
 
     def locality(m: int, n: int) -> tuple[int, ...]:
         i = m - M
         if i < 0 or i >= count or base[i] is None:
             return ()
         elements, defined = base[i]
-        # the largest element gives the least shift, and so the least id
-        shifts = (n - x for x in reversed(elements))
-        return tuple(ids[i][s - defined] for s in shifts if defined <= s < stages)
+        member_ids = ids[i]
+        # x holds n when its shift n - x lies in [defined, stages), and that
+        # shift's id sits at n - defined - x; the largest x gives the least
+        # shift, and so the least id
+        lo, hi = n - stages, n - defined
+        return tuple(member_ids[hi - x] for x in reversed(elements) if lo < x <= hi)
 
-    return ConstraintStream.from_bases(M, q, bases, base_ids, shifts, tuple(prov), locality)
+    return ConstraintStream.from_bases(M, q, bases, base_ids, shifts, zip(by, at), locality)
 
 
 def build_image_stream(
@@ -390,7 +396,8 @@ def build_image_stream(
     base_id: dict[int, int] = {}
     base_ids: list[int] = []
     shifts: list[int] = []
-    prov: list[tuple[int, int]] = []
+    # each item's member and stage: the stream's provenance columns
+    by, at = array("q"), array("q")
     # seen[(k, shift)]: the id of the item with base key k and that shift
     seen: dict[tuple[int, int], int] = {}
     # shifts_of[(k, i)][shift]: the id of the item with base key k and that
@@ -408,7 +415,8 @@ def build_image_stream(
         if j == len(shifts):
             base_ids.append(base_id.setdefault(k, len(base_id)))
             shifts.append(shift)
-            prov.append((i, s))
+            by.append(i)
+            at.append(s)
         # a member's stages come in increasing order, so the first is least
         shifts_of.setdefault((k, i), {}).setdefault(shift, (j, s))
 
@@ -476,7 +484,7 @@ def build_image_stream(
         return tuple(sorted(set(found)))
 
     return ConstraintStream.from_bases(
-        M, q, [bases[k] for k in base_id], base_ids, shifts, tuple(prov), locality
+        M, q, [bases[k] for k in base_id], base_ids, shifts, zip(by, at), locality
     )
 
 

@@ -19,6 +19,7 @@ import heapq
 import json
 import math
 import operator
+from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,30 +365,37 @@ def solve_moser_tardos(
 
 
 def resample_sets(
-    sets: Sequence[tuple[int, tuple[int, ...], int, int, int | None]], seed: int, budget: int
+    ids: Sequence[int],
+    bases: Sequence[tuple[int, ...]],
+    shifts: Sequence[int],
+    cuts: Sequence[int],
+    heads: Sequence[int],
+    seed: int,
+    budget: int,
 ) -> dict[int, int]:
     """Resample fair bits until every set carries both colors.
 
-    ``sets`` lists ``(id, base, shift, cut, head)`` in increasing id order:
-    the set's domain is ``shift + x`` for each x in the sorted ``base``, its
-    first ``cut`` positions are committed and carry the one color ``head``
-    (None when ``cut`` is 0), and the rest are free.  Each
-    free position ``n`` draws ``u64(seed, n, counter) >> 63``, with its own
-    counter.  Order, budget and ``NonConvergenceError`` are those of
-    :func:`solve_moser_tardos`, which draws the same free bits when each
-    committed position is a variable fixed to its bit.  Returns the bit of
-    every free position.
+    The sets come as columns, in increasing id order: set i has id
+    ``ids[i]``, its domain is ``shifts[i] + x`` for each x in the sorted
+    ``bases[i]``, its first ``cuts[i]`` positions are committed and carry
+    the one color ``heads[i]`` (-1 when the cut is 0), and the rest are
+    free.  Sets that share a base should share one base object, which
+    gets one mask.  Each free position ``n`` draws
+    ``u64(seed, n, counter) >> 63``, with its own counter.  Order, budget
+    and ``NonConvergenceError`` are those of :func:`solve_moser_tardos`,
+    which draws the same free bits when each committed position is a
+    variable fixed to its bit.  Returns the bit of every free position.
     """
     # the free positions as the bits of one int: a set's tail is its base's
     # mask cut below the first free offset and moved by the shift, and
-    # masks[base] is made once per distinct base
-    masks: dict[tuple[int, ...], int] = {}
+    # masks[id(base)] is made once per base object
+    masks: dict[int, int] = {}
     free = 0
-    for _, base, shift, cut, _ in sets:
-        mask = masks.get(base)
-        if mask is None:
-            mask = masks[base] = sum(1 << x for x in base)
+    for base, shift, cut in zip(bases, shifts, cuts):
         if cut < len(base):
+            mask = masks.get(id(base))
+            if mask is None:
+                mask = masks[id(base)] = sum(1 << x for x in base)
             free |= mask >> base[cut] << (shift + base[cut])
     digits = bin(free)[:1:-1]
     bit = {n: u64(seed, n, 0) >> 63 for n in compress(range(len(digits)), map("1".__eq__, digits))}
@@ -395,27 +403,38 @@ def resample_sets(
     # watch[2i + c] is the offset in set i's base of a free position of
     # color c: -1 while the set needs c and has none (it is violated), -2
     # when its head carries c.
-    # watchers[n] lists the slots watching n, to move on when n flips; none
-    # of this changes the resampling order.
-    watch = [-2 if record[4] == c else -1 for record in sets for c in (0, 1)]
-    watchers: defaultdict[int, list[int]] = defaultdict(list)
+    # The slots watching a position n form a list linked through
+    # watching[n], its first slot, and after[slot], the next one (-1 ends
+    # it), to move on when n flips.  The least violated set is always
+    # resampled next, so no order of the slots changes the resampling order.
+    # watch holds offsets read from the bases, -1 or -2, so a list of them
+    # makes no int object; a list of slot numbers would make one per slot,
+    # so after is an array
+    watch = [-1] * (2 * len(ids))
+    for i, head in enumerate(heads):
+        if head >= 0:
+            watch[2 * i + head] = -2
+    watching: dict[int, int] = {}
+    after = array("q", [-1]) * len(watch)
 
     def settle(i: int) -> bool:
         # watch a free position of each color set i lacks a watch for
-        _, base, shift, cut, _ = sets[i]
         for slot in (2 * i, 2 * i + 1):
             if watch[slot] == -1:
-                for x in base[cut:]:
+                shift = shifts[i]
+                # a tail from cut 0 is the base itself, not a copy
+                for x in bases[i][cuts[i] :]:
                     n = shift + x
                     if bit[n] == slot & 1:
                         watch[slot] = x
-                        watchers[n].append(slot)
+                        after[slot] = watching.get(n, -1)
+                        watching[n] = slot
                         break
                 else:
                     return False
         return True
 
-    heap = [i for i in range(len(sets)) if not settle(i)]
+    heap = [i for i in range(len(ids)) if not settle(i)]
     resamplings = 0
     trace: deque[int] = deque(maxlen=64)
     while heap:
@@ -423,21 +442,25 @@ def resample_sets(
         if settle(i):
             continue
         if resamplings >= budget:
-            stuck = [s[0] for j, s in enumerate(sets) if not settle(j)]
+            stuck = [ids[j] for j in range(len(ids)) if not settle(j)]
             raise NonConvergenceError(resamplings, list(trace), stuck)
         resamplings += 1
-        sid, base, shift, cut, _ = sets[i]
-        trace.append(sid)
-        for x in base[cut:]:
+        trace.append(ids[i])
+        shift = shifts[i]
+        for x in bases[i][cuts[i] :]:
             n = shift + x
             count[n] += 1
             new = u64(seed, n, count[n]) >> 63
             if new != bit[n]:
                 bit[n] = new
-                for slot in watchers.pop(n, ()):
+                slot = watching.pop(n, -1)
+                while slot >= 0:
+                    # settle may link this slot to another position
+                    next_slot = after[slot]
                     watch[slot] = -1
                     if not settle(slot >> 1):
                         heapq.heappush(heap, slot >> 1)
+                    slot = next_slot
         if not settle(i):
             heapq.heappush(heap, i)
     return bit

@@ -83,6 +83,12 @@ class ConstraintStream:
     :func:`write_manifest` writes out.  ``items`` derives every domain at
     once, for tests; no pipeline stage reads it.
 
+    ``provenance``, when given, yields one ``(member, stage)`` pair of
+    nonnegative ints per item; the builders hand over their two columns
+    zipped.  Either door copies the pairs into two ``array("q")`` columns,
+    ``emitted_by`` and ``emitted_at``, and refuses any other entry with
+    its index.  The ``provenance`` property derives the pairs on each read.
+
     A set is met when its domain receives both colors, and
     :meth:`is_violated` is the one check of whether the bits on a head of
     the domain still carry a single color.
@@ -100,7 +106,8 @@ class ConstraintStream:
     bases: tuple[tuple[int, ...], ...]
     base_ids: tuple[int, ...]
     shifts: tuple[int, ...]
-    provenance: tuple | None = None
+    emitted_by: array | None = None
+    emitted_at: array | None = None
     locality_fn: Callable[[int, int], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
@@ -169,11 +176,15 @@ class ConstraintStream:
         shifts = tuple(map(position, shifts))
         if len(shifts) != len(base_ids):
             raise InvalidInputError("one shift per base id required")
-        if provenance is not None and len(provenance) != len(shifts):
-            raise InvalidInputError("provenance length must match item count")
+        emitted_by = emitted_at = None
+        if provenance is not None:
+            emitted_by, emitted_at = _provenance_columns(provenance)
+            if len(emitted_by) != len(shifts):
+                raise InvalidInputError("provenance length must match item count")
         self.M, self.q = M, q
         self.bases, self.base_ids, self.shifts = bases, base_ids, shifts
-        self.provenance, self.locality_fn = provenance, locality_fn
+        self.emitted_by, self.emitted_at = emitted_by, emitted_at
+        self.locality_fn = locality_fn
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -190,6 +201,14 @@ class ConstraintStream:
     def items(self) -> tuple[tuple[int, ...], ...]:
         """Every item's domain, derived anew on each read."""
         return tuple(map(self.dom, range(len(self))))
+
+    @property
+    def provenance(self) -> tuple[tuple[int, int], ...] | None:
+        """Every item's ``(member, stage)`` pair, derived anew on each read,
+        or None for a stream without provenance."""
+        if self.emitted_by is None:
+            return None
+        return tuple(zip(self.emitted_by, self.emitted_at))
 
     def locality(self, m: int, n: int) -> tuple[int, ...]:
         if self.locality_fn is None:
@@ -209,6 +228,24 @@ class ConstraintStream:
             # hashed block by block; the text is kept nowhere
             write_manifest(self, len)
         return self._fp
+
+
+def _provenance_columns(provenance) -> tuple[array, array]:
+    """Each item's member and stage, read pair by pair from ``provenance``
+    into two ``array("q")`` columns.  A pair the manifest could not write
+    as a ``# by`` line the parser reads back is refused with its index."""
+    members, stages = array("q"), array("q")
+    for j, pair in enumerate(provenance):
+        if not (
+            type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
+            and 0 <= pair[0] < 2**63 and 0 <= pair[1] < 2**63
+        ):
+            raise InvalidInputError(
+                f"item {j}: provenance {pair!r} is not a pair of nonnegative ints"
+            )
+        members.append(pair[0])
+        stages.append(pair[1])
+    return members, stages
 
 
 def _checked_q(M: int, q) -> Fraction:
@@ -629,7 +666,7 @@ def parse_coloring(text: str) -> Coloring:
 def _manifest_lines(stream: ConstraintStream):
     """Each line of the manifest text, with its line break."""
     yield f"stream sets M {stream.M} q {frac_str(stream.q)}\n"
-    prov = stream.provenance
+    emitted_by, emitted_at = stream.emitted_by, stream.emitted_at
     bases, base_ids, shifts = stream.bases, stream.base_ids, stream.shifts
     sizes = list(map(len, bases))
     spans = [base[-1] + 1 for base in bases]
@@ -643,9 +680,8 @@ def _manifest_lines(stream: ConstraintStream):
     listed = sum(map(sizes.__getitem__, base_ids))
     texts = list(map(str, range(min(max(ends, default=0), listed))))
     for j, (b, shift) in enumerate(zip(base_ids, shifts)):
-        if prov is not None:
-            i, s = prov[j]
-            yield f"# by {i} at {s}\n"
+        if emitted_by is not None:
+            yield f"# by {emitted_by[j]} at {emitted_at[j]}\n"
         end = shift + spans[b]
         if end <= len(texts) and gathers[b] is not None:
             words = gathers[b](texts[shift:end])

@@ -116,11 +116,12 @@ def audit_solution(
         mode, bound_rule = "main", f"{b}*(M+i)"
     if stream.fingerprint() != coloring.stream_fingerprint:
         raise WrongStreamError("coloring was produced against a different stream")
-    if stream.provenance is None:
+    emitted_at = stream.emitted_at
+    if emitted_at is None:
         raise WrongStreamError("audited stream lacks emission provenance")
 
     by_member: dict[int, list[int]] = {}
-    for j, (i, _s) in enumerate(stream.provenance):
+    for j, i in enumerate(stream.emitted_by):
         by_member.setdefault(i, []).append(j)
 
     verdicts: list[MemberVerdict] = []
@@ -139,7 +140,7 @@ def audit_solution(
         violations: list[tuple[int, tuple[int, ...]]] = []
         first_emission = None
         for j in by_member.get(i, ()):
-            stage = stream.provenance[j][1]
+            stage = emitted_at[j]
             if stage < active_from:
                 continue
             base, shift = stream.base_shift(j)

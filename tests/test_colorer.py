@@ -276,9 +276,9 @@ class TestResume:
         col = color_prefix(stream, 256, 8)
         seeds = []
 
-        def spy(sets, seed, budget):
+        def spy(ids, bases, shifts, cuts, heads, seed, budget):
             seeds.append(seed)
-            return resample_sets(sets, seed, budget)
+            return resample_sets(ids, bases, shifts, cuts, heads, seed, budget)
 
         monkeypatch.setattr(colorer, "resample_sets", spy)
         out = extend_coloring(col, stream, 1024)
@@ -403,3 +403,32 @@ def test_color_prefix_peak_memory():
     assert len(stream) == 4177
     assert scan_sets(stream, col) == []
     assert peak < 1_400_000
+
+
+def test_translate_build_and_color_prefix_hold_flat_tables():
+    # test_color_prefix_peak_memory's config.  The build held 0.41-0.43 MB
+    # under tracemalloc on Python 3.10-3.13 with its provenance as pairs and
+    # its oracle's id lists as lists; as array columns it holds 0.21-0.22 MB.
+    # color_prefix peaked at 0.76-0.79 MB with (id, base, shift, cut, head)
+    # records and a list of watch slots per position; with columns and
+    # array-linked watch lists it peaks at 0.28-0.29 MB
+    M, members = 8, 50
+    sizes = tuple(M + i + 8 for i in range(members))
+    fam = gen_family(derive_seed(7, 1), members, 128, "ce", sizes)
+    tracemalloc.start()
+    try:
+        stream = build_translate_stream(fam, M, F(1, 2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stream.fingerprint()
+    tracemalloc.start()
+    try:
+        col = color_prefix(stream, 4096, derive_seed(7, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == 4177
+    assert scan_sets(stream, col) == []
+    assert held < 300_000
+    assert peak < 450_000

@@ -3,6 +3,7 @@ deterministic resampler, checked against independent brute-force oracles."""
 
 import itertools
 import math
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -451,8 +452,9 @@ class TestSolver:
 def phase_instance(draw):
     """A colorer-shaped phase: committed bits below a prefix, and sets in
     increasing id order whose committed head carries one color.  Each keeps
-    a free position, and a set without a head keeps two.  Each record holds
-    its domain as its base, with shift 0."""
+    a free position, and a set without a head keeps two.  Each record,
+    ``(id, base, shift, cut, head)``, holds its domain as its base, with
+    shift 0."""
     prefix = draw(st.integers(0, 6))
     committed = draw(st.lists(st.integers(0, 1), min_size=prefix, max_size=prefix))
     window = prefix + draw(st.integers(2, 8))
@@ -478,6 +480,14 @@ def as_events(committed, sets):
         for n in used
     ]
     return events, variables
+
+
+def as_columns(sets):
+    """The records of a phase as the columns ``resample_sets`` takes, with
+    -1 for no head."""
+    ids, bases, shifts, cuts, heads = zip(*sets) if sets else ((),) * 5
+    heads = [-1 if head is None else head for head in heads]
+    return array("q", ids), list(bases), list(shifts), array("q", cuts), array("b", heads)
 
 
 def resampled(solve):
@@ -506,7 +516,7 @@ class TestResampleSets:
         committed, sets = phase
         events, variables = as_events(committed, sets)
         budget = budget or default_budget(len(sets))
-        core = resampled(lambda: resample_sets(sets, seed, budget))
+        core = resampled(lambda: resample_sets(*as_columns(sets), seed, budget))
         door = resampled(lambda: {
             n: v for n, v in solve_moser_tardos(events, variables, seed, budget).values.items()
             if n >= len(committed)
@@ -521,15 +531,15 @@ class TestResampleSets:
         _, sets = phase
         moved = [(j, tuple(n - dom[0] for n in dom), dom[0], cut, head)
                  for j, dom, _, cut, head in sets]
-        assert resampled(lambda: resample_sets(moved, seed, budget)) == resampled(
-            lambda: resample_sets(sets, seed, budget))
+        assert resampled(lambda: resample_sets(*as_columns(moved), seed, budget)) == resampled(
+            lambda: resample_sets(*as_columns(sets), seed, budget))
 
     def test_exhaustion_matches_on_a_triangle(self):
         # no coloring gives three free 2-sets over three positions both colors
         sets = [(1, (0, 1), 0, 0, None), (4, (0, 2), 0, 0, None), (6, (1, 2), 0, 0, None)]
         events, variables = as_events([], sets)
         with pytest.raises(NonConvergenceError) as core:
-            resample_sets(sets, 3, 40)
+            resample_sets(*as_columns(sets), 3, 40)
         with pytest.raises(NonConvergenceError) as door:
             solve_moser_tardos(events, variables, 3, 40)
         assert core.value.resamplings == door.value.resamplings == 40
@@ -538,9 +548,31 @@ class TestResampleSets:
 
     def test_head_color_is_never_needed_again(self):
         # a head of 1s leaves only a 0 to find among the free positions
-        free = resample_sets([(0, (0, 1, 2, 3), 0, 2, 1)], 11, 100)
+        free = resample_sets(*as_columns([(0, (0, 1, 2, 3), 0, 2, 1)]), 11, 100)
         assert set(free) == {2, 3}
         assert 0 in free.values()
+
+    @pytest.mark.parametrize("size", [3, 8])
+    def test_one_flip_fires_every_set_watching_it(self, size):
+        # the sets {0, k} each watch position 0 for the color it draws
+        # first, since it leads their bases.  At a seed where some set
+        # starts violated and position 0's first resample flips it, the
+        # first resampling moves every one of those watches at once
+        sets = [(k, (0, k), 0, 0, None) for k in range(1, size + 1)]
+
+        def draw(n, counter, seed):
+            return u64(seed, n, counter) >> 63
+
+        seed = next(
+            seed for seed in range(1000)
+            if draw(0, 0, seed) != draw(0, 1, seed)
+            and any(draw(k, 0, seed) == draw(0, 0, seed) for k in range(1, size + 1))
+        )
+        events, variables = as_events([], sets)
+        budget = default_budget(size)
+        free = resample_sets(*as_columns(sets), seed, budget)
+        assert free == dict(solve_moser_tardos(events, variables, seed, budget).values)
+        assert all(free[0] != free[k] for k in range(1, size + 1))
 
 
 class TestVerifyAssignment:

@@ -2,7 +2,9 @@
 the text interchange formats (with the header rule every parser shares)."""
 
 import hashlib
+import re
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import chain
 
@@ -163,12 +165,56 @@ class TestConstraintStream:
         # bases in order of first use, each item a base id and its first position
         assert s.bases == ((0, 2, 6), (0, 3))
         assert (s.base_ids, s.shifts) == ((0, 1, 0), (3, 1, 7))
-        assert s.provenance is provenance
+        assert s.provenance == provenance
         assert s.items == items and all(s.dom(j) == items[j] for j in range(3))
         assert s.base_shift(2) == ((0, 2, 6), 7)
         # the builders' door makes the same stream from the same table
         built = ConstraintStream.from_bases(2, F(1, 2), s.bases, [0, 1, 0], [3, 1, 7], provenance)
         assert built == s and format_manifest(built) == format_manifest(s)
+
+    def test_provenance_is_copied_into_two_columns(self):
+        # a stream that kept the caller's list would change with it
+        provenance = [(0, 1), (2, 3)]
+        s = ConstraintStream(2, F(1, 2), ((0, 1), (2, 3)), provenance)
+        provenance.append((9, 9))
+        assert s.provenance == ((0, 1), (2, 3))
+        assert (s.emitted_by, s.emitted_at) == (array("q", [0, 2]), array("q", [1, 3]))
+        # the builders hand over their columns zipped, which are copied too
+        by, at = array("q", [0, 2]), array("q", [1, 3])
+        built = ConstraintStream.from_bases(2, F(1, 2), ((0, 1),), (0, 0), (0, 2), zip(by, at))
+        by[0] = 7
+        assert built == s and built.provenance == ((0, 1), (2, 3))
+        # a stream with provenance differs from one without it
+        assert ConstraintStream(2, F(1, 2), ((0, 1), (2, 3))) != s
+
+    @pytest.mark.parametrize("door", ["items", "bases"])
+    @pytest.mark.parametrize(
+        "entry",
+        [(5, -3), "ab", (True, 1), (1, 2.0), (1, 2, 3), (1,), None, [1, 2], (0, 2**63)],
+        ids=["negative", "str", "bool", "float", "triple", "single", "none", "list", "too-big"],
+    )
+    def test_provenance_entry_is_refused_by_index(self, door, entry):
+        # each of these would reach the manifest as a `# by` line the parser
+        # refuses, or as none at all
+        provenance = ((0, 1), entry, (2, 3))
+        items = ((0, 1), (1, 2), (2, 3))
+        message = f"^item 1: provenance {re.escape(repr(entry))} is not a pair of nonnegative ints$"
+        with pytest.raises(InvalidInputError, match=message):
+            if door == "items":
+                ConstraintStream(2, F(1, 2), items, provenance)
+            else:
+                ConstraintStream.from_bases(2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), provenance)
+
+    def test_zipped_columns_are_checked(self):
+        def build(by, at):
+            return ConstraintStream.from_bases(
+                2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), zip(array("q", by), array("q", at))
+            )
+
+        with pytest.raises(InvalidInputError, match=r"^item 2: provenance \(4, -1\) is not a pair"):
+            build([0, 1, 4], [0, 1, -1])
+        with pytest.raises(InvalidInputError, match="^provenance length must match item count$"):
+            build([0, 1], [0, 1])
 
     @pytest.mark.parametrize(
         "bases, base_ids, shifts, message",
@@ -621,6 +667,15 @@ class TestManifestFormat:
         # a parse that accepted any of these would format back to other text
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_manifest("stream sets M 2 q 1/2\n" + text)
+
+    @pytest.mark.parametrize("value", ["-3", str(2**63)])
+    def test_provenance_out_of_range_names_its_item(self, value):
+        # a provenance column holds nonnegative signed 8-byte ints
+        message = rf"^item 1: provenance \(5, {value}\) is not a pair of nonnegative ints$"
+        with pytest.raises(InvalidInputError, match=message):
+            parse_manifest(
+                f"stream sets M 2 q 1/2\n# by 0 at 0\nitem 0 2 0 1\n# by 5 at {value}\nitem 1 2 0 2\n"
+            )
 
     def test_provenance_before_the_header_names_its_line(self):
         with pytest.raises(ParseError, match="^line 1: provenance line before the stream header$"):
