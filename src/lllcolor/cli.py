@@ -171,6 +171,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{coloring.committed_len} bits, audited {audit.translates_checked} "
         f"translates, {audit.violations_total} violations"
     )
+    if audit.unchecked:
+        print(f"members with no audited set: {list(audit.unchecked)}", file=sys.stderr)
     return 0 if audit.ok else 1
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable
 
 from .errors import (
     ConstructionFailureError,
@@ -57,7 +57,7 @@ def committed_length(M: int, horizon: int) -> int:
 
 def _open_sets(
     stream: ConstraintStream, committed: bytearray, ids: Iterable[int], phase: int
-) -> tuple[array, list[tuple[int, ...]], list[int], array, array]:
+) -> tuple[array, list[tuple[int, ...]], list[int], list[int], list[int]]:
     """The sets in ``ids`` the committed bits leave single-colored, as the
     columns :func:`resample_sets` takes: their ids, each set's base and
     shift (the stream's own objects), so that its domain is ``shift + x``

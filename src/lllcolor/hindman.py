@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import pairwise, repeat
-from typing import Callable, Iterator, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -39,6 +38,7 @@ from .errors import (
     RecordReader,
     StreamIntegrityError,
 )
+from .records import FrozenRecord
 from .rng import u64, u64_from
 from .streams import ConstraintStream
 
@@ -46,8 +46,7 @@ MODE_CE = "ce"
 MODE_SIGMA2 = "sigma2"
 
 
-@dataclass(frozen=True)
-class AdditionLike:
+class AdditionLike(FrozenRecord):
     """A symmetric pair function with a growth witness and a uniform
     multiplicity bound.
 
@@ -56,10 +55,19 @@ class AdditionLike:
     share any one value ``pair(x, z)``.
     """
 
-    name: str
-    pair: Callable[[int, int], int]
-    growth: Callable[[int, int], int]
-    mult_bound: int
+    __slots__ = _fields = ("name", "pair", "growth", "mult_bound")
+
+    def __init__(
+        self,
+        name: str,
+        pair: Callable[[int, int], int],
+        growth: Callable[[int, int], int],
+        mult_bound: int,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "growth", growth)
+        object.__setattr__(self, "mult_bound", mult_bound)
 
 
 def builtin_addition_like(name: str) -> AdditionLike:
@@ -95,8 +103,7 @@ def _check_change(
         raise InvalidInputError(f"member {i}: ce families must grow monotonically")
 
 
-@dataclass(frozen=True)
-class StagedFamily:
+class StagedFamily(FrozenRecord):
     """Stagewise approximations of ``count`` enumerated sets.
 
     ``changes[i]`` lists (stage, full set) change points; between change
@@ -105,26 +112,32 @@ class StagedFamily:
     monotone growth.
     """
 
-    mode: str
-    count: int
-    stage_count: int
-    changes: tuple[tuple[tuple[int, frozenset[int]], ...], ...]
+    __slots__ = _fields = ("mode", "count", "stage_count", "changes")
 
-    def __post_init__(self):
-        if self.mode not in (MODE_CE, MODE_SIGMA2):
-            raise InvalidParameterError(f"unknown family mode {self.mode!r}")
-        if self.count != len(self.changes):
+    def __init__(
+        self,
+        mode: str,
+        count: int,
+        stage_count: int,
+        changes: tuple[tuple[tuple[int, frozenset[int]], ...], ...],
+    ):
+        if mode not in (MODE_CE, MODE_SIGMA2):
+            raise InvalidParameterError(f"unknown family mode {mode!r}")
+        if count != len(changes):
             raise InvalidInputError("one change list per member required")
-        if self.stage_count < 1:
+        if stage_count < 1:
             raise InvalidParameterError("stage_count must be at least 1")
         canon = []
-        for i, points in enumerate(self.changes):
+        for i, points in enumerate(changes):
             pts = tuple((int(s), frozenset(p)) for s, p in points)
             prev = None
             for point in pts:
-                _check_change(self.mode, self.stage_count, i, prev, point)
+                _check_change(mode, stage_count, i, prev, point)
                 prev = point
             canon.append(pts)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "stage_count", stage_count)
         object.__setattr__(self, "changes", tuple(canon))
 
     def member_at(self, i: int, s: int) -> frozenset[int]:
@@ -510,8 +523,7 @@ def baseline_coloring(a: int, b: int, announce_stage: int, horizon: int) -> str:
     return "".join(bits)
 
 
-@dataclass(frozen=True)
-class PigeonholeReport:
+class PigeonholeReport(FrozenRecord):
     """Exhaustive account of the two-member obstruction with candidate pairs
     {0,1} and {0,2}.
 
@@ -521,10 +533,21 @@ class PigeonholeReport:
     avoiding patterns, which are listed verbatim.
     """
 
-    max_s: int
-    forced_triple_holds: bool
-    forced_counterexamples: tuple[str, ...]
-    naive_counterexamples: tuple[str, ...]
+    __slots__ = _fields = (
+        "max_s", "forced_triple_holds", "forced_counterexamples", "naive_counterexamples"
+    )
+
+    def __init__(
+        self,
+        max_s: int,
+        forced_triple_holds: bool,
+        forced_counterexamples: tuple[str, ...],
+        naive_counterexamples: tuple[str, ...],
+    ):
+        object.__setattr__(self, "max_s", max_s)
+        object.__setattr__(self, "forced_triple_holds", forced_triple_holds)
+        object.__setattr__(self, "forced_counterexamples", forced_counterexamples)
+        object.__setattr__(self, "naive_counterexamples", naive_counterexamples)
 
     @property
     def some_member_recurs(self) -> bool:

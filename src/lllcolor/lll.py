@@ -21,11 +21,10 @@ import math
 import operator
 from array import array
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
-from typing import Mapping, Sequence
 
 from .errors import (
     InvalidInstanceError,
@@ -35,6 +34,7 @@ from .errors import (
     RecordReader,
     UnsatisfiableEventError,
 )
+from .records import FrozenRecord
 from .rng import u64
 
 
@@ -56,24 +56,23 @@ def _read_weights(weights: tuple, range_size: int) -> tuple[Fraction, ...]:
     return ws
 
 
-@dataclass(frozen=True)
-class VarSpec:
+class VarSpec(FrozenRecord):
     """A finitely-ranged variable: values ``0..range_size-1`` with exact
     rational weights summing to 1, given as anything ``Fraction`` reads."""
 
-    index: int
-    range_size: int
-    weights: tuple[Fraction, ...]
+    __slots__ = _fields = ("index", "range_size", "weights")
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise InvalidInstanceError(f"variable index must be nonnegative, got {self.index}")
-        if self.range_size < 1:
-            raise InvalidInstanceError(f"variable {self.index}: range_size must be >= 1")
+    def __init__(self, index: int, range_size: int, weights: tuple[Fraction, ...]):
+        if index < 0:
+            raise InvalidInstanceError(f"variable index must be nonnegative, got {index}")
+        if range_size < 1:
+            raise InvalidInstanceError(f"variable {index}: range_size must be >= 1")
         try:
-            ws = _read_weights(tuple(self.weights), self.range_size)
+            ws = _read_weights(tuple(weights), range_size)
         except InvalidInstanceError as exc:
-            raise InvalidInstanceError(f"variable {self.index}: {exc}") from None
+            raise InvalidInstanceError(f"variable {index}: {exc}") from None
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "range_size", range_size)
         object.__setattr__(self, "weights", ws)
 
 
@@ -82,62 +81,72 @@ def fair_bit(index: int) -> VarSpec:
     return VarSpec(index, 2, ("1/2", "1/2"))
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(FrozenRecord):
     """A bad event: forbidden value rows over a finite variable support.
 
     Rows are canonicalized (sorted, duplicate-free) and aligned with the
     sorted support ``vbl``.
     """
 
-    id: int
-    vbl: tuple[int, ...]
-    forbidden: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("id", "vbl", "forbidden")
 
-    def __post_init__(self):
-        vbl = tuple(self.vbl)
+    def __init__(self, id: int, vbl: tuple[int, ...], forbidden: tuple[tuple[int, ...], ...]):
+        vbl = tuple(vbl)
         if not vbl:
-            raise InvalidInstanceError(f"event {self.id}: support must be nonempty")
+            raise InvalidInstanceError(f"event {id}: support must be nonempty")
         if list(vbl) != sorted(set(vbl)):
-            raise InvalidInstanceError(f"event {self.id}: support must be sorted, duplicate-free")
+            raise InvalidInstanceError(f"event {id}: support must be sorted, duplicate-free")
         try:
-            rows = tuple(sorted({tuple(map(operator.index, row)) for row in self.forbidden}))
+            rows = tuple(sorted({tuple(map(operator.index, row)) for row in forbidden}))
         except TypeError:
-            raise InvalidInstanceError(f"event {self.id}: values must be integers") from None
+            raise InvalidInstanceError(f"event {id}: values must be integers") from None
         for row in rows:
             if len(row) != len(vbl):
                 raise InvalidInstanceError(
-                    f"event {self.id}: forbidden row arity {len(row)} != support size {len(vbl)}"
+                    f"event {id}: forbidden row arity {len(row)} != support size {len(vbl)}"
                 )
+        object.__setattr__(self, "id", id)
         object.__setattr__(self, "vbl", vbl)
         object.__setattr__(self, "forbidden", rows)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(FrozenRecord):
     """A concrete value for every variable in scope."""
 
-    values: Mapping[int, int]
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values: Mapping[int, int]):
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class LLLCertificate:
+class LLLCertificate(FrozenRecord):
     """Witness that every event satisfied its bound; margins are
     ``Pr[A_j] - bound_j`` (all nonpositive)."""
 
-    r: tuple[Fraction, ...]
-    q: Fraction
-    margins: tuple[Fraction, ...]
+    __slots__ = _fields = ("r", "q", "margins")
+
+    def __init__(self, r: tuple[Fraction, ...], q: Fraction, margins: tuple[Fraction, ...]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "margins", margins)
 
 
-@dataclass(frozen=True)
-class ConditionRefusal:
+class ConditionRefusal(FrozenRecord):
     """First event id whose probability exceeds its bound, with all margins."""
 
-    first_violation: int
-    r: tuple[Fraction, ...]
-    q: Fraction
-    margins: tuple[Fraction, ...]
+    __slots__ = _fields = ("first_violation", "r", "q", "margins")
+
+    def __init__(
+        self,
+        first_violation: int,
+        r: tuple[Fraction, ...],
+        q: Fraction,
+        margins: tuple[Fraction, ...],
+    ):
+        object.__setattr__(self, "first_violation", first_violation)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "margins", margins)
 
 
 def _add_var(table: dict[int, VarSpec], v: VarSpec) -> None:

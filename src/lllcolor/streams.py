@@ -17,11 +17,10 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import compress, groupby, islice
 from operator import itemgetter
-from typing import Callable, Iterable
 
 from .errors import (
     InvalidInputError,
@@ -31,6 +30,7 @@ from .errors import (
     StreamIntegrityError,
 )
 from .lll import frac_str
+from .records import FrozenRecord, Record
 from .rng import u64
 
 # validate_sparsity checks up to this many nonzero cells, else samples per size
@@ -61,8 +61,7 @@ class _Positions(dict):
         return value
 
 
-@dataclass(init=False)
-class ConstraintStream:
+class ConstraintStream(Record):
     """A finite, indexable family of finite sets with a locality oracle.
 
     Each item is a shift of a base.  ``bases`` holds each distinct base
@@ -99,19 +98,13 @@ class ConstraintStream:
     cross-checks against the enumeration; a stream without one (generated,
     parsed or built by hand) raises ``InvalidInputError`` instead of
     answering from its own items.
+
+    Two streams are equal when their fields other than the oracle and the
+    cached fingerprint ``_fp`` are; neither shows in the repr.
     """
 
-    M: int
-    q: Fraction
-    bases: tuple[tuple[int, ...], ...]
-    base_ids: tuple[int, ...]
-    shifts: tuple[int, ...]
-    emitted_by: array | None = None
-    emitted_at: array | None = None
-    locality_fn: Callable[[int, int], tuple[int, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
-    _fp: str | None = field(default=None, compare=False, repr=False)
+    _fields = ("M", "q", "bases", "base_ids", "shifts", "emitted_by", "emitted_at")
+    __slots__ = (*_fields, "locality_fn", "_fp")
 
     def __init__(self, M: int, q, items: tuple, provenance=None, locality_fn=None):
         q = _checked_q(M, q)
@@ -184,7 +177,7 @@ class ConstraintStream:
         self.M, self.q = M, q
         self.bases, self.base_ids, self.shifts = bases, base_ids, shifts
         self.emitted_by, self.emitted_at = emitted_by, emitted_at
-        self.locality_fn = locality_fn
+        self.locality_fn, self._fp = locality_fn, None
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -311,22 +304,33 @@ def point_bound(q: Fraction, m: int) -> int:
     return _int_nth_root(1 << (q.numerator * m), q.denominator)
 
 
-@dataclass
-class SparsityReport:
+class SparsityReport(Record):
     """Outcome of a sparsity sweep: exact per-point counts per size, the
     cells violating or approaching the bound, and how much of the locality
     oracle was cross-checked against the enumeration."""
 
-    window: int
-    M: int
-    q: Fraction
-    counts: dict[int, list[int]]
-    violations: tuple[tuple[int, int, int, int], ...]
-    near: tuple[tuple[int, int, int, int], ...]
-    cross_check: str
-    cells_checked: int
-    max_size_seen: int
-    items_in_window: int
+    __slots__ = _fields = (
+        "window", "M", "q", "counts", "violations", "near", "cross_check",
+        "cells_checked", "max_size_seen", "items_in_window",
+    )
+
+    def __init__(
+        self,
+        window: int,
+        M: int,
+        q: Fraction,
+        counts: dict[int, list[int]],
+        violations: tuple[tuple[int, int, int, int], ...],
+        near: tuple[tuple[int, int, int, int], ...],
+        cross_check: str,
+        cells_checked: int,
+        max_size_seen: int,
+        items_in_window: int,
+    ):
+        self.window, self.M, self.q, self.counts = window, M, q, counts
+        self.violations, self.near, self.cross_check = violations, near, cross_check
+        self.cells_checked, self.max_size_seen = cells_checked, max_size_seen
+        self.items_in_window = items_in_window
 
     @property
     def ok(self) -> bool:
@@ -565,23 +569,23 @@ def gen_sets_stream(
     return ConstraintStream(M, q, tuple(items))
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(FrozenRecord):
     """A committed prefix of an infinite 2-coloring.
 
     ``bits`` holds exactly the committed prefix; re-running the producer
     with a larger horizon reproduces these bits verbatim.
     """
 
-    bits: str
-    seed: int
-    stream_fingerprint: str
-    n0: int
-    phases: int
+    __slots__ = _fields = ("bits", "seed", "stream_fingerprint", "n0", "phases")
 
-    def __post_init__(self):
-        if self.bits.strip("01"):
+    def __init__(self, bits: str, seed: int, stream_fingerprint: str, n0: int, phases: int):
+        if bits.strip("01"):
             raise InvalidInputError("coloring bits must be 0/1 characters")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream_fingerprint", stream_fingerprint)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "phases", phases)
 
     @property
     def committed_len(self) -> int:

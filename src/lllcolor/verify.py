@@ -9,9 +9,8 @@ The probability sanity check is honest Monte Carlo.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .colorer import phase_base
 from .errors import InvalidParameterError, WrongStreamError
@@ -22,41 +21,79 @@ from .hindman import (
     _first_selected,
     _selection_timeline,
 )
+from .records import FrozenRecord
 from .rng import u64
 from .streams import Coloring, ConstraintStream, SparsityReport, write_blocks
 
 
-@dataclass(frozen=True)
-class MemberVerdict:
-    member: int
-    bound: int
-    stabilized: bool
-    vacuous: bool
-    elements: tuple[int, ...]
-    stable_since: int | None
-    first_emission: int | None
-    translates_checked: int
-    violations: tuple[tuple[int, tuple[int, ...]], ...]
+class MemberVerdict(FrozenRecord):
+    __slots__ = _fields = (
+        "member", "bound", "stabilized", "vacuous", "elements", "stable_since",
+        "first_emission", "translates_checked", "violations",
+    )
+
+    def __init__(
+        self,
+        member: int,
+        bound: int,
+        stabilized: bool,
+        vacuous: bool,
+        elements: tuple[int, ...],
+        stable_since: int | None,
+        first_emission: int | None,
+        translates_checked: int,
+        violations: tuple[tuple[int, tuple[int, ...]], ...],
+    ):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "stabilized", stabilized)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "stable_since", stable_since)
+        object.__setattr__(self, "first_emission", first_emission)
+        object.__setattr__(self, "translates_checked", translates_checked)
+        object.__setattr__(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(FrozenRecord):
     """Per-member verdicts tying a coloring back to the enumerated family it
     was built against: no audited translate may be single-colored, so no
     candidate set extends to a solution witnessed inside the audited
-    region."""
+    region.  The audit is ``ok`` only if, besides, every member that is not
+    vacuous had a set checked."""
 
-    mode: str
-    bound_rule: str
-    guard: int
-    horizon: int
-    members: tuple[MemberVerdict, ...]
-    translates_checked: int
-    violations_total: int
+    __slots__ = _fields = (
+        "mode", "bound_rule", "guard", "horizon", "members", "translates_checked",
+        "violations_total",
+    )
+
+    def __init__(
+        self,
+        mode: str,
+        bound_rule: str,
+        guard: int,
+        horizon: int,
+        members: tuple[MemberVerdict, ...],
+        translates_checked: int,
+        violations_total: int,
+    ):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "bound_rule", bound_rule)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "translates_checked", translates_checked)
+        object.__setattr__(self, "violations_total", violations_total)
+
+    @property
+    def unchecked(self) -> tuple[int, ...]:
+        """The members that are not vacuous but had no emitted set inside
+        the audited region: the audit shows nothing for them."""
+        return tuple(v.member for v in self.members if not v.vacuous and not v.translates_checked)
 
     @property
     def ok(self) -> bool:
-        return self.violations_total == 0
+        return self.violations_total == 0 and not self.unchecked
 
     def to_json(self) -> str:
         payload = {

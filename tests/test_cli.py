@@ -172,6 +172,22 @@ class TestRun:
         assert err["error"] == "ConstructionFailureError"
         assert err["phase"] == 2
 
+    def test_member_with_no_audited_set_exits_one(self, tmp_path, monkeypatch, capsys):
+        import lllcolor.cli as cli
+        from lllcolor.hindman import StagedFamily
+
+        # the member's elements appear at stage 1000, so none of its
+        # translates lies inside the 1024 committed bits
+        fam = StagedFamily("ce", 1, 1024, (((1000, frozenset(range(990, 998))),),))
+        monkeypatch.setattr(cli, "gen_family", lambda *args: fam)
+        out = tmp_path / "x"
+        rc = run_cli("run", "--mode", "comp", "--f", "sum", "--M", "8", "--seed", "7",
+                     "--horizon", "1024", "--members", "1", "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == "members with no audited set: [0]\n"
+        audit = json.loads((out / "audit.json").read_text())
+        assert audit["ok"] is False and audit["violations_total"] == 0
+
     def test_unwritable_out_is_a_configuration_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory\n")

@@ -5,7 +5,6 @@ import json
 import math
 import statistics
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from lllcolor.cli import main
 from lllcolor.colorer import color_prefix
 from lllcolor.errors import InvalidParameterError, WrongStreamError
 from lllcolor.hindman import (
+    StagedFamily,
     _first_selected,
     _selection_timeline,
     build_image_stream,
@@ -21,7 +21,7 @@ from lllcolor.hindman import (
     builtin_addition_like,
     gen_family,
 )
-from lllcolor.streams import format_coloring, format_manifest
+from lllcolor.streams import Coloring, format_coloring, format_manifest
 from lllcolor.verify import (
     audit_solution,
     monte_carlo_homogeneity,
@@ -85,7 +85,7 @@ class TestAuditSolution:
         bits = list(col.bits)
         for n in dom:
             bits[n] = "0"
-        bad = replace(col, bits="".join(bits))
+        bad = Coloring("".join(bits), col.seed, col.stream_fingerprint, col.n0, col.phases)
 
         report = audit_solution(bad, fam, SUM, stream=stream)
         assert not report.ok
@@ -149,6 +149,20 @@ class TestAuditSolution:
         assert report.bound_rule == "2*(M+i)"
         assert [v.bound for v in report.members] == [38, 40]
 
+    def test_member_with_no_checked_set_fails(self):
+        # elements 990..997 appear at stage 1000 of 1024, so the member's
+        # every translate starts past the 1024 committed bits
+        fam = StagedFamily("ce", 1, 1024, (((1000, frozenset(range(990, 998))),),))
+        stream = build_translate_stream(fam, 8)
+        col = color_prefix(stream, 1024, 7)
+        report = audit_solution(col, fam, SUM, stream=stream)
+        (verdict,) = report.members
+        assert not verdict.vacuous and verdict.translates_checked == 0
+        assert report.violations_total == 0
+        assert report.unchecked == (0,)
+        assert not report.ok
+        assert json.loads(report.to_json())["ok"] is False
+
     def test_wrong_stream_detected(self):
         fam, stream, col, M = self.comp_setup(seed=6)
         fam2, stream2, _, _ = self.comp_setup(seed=7)
@@ -165,7 +179,7 @@ class TestAuditSolution:
         # the audit starts past the first window of 64 bits, so a coloring
         # no longer than that window is refused
         fam, stream, col, M = self.comp_setup()
-        first = replace(col, bits=col.bits[:64])
+        first = Coloring(col.bits[:64], col.seed, col.stream_fingerprint, col.n0, col.phases)
         message = "^the audit start 64 lies outside the committed prefix$"
         with pytest.raises(InvalidParameterError, match=message):
             audit_solution(first, fam, SUM, stream=stream)
