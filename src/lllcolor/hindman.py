@@ -64,10 +64,7 @@ class AdditionLike(FrozenRecord):
         growth: Callable[[int, int], int],
         mult_bound: int,
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "growth", growth)
-        object.__setattr__(self, "mult_bound", mult_bound)
+        self._set(name, pair, growth, mult_bound)
 
 
 def builtin_addition_like(name: str) -> AdditionLike:
@@ -135,10 +132,7 @@ class StagedFamily(FrozenRecord):
                 _check_change(mode, stage_count, i, prev, point)
                 prev = point
             canon.append(pts)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "stage_count", stage_count)
-        object.__setattr__(self, "changes", tuple(canon))
+        self._set(mode, count, stage_count, tuple(canon))
 
     def member_at(self, i: int, s: int) -> frozenset[int]:
         if not 0 <= i < self.count:
@@ -380,17 +374,19 @@ def build_image_stream(
         timeline = _selection_timeline(family, i, b * (M + i))
         ordered = {e: tuple(sorted(e, reverse=True)) for e, _ in dict.fromkeys(timeline)}
         selections.append([ordered[e] for e, _ in timeline])
-        # running_max[s]: the largest image value over stages up to s
-        running_max: list[int | None] = []
+        # run: the largest image value over the stages so far; prior: run
+        # before s0, the stage where the current selection began
         run: int | None = None
+        prior: int | None = None
         # the last emitted image's values, least value and base key
         last: list[int] = []
         last_lo = last_k = 0
         for s, (selection, s0) in enumerate(timeline):
+            if s == s0:
+                prior = run
             if selection:
                 values = list(map(fn.pair, selection, repeat(s)))
                 lo = min(values)
-                prior = running_max[s0 - 1] if s0 > 0 else None
                 if lo > s0 and (prior is None or lo > prior):
                     # values equal to the last image's moved by a constant
                     # have its base
@@ -401,7 +397,6 @@ def build_image_stream(
                     emitted.append((i + s, s, i, last_k, lo))
                 peak = max(values)
                 run = peak if run is None else max(run, peak)
-            running_max.append(run)
     emitted.sort()
 
     bases = list(key)
@@ -544,10 +539,7 @@ class PigeonholeReport(FrozenRecord):
         forced_counterexamples: tuple[str, ...],
         naive_counterexamples: tuple[str, ...],
     ):
-        object.__setattr__(self, "max_s", max_s)
-        object.__setattr__(self, "forced_triple_holds", forced_triple_holds)
-        object.__setattr__(self, "forced_counterexamples", forced_counterexamples)
-        object.__setattr__(self, "naive_counterexamples", naive_counterexamples)
+        self._set(max_s, forced_triple_holds, forced_counterexamples, naive_counterexamples)
 
     @property
     def some_member_recurs(self) -> bool:

@@ -2,11 +2,11 @@
 
 A record class lists its fields once, as ``__slots__ = _fields = (...)``,
 and writes only its ``__init__``.  :class:`Record` gives it ``==`` and a
-``Name(field=value, ...)`` repr over ``_fields``; :class:`FrozenRecord`
-adds a hash and refuses to rebind or delete a field, so a frozen record's
-``__init__`` sets each field with ``object.__setattr__``.  Nothing here
-generates source: ``dataclasses`` compiled each class's methods through
-``exec`` at every start-up.
+``Name(field=value, ...)`` repr over ``_fields``, and :meth:`Record._set`
+stores the checked values in ``_fields`` order.  :class:`FrozenRecord`
+adds a hash and refuses to rebind or delete a field, which ``_set`` goes
+around.  Nothing here generates source: ``dataclasses`` compiled each
+class's methods through ``exec`` at every start-up.
 """
 
 
@@ -14,6 +14,11 @@ class Record:
     """A mutable record: ``==`` and repr over ``_fields``, unhashable."""
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Store one value per field, in ``_fields`` order."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))

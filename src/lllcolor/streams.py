@@ -174,9 +174,7 @@ class ConstraintStream(Record):
             emitted_by, emitted_at = _provenance_columns(provenance)
             if len(emitted_by) != len(shifts):
                 raise InvalidInputError("provenance length must match item count")
-        self.M, self.q = M, q
-        self.bases, self.base_ids, self.shifts = bases, base_ids, shifts
-        self.emitted_by, self.emitted_at = emitted_by, emitted_at
+        self._set(M, q, bases, base_ids, shifts, emitted_by, emitted_at)
         self.locality_fn, self._fp = locality_fn, None
 
     def __len__(self) -> int:
@@ -327,10 +325,10 @@ class SparsityReport(Record):
         max_size_seen: int,
         items_in_window: int,
     ):
-        self.window, self.M, self.q, self.counts = window, M, q, counts
-        self.violations, self.near, self.cross_check = violations, near, cross_check
-        self.cells_checked, self.max_size_seen = cells_checked, max_size_seen
-        self.items_in_window = items_in_window
+        self._set(
+            window, M, q, counts, violations, near, cross_check, cells_checked, max_size_seen,
+            items_in_window,
+        )
 
     @property
     def ok(self) -> bool:
@@ -581,11 +579,7 @@ class Coloring(FrozenRecord):
     def __init__(self, bits: str, seed: int, stream_fingerprint: str, n0: int, phases: int):
         if bits.strip("01"):
             raise InvalidInputError("coloring bits must be 0/1 characters")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream_fingerprint", stream_fingerprint)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "phases", phases)
+        self._set(bits, seed, stream_fingerprint, n0, phases)
 
     @property
     def committed_len(self) -> int:
@@ -724,8 +718,8 @@ class ManifestReader:
     """A manifest's items, read a line at a time from chunks that each end
     at a line break: iterating yields ``(j, dom, by)`` per item, ``by`` the
     ``# by`` pair or None.  It checks the header, the ``# by`` lines, ids
-    and arity, and leaves each item's size, sign and order to
-    :func:`is_canonical`.  ``int()`` runs once per distinct token, so items
+    and arity, and refuses an item :func:`is_canonical` refuses on the
+    item's own line.  ``int()`` runs once per distinct token, so items
     share one ``int`` per distinct position.  After the last line,
     ``fingerprint`` is that of the text read."""
 
@@ -739,14 +733,6 @@ class ManifestReader:
     def _hashed(self, chunk: str) -> str:
         self._sha.update(chunk.encode("utf-8"))
         return chunk
-
-    def refused(self, j: int, dom: tuple, lineno: int = 0) -> ParseError:
-        """The error for item ``j`` that :func:`is_canonical` refuses, on
-        line ``lineno`` (0: the current line)."""
-        message = "positions must be nonnegative, increasing"
-        if len(dom) < self.M:
-            message = f"item {j} has size {len(dom)} below the minimum {self.M}"
-        return self.records.error(message, lineno)
 
     def __iter__(self):
         header = False
@@ -785,6 +771,10 @@ class ManifestReader:
                         with_by = pending is not None
                     elif (pending is not None) != with_by:
                         raise records.error("a provenance line must precede every item or none")
+                    if not is_canonical(dom, self.M):
+                        if k < self.M:
+                            raise records.error(f"item {j} has size {k} below the minimum {self.M}")
+                        raise records.error("positions must be nonnegative, increasing")
                     yield j, dom, pending
                     count += 1
                     pending = None
@@ -818,13 +808,6 @@ def parse_manifest(text: str) -> ConstraintStream:
         doms.append(dom)
         prov.append(by)
     provenance = tuple(prov) if prov and prov[0] else None
-    try:
-        stream = ConstraintStream(reader.M, reader.q, tuple(doms), provenance)
-    except StreamIntegrityError as exc:
-        # only a refused item's line is looked up, by reading the text again
-        (j,) = exc.witness
-        again = ManifestReader((text,))
-        lineno = next(islice((again.records.lineno for _ in again), j, None))
-        raise reader.refused(j, doms[j], lineno) from exc
+    stream = ConstraintStream(reader.M, reader.q, tuple(doms), provenance)
     stream._fp = reader.fingerprint
     return stream

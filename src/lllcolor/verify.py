@@ -44,15 +44,10 @@ class MemberVerdict(FrozenRecord):
         translates_checked: int,
         violations: tuple[tuple[int, tuple[int, ...]], ...],
     ):
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "stabilized", stabilized)
-        object.__setattr__(self, "vacuous", vacuous)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "stable_since", stable_since)
-        object.__setattr__(self, "first_emission", first_emission)
-        object.__setattr__(self, "translates_checked", translates_checked)
-        object.__setattr__(self, "violations", violations)
+        self._set(
+            member, bound, stabilized, vacuous, elements, stable_since, first_emission,
+            translates_checked, violations,
+        )
 
 
 class AuditReport(FrozenRecord):
@@ -77,13 +72,7 @@ class AuditReport(FrozenRecord):
         translates_checked: int,
         violations_total: int,
     ):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "bound_rule", bound_rule)
-        object.__setattr__(self, "guard", guard)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "translates_checked", translates_checked)
-        object.__setattr__(self, "violations_total", violations_total)
+        self._set(mode, bound_rule, guard, horizon, members, translates_checked, violations_total)
 
     @property
     def unchecked(self) -> tuple[int, ...]:
@@ -96,29 +85,9 @@ class AuditReport(FrozenRecord):
         return self.violations_total == 0 and not self.unchecked
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "bound_rule": self.bound_rule,
-            "guard": self.guard,
-            "horizon": self.horizon,
-            "translates_checked": self.translates_checked,
-            "violations_total": self.violations_total,
-            "ok": self.ok,
-            "members": [
-                {
-                    "member": v.member,
-                    "bound": v.bound,
-                    "stabilized": v.stabilized,
-                    "vacuous": v.vacuous,
-                    "elements": list(v.elements),
-                    "stable_since": v.stable_since,
-                    "first_emission": v.first_emission,
-                    "translates_checked": v.translates_checked,
-                    "violations": [[s, list(pos)] for s, pos in v.violations],
-                }
-                for v in self.members
-            ],
-        }
+        # json writes each tuple, nested ones too, as a list
+        payload = dict(zip(self._fields, self._values()), ok=self.ok)
+        payload["members"] = [dict(zip(v._fields, v._values())) for v in self.members]
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lllcolor.cli import _emit_error, main
-from lllcolor.errors import LLLColorError
+from lllcolor.errors import LLLColorError, ParseError
 from lllcolor.streams import (
     Coloring,
     ConstraintStream,
@@ -311,6 +311,25 @@ class TestVerify:
         assert err == {"error": "ParseError",
                        "message": "line 3: positions must be nonnegative, increasing"}
 
+    def test_first_of_two_faults_is_reported(self, artifacts, capsys):
+        # the swapped item is reported on its line, by verify and by
+        # parse_manifest alike, not the malformed record after it
+        lines = (artifacts / "stream.txt").read_text().splitlines(keepends=True)
+        assert lines[2].startswith("item 0 4 ") and lines[4].startswith("item 1 4 ")
+        lines[2] = "item 0 4 13 12 14 15\n"
+        lines[4] = "item 1 9 11 14\n"
+        (artifacts / "stream.txt").write_text("".join(lines))
+        message = "line 3: positions must be nonnegative, increasing"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_manifest("".join(lines))
+        capsys.readouterr()
+        rc = run_cli("verify", "--coloring", artifacts / "coloring.txt",
+                     "--stream", artifacts / "stream.txt")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "ParseError", "message": message}
+
     def test_bad_coloring_bit_line_names_its_line(self, artifacts, capsys):
         lines = (artifacts / "coloring.txt").read_text().splitlines(keepends=True)
         assert lines[2].startswith("coloring ")
@@ -435,8 +454,7 @@ class TestStreamingVerify:
     ):
         # streaming verify reports what parsing the whole manifest and then
         # walking the stream reports: exit code, stdout and stderr alike.
-        # With two faults that holds too: an item the stream constructor
-        # refuses is reported only when no line after it is malformed
+        # With two faults that holds too: both report the first faulty line
         items = gen_sets_stream(seed, count, window, M, spread=2).items
         provenance = tuple((j, 3 * j + 1) for j in range(count)) if with_provenance else None
         lines = format_manifest(ConstraintStream(M, Fraction(1, 2), items, provenance)).splitlines()

@@ -145,6 +145,13 @@ class TestRecords:
         assert repr(cls(**fields)).endswith(f"{cls.__name__}({expect})")
 
 
+@pytest.mark.parametrize("values", [(1, 2), (1, 2, 3, 4)], ids=["too-few", "too-many"])
+def test_set_takes_one_value_per_field(values):
+    record = LLLCertificate.__new__(LLLCertificate)
+    with pytest.raises(ValueError, match="zip"):
+        record._set(*values)
+
+
 class TestConstraintStreamRecord:
     def test_equality_ignores_the_oracle_and_the_fingerprint(self):
         a = stream()

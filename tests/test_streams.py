@@ -637,6 +637,8 @@ class TestManifestFormat:
     @pytest.mark.parametrize("item", [
         "item 0 2 -1 3", "item 0 3 1 1 2", "item 0 2 3 1",
         "item 0 4 13 12 14 15", "item 0 4 12 12 14 15",
+        # the first fault is reported, not a malformed record after it
+        "item 0 2 3 1\nitem 1 9 0 1",
     ])
     def test_positions_must_increase_from_zero(self, item):
         with pytest.raises(ParseError, match="^line 3: positions must be nonnegative, increasing$"):

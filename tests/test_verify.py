@@ -23,6 +23,8 @@ from lllcolor.hindman import (
 )
 from lllcolor.streams import Coloring, format_coloring, format_manifest
 from lllcolor.verify import (
+    AuditReport,
+    MemberVerdict,
     audit_solution,
     monte_carlo_homogeneity,
     sparsity_counts_csv,
@@ -189,6 +191,60 @@ class TestAuditSolution:
         text = audit_solution(col, fam, SUM, stream=stream).to_json()
         assert '"violations_total": 0' in text
         assert '"bound_rule": "M+i"' in text
+
+    def test_json_text_of_a_vacuous_member_and_a_violation(self):
+        # no golden audit holds a violation, so this pins how one nests
+        members = (
+            MemberVerdict(0, 8, False, True, (), None, None, 0, ()),
+            MemberVerdict(1, 9, True, False, (2, 5), 3, 4, 2, ((6, (8, 11)),)),
+        )
+        report = AuditReport("comp", "M+i", 64, 128, members, 2, 1)
+        assert report.to_json() == """\
+{
+  "bound_rule": "M+i",
+  "guard": 64,
+  "horizon": 128,
+  "members": [
+    {
+      "bound": 8,
+      "elements": [],
+      "first_emission": null,
+      "member": 0,
+      "stabilized": false,
+      "stable_since": null,
+      "translates_checked": 0,
+      "vacuous": true,
+      "violations": []
+    },
+    {
+      "bound": 9,
+      "elements": [
+        2,
+        5
+      ],
+      "first_emission": 4,
+      "member": 1,
+      "stabilized": true,
+      "stable_since": 3,
+      "translates_checked": 2,
+      "vacuous": false,
+      "violations": [
+        [
+          6,
+          [
+            8,
+            11
+          ]
+        ]
+      ]
+    }
+  ],
+  "mode": "comp",
+  "ok": false,
+  "translates_checked": 2,
+  "violations_total": 1
+}
+"""
 
 
 class TestMonteCarlo:
