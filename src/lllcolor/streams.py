@@ -72,21 +72,19 @@ class ConstraintStream(Record):
     its first position is the shift.  Equal offsets and shifts share one
     int object.
 
-    ``ConstraintStream(M, q, items, provenance, locality_fn)`` takes the
-    items themselves: a tuple of tuples of strictly increasing nonnegative
-    ints, each at least ``M`` long, which it splits into base and shift and
-    interns.  It sorts nothing and refuses any other item, with its index
-    as the witness.  The builders hand over the base table and each item's
-    base id and shift through :meth:`from_bases` instead; either way the
-    same items give an equal stream and the same manifest, which
+    ``ConstraintStream(M, q, bases, base_ids, shifts, provenance,
+    locality_fn)`` takes those three columns, with base ids in order of
+    first use.  It checks each base and each shift once, refusing the first
+    bad one with its index as the witness, and interns them; equal columns
+    give an equal stream and the same manifest, which
     :func:`write_manifest` writes out.  ``items`` derives every domain at
     once, for tests; no pipeline stage reads it.
 
     ``provenance``, when given, yields one ``(member, stage)`` pair of
     nonnegative ints per item; the builders hand over their two columns
-    zipped.  Either door copies the pairs into two ``array("q")`` columns,
-    ``emitted_by`` and ``emitted_at``, and refuses any other entry with
-    its index.  The ``provenance`` property derives the pairs on each read.
+    zipped.  They are copied into two ``array("q")`` columns, ``emitted_by``
+    and ``emitted_at``, and any other entry is refused with its index.  The
+    ``provenance`` property derives the pairs on each read.
 
     A set is met when its domain receives both colors, and
     :meth:`is_violated` is the one check of whether the bits on a head of
@@ -106,46 +104,9 @@ class ConstraintStream(Record):
     _fields = ("M", "q", "bases", "base_ids", "shifts", "emitted_by", "emitted_at")
     __slots__ = (*_fields, "locality_fn", "_fp")
 
-    def __init__(self, M: int, q, items: tuple, provenance=None, locality_fn=None):
+    def __init__(self, M: int, q, bases, base_ids, shifts, provenance=None, locality_fn=None):
         q = _checked_q(M, q)
-        # a list could change after the check
-        if type(items) is not tuple:
-            raise InvalidInputError(f"items must be a tuple, got {type(items).__name__}")
-        # write_manifest writes the text of the first position of each value,
-        # so every distinct position must be an int: a bool or a float there
-        # would reach the manifest as a token the parser refuses
-        if not set(map(type, set().union(*items))) <= {int}:
-            j, n = next((j, n) for j, dom in enumerate(items) for n in dom if type(n) is not int)
-            raise InvalidInputError(f"item {j}: position {n!r} is not an int")
-        # table: each distinct base and its id, in order of first use
-        table: dict[tuple[int, ...], int] = {}
-        base_ids = []
-        for j, dom in enumerate(items):
-            if not is_canonical(dom, M):
-                raise StreamIntegrityError(
-                    f"item {j}: {dom!r} is not a tuple of at least {M} increasing "
-                    "nonnegative positions", witness=(j,)
-                )
-            base = tuple(map(dom[0].__rsub__, dom))
-            base_ids.append(table.setdefault(base, len(table)))
-        shifts = [dom[0] for dom in items]
-        self._place(M, q, tuple(table), base_ids, shifts, provenance, locality_fn)
-
-    @classmethod
-    def from_bases(
-        cls, M: int, q, bases, base_ids, shifts, provenance=None, locality_fn=None
-    ) -> ConstraintStream:
-        """The stream whose item j is ``bases[base_ids[j]]`` moved by
-        ``shifts[j]``, with base ids in order of first use."""
-        stream = cls.__new__(cls)
-        q = _checked_q(M, q)
-        stream._place(M, q, tuple(bases), base_ids, shifts, provenance, locality_fn)
-        return stream
-
-    def _place(self, M, q, bases, base_ids, shifts, provenance, locality_fn) -> None:
-        """Check each base and each shift once, intern them and store them
-        with the checked ``q``."""
-        base_ids = tuple(base_ids)
+        bases, base_ids = tuple(bases), tuple(base_ids)
         for k, base in enumerate(bases):
             if not (is_canonical(base, M) and base[0] == 0 and set(map(type, base)) <= {int}):
                 raise StreamIntegrityError(
@@ -239,6 +200,16 @@ def _provenance_columns(provenance) -> tuple[array, array]:
     return members, stages
 
 
+def _split(items) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
+    """The constructor's columns for ``items``: each distinct base once, in
+    order of first use, and each item's base id and shift.  It checks
+    nothing: its callers' items are canonical, as generated or as passed
+    by :class:`ManifestReader` on their own lines."""
+    table: dict[tuple[int, ...], int] = {}
+    base_ids = [table.setdefault(tuple(map(dom[0].__rsub__, dom)), len(table)) for dom in items]
+    return tuple(table), base_ids, [dom[0] for dom in items]
+
+
 def _checked_q(M: int, q) -> Fraction:
     """``q`` as a Fraction, once ``M`` and ``q`` are checked as a stream's."""
     if M < 1:
@@ -250,8 +221,9 @@ def _checked_q(M: int, q) -> Fraction:
 
 
 def is_canonical(dom, M: int) -> bool:
-    """The stream constructor's item check: True iff ``dom`` is a tuple of at
-    least ``M`` strictly increasing nonnegative positions."""
+    """The manifest reader's item check, and the constructor's base check
+    with a first offset of 0: True iff ``dom`` is a tuple of at least ``M``
+    strictly increasing nonnegative positions."""
     return type(dom) is tuple and len(dom) >= M and all(map(operator.lt, (-1, *dom), dom))
 
 
@@ -564,7 +536,7 @@ def gen_sets_stream(
                 seen.add(dom)
                 items.append(dom)
                 break
-    return ConstraintStream(M, q, tuple(items))
+    return ConstraintStream(M, q, *_split(items))
 
 
 class Coloring(FrozenRecord):
@@ -638,6 +610,8 @@ def parse_coloring(text: str) -> Coloring:
                         (fingerprint,) = toks[1:]
                     else:
                         n0, phases = map(int, toks[1:])
+                        if min(n0, phases) < 0:
+                            raise records.error(f"phases field {min(n0, phases)} is negative")
                 continue
             toks = line.split()
             if toks[0] == "coloring":
@@ -808,6 +782,6 @@ def parse_manifest(text: str) -> ConstraintStream:
         doms.append(dom)
         prov.append(by)
     provenance = tuple(prov) if prov and prov[0] else None
-    stream = ConstraintStream(reader.M, reader.q, tuple(doms), provenance)
+    stream = ConstraintStream(reader.M, reader.q, *_split(doms), provenance)
     stream._fp = reader.fingerprint
     return stream

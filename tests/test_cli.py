@@ -26,6 +26,7 @@ from lllcolor.streams import (
     parse_manifest,
     write_manifest,
 )
+from test_streams import items_stream
 
 ARTIFACTS = {
     "audit.json",
@@ -50,7 +51,7 @@ def alternating_met_stream(count):
         for j in range(count)
     )
     provenance = tuple((j % 24, j % 512) for j in range(count))
-    return ConstraintStream(8, Fraction(1, 2), items, provenance)
+    return items_stream(8, Fraction(1, 2), items, provenance)
 
 
 class TestRun:
@@ -457,7 +458,7 @@ class TestStreamingVerify:
         # With two faults that holds too: both report the first faulty line
         items = gen_sets_stream(seed, count, window, M, spread=2).items
         provenance = tuple((j, 3 * j + 1) for j in range(count)) if with_provenance else None
-        lines = format_manifest(ConstraintStream(M, Fraction(1, 2), items, provenance)).splitlines()
+        lines = format_manifest(items_stream(M, Fraction(1, 2), items, provenance)).splitlines()
         for fault in faults:
             inject(lines, fault, data)
         text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))

@@ -25,14 +25,15 @@ from lllcolor.errors import (
 from lllcolor.hindman import build_translate_stream, gen_family
 from lllcolor.lll import Event, default_budget, fair_bit, resample_sets, solve_moser_tardos
 from lllcolor.rng import derive_seed
-from lllcolor.streams import ConstraintStream, format_coloring, gen_sets_stream, parse_coloring
+from lllcolor.streams import format_coloring, gen_sets_stream, parse_coloring
 from test_golden import PIPELINES, golden_sets
+from test_streams import items_stream
 
 F = Fraction
 
 
 def empty_stream(M=16):
-    return ConstraintStream(M, F(1, 2), ())
+    return items_stream(M, F(1, 2), ())
 
 
 def restricted_color_prefix(stream, horizon, seed):
@@ -121,7 +122,7 @@ class TestColorPrefix:
         assert set(col.bits) == {"0"}
 
     def test_single_set_gets_both_colors(self):
-        stream = ConstraintStream(16, F(1, 2), (tuple(range(16)),))
+        stream = items_stream(16, F(1, 2), (tuple(range(16)),))
         col = color_prefix(stream, 64, 5)
         assert {col.bits[n] for n in range(16)} == {"0", "1"}
 
@@ -173,7 +174,7 @@ class TestPrefixStability:
             for shift in (-3, 0, 3):
                 center = boundary + shift
                 items.append(tuple(range(center - 8, center + 8)))
-        stream = ConstraintStream(16, F(1, 2), tuple(items))
+        stream = items_stream(16, F(1, 2), tuple(items))
         for seed in range(4):
             col = color_prefix(stream, 2048, seed)
             assert scan_sets(stream, col) == []
@@ -302,7 +303,7 @@ class TestConstructionFailures:
         # no 2-coloring gives all three 2-sets both colors: phase 1 commits
         # distinct bits at 0 and 1, so in phase 2 the other two sets each
         # pin position 200, to opposite bits
-        stream = ConstraintStream(2, F(1, 2), ((0, 1), (0, 200), (1, 200)))
+        stream = items_stream(2, F(1, 2), ((0, 1), (0, 200), (1, 200)))
         for seed in range(5):
             with pytest.raises(ConstructionFailureError) as exc:
                 color_prefix(stream, 256, seed)
@@ -311,7 +312,7 @@ class TestConstructionFailures:
             assert "constraints pin position 200 to opposite bits" in str(exc.value)
 
     def test_single_position_set_is_impossible(self):
-        stream = ConstraintStream(1, F(1, 2), ((3,),))
+        stream = items_stream(1, F(1, 2), ((3,),))
         with pytest.raises(ConstructionFailureError) as exc:
             color_prefix(stream, 8, 0)
         assert exc.value.constraint_ids == (0,)
@@ -327,7 +328,7 @@ def test_phase_base():
 @pytest.mark.parametrize("M", [4, 20])
 @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 80, 81, 700, 1024])
 def test_committed_length_is_what_color_prefix_commits(M, horizon):
-    empty = ConstraintStream(M, F(1, 2), ())
+    empty = items_stream(M, F(1, 2), ())
     assert committed_length(M, horizon) == color_prefix(empty, horizon, 3).committed_len
 
 
@@ -377,7 +378,7 @@ class TestRestrictedReference:
         assert col.bits == restricted_color_prefix(stream, horizon, seed)
 
     def test_triangle_fails_alike(self):
-        stream = ConstraintStream(2, F(1, 2), ((0, 1), (0, 200), (1, 200)))
+        stream = items_stream(2, F(1, 2), ((0, 1), (0, 200), (1, 200)))
         got = outcome(color_prefix, stream, 256, 3)
         assert got == outcome(restricted_color_prefix, stream, 256, 3)
         assert got == (

@@ -39,6 +39,7 @@ from lllcolor.streams import (
     point_bound,
     validate_sparsity,
 )
+from test_streams import items_stream
 
 F = Fraction
 
@@ -783,10 +784,11 @@ class TestBaseForm:
             assert stream.dom(j) == expect, (j, i, s)
             doms.append(expect)
         assert len(stream.bases) == len({tuple(n - d[0] for n in d) for d in doms})
-        # both doors, handed the pairs, and a parse of the manifest read back
-        # the builder's provenance and give an equal stream
-        again = ConstraintStream(M, F(1, 2), tuple(doms), stream.provenance)
-        table = ConstraintStream.from_bases(
+        # the items split anew and the builder's own table, each handed the
+        # pairs, and a parse of the manifest read back the builder's
+        # provenance and give an equal stream
+        again = items_stream(M, F(1, 2), tuple(doms), stream.provenance)
+        table = ConstraintStream(
             M, F(1, 2), stream.bases, stream.base_ids, stream.shifts, stream.provenance
         )
         text = format_manifest(stream)

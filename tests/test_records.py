@@ -14,6 +14,7 @@ from lllcolor.hindman import AdditionLike, PigeonholeReport, StagedFamily
 from lllcolor.lll import Assignment, ConditionRefusal, Event, LLLCertificate, VarSpec
 from lllcolor.streams import Coloring, ConstraintStream, SparsityReport
 from lllcolor.verify import AuditReport, MemberVerdict
+from test_streams import items_stream
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,7 +94,7 @@ MUTABLE = {SparsityReport}
 
 def stream(**changes):
     fields = dict(M=4, q=F(1, 2), items=((0, 1, 2, 3), (1, 2, 3, 4)), provenance=((0, 5), (0, 6)))
-    return ConstraintStream(**{**fields, **changes})
+    return items_stream(**{**fields, **changes})
 
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
@@ -155,7 +156,7 @@ def test_set_takes_one_value_per_field(values):
 class TestConstraintStreamRecord:
     def test_equality_ignores_the_oracle_and_the_fingerprint(self):
         a = stream()
-        b = ConstraintStream.from_bases(
+        b = ConstraintStream(
             4, F(1, 2), [(0, 1, 2, 3)], [0, 0], [0, 1], [(0, 5), (0, 6)],
             locality_fn=lambda m, n: (),
         )

@@ -40,8 +40,14 @@ from lllcolor.verify import sparsity_counts_csv
 F = Fraction
 
 
+def items_stream(M, q, items, provenance=None, locality_fn=None):
+    """The stream of ``items``, each a canonical tuple, built from the base
+    table, base ids and shifts the pipeline's own split gives."""
+    return ConstraintStream(M, q, *streams._split(items), provenance, locality_fn)
+
+
 def sets_stream(items, M=2, q=F(1, 2), locality=None, provenance=None):
-    return ConstraintStream(M, q, tuple(tuple(sorted(i)) for i in items), provenance, locality)
+    return items_stream(M, q, tuple(tuple(sorted(i)) for i in items), provenance, locality)
 
 
 def reference_locality(items):
@@ -55,7 +61,7 @@ def reference_locality(items):
 
 
 def with_reference(stream):
-    return ConstraintStream(
+    return items_stream(
         stream.M, stream.q, stream.items, stream.provenance, reference_locality(stream.items)
     )
 
@@ -127,29 +133,9 @@ class TestConstraintStream:
             sets_stream([{1}], M=2)
 
     def test_negative_position_rejected(self):
-        with pytest.raises(StreamIntegrityError, match=r"^item 0: \(-1, 3\) is not a tuple"):
+        # the item's first position is its shift
+        with pytest.raises(StreamIntegrityError, match=r"^item 0: shift -1 is not a nonnegative"):
             sets_stream([{-1, 3}])
-
-    @pytest.mark.parametrize(
-        "items, message",
-        [
-            (((0.5, 1.5),), "item 0: position 0.5 is not an int"),
-            (((0, True), (1, 2)), "item 0: position True is not an int"),
-        ],
-    )
-    def test_non_int_position_rejected(self, items, message):
-        # format_manifest would write such a position as a token the parser refuses
-        with pytest.raises(InvalidInputError) as exc:
-            ConstraintStream(2, F(1, 2), items)
-        assert str(exc.value) == message
-
-    @pytest.mark.parametrize("items", [[(0, 1)], [], ((0, 1) for _ in range(1))],
-                             ids=["list", "empty-list", "generator"])
-    def test_items_container_must_be_a_tuple(self, items):
-        # a list would compare unequal to the tuple-built stream, and could
-        # be mutated after the constructor checked it
-        with pytest.raises(InvalidInputError, match="^items must be a tuple, got "):
-            ConstraintStream(2, F(1, 2), items)
 
     def test_fingerprint_tracks_content(self):
         a = sets_stream([{0, 1}])
@@ -161,32 +147,33 @@ class TestConstraintStream:
     def test_items_are_stored_as_bases_and_shifts(self):
         items = ((3, 5, 9), (1, 4), (7, 9, 13))
         provenance = ((0, 1), (2, 3), (4, 5))
-        s = ConstraintStream(2, F(1, 2), items, provenance)
+        s = items_stream(2, F(1, 2), items, provenance)
         # bases in order of first use, each item a base id and its first position
         assert s.bases == ((0, 2, 6), (0, 3))
         assert (s.base_ids, s.shifts) == ((0, 1, 0), (3, 1, 7))
         assert s.provenance == provenance
         assert s.items == items and all(s.dom(j) == items[j] for j in range(3))
         assert s.base_shift(2) == ((0, 2, 6), 7)
-        # the builders' door makes the same stream from the same table
-        built = ConstraintStream.from_bases(2, F(1, 2), s.bases, [0, 1, 0], [3, 1, 7], provenance)
+        # the same table handed over by hand makes the same stream
+        built = ConstraintStream(2, F(1, 2), s.bases, [0, 1, 0], [3, 1, 7], provenance)
         assert built == s and format_manifest(built) == format_manifest(s)
 
     def test_provenance_is_copied_into_two_columns(self):
         # a stream that kept the caller's list would change with it
         provenance = [(0, 1), (2, 3)]
-        s = ConstraintStream(2, F(1, 2), ((0, 1), (2, 3)), provenance)
+        s = items_stream(2, F(1, 2), ((0, 1), (2, 3)), provenance)
         provenance.append((9, 9))
         assert s.provenance == ((0, 1), (2, 3))
         assert (s.emitted_by, s.emitted_at) == (array("q", [0, 2]), array("q", [1, 3]))
         # the builders hand over their columns zipped, which are copied too
         by, at = array("q", [0, 2]), array("q", [1, 3])
-        built = ConstraintStream.from_bases(2, F(1, 2), ((0, 1),), (0, 0), (0, 2), zip(by, at))
+        built = ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0), (0, 2), zip(by, at))
         by[0] = 7
         assert built == s and built.provenance == ((0, 1), (2, 3))
         # a stream with provenance differs from one without it
-        assert ConstraintStream(2, F(1, 2), ((0, 1), (2, 3))) != s
+        assert items_stream(2, F(1, 2), ((0, 1), (2, 3))) != s
 
+    # "items" builds through the test helper's split, "bases" from a table
     @pytest.mark.parametrize("door", ["items", "bases"])
     @pytest.mark.parametrize(
         "entry",
@@ -201,13 +188,13 @@ class TestConstraintStream:
         message = f"^item 1: provenance {re.escape(repr(entry))} is not a pair of nonnegative ints$"
         with pytest.raises(InvalidInputError, match=message):
             if door == "items":
-                ConstraintStream(2, F(1, 2), items, provenance)
+                items_stream(2, F(1, 2), items, provenance)
             else:
-                ConstraintStream.from_bases(2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), provenance)
+                ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), provenance)
 
     def test_zipped_columns_are_checked(self):
         def build(by, at):
-            return ConstraintStream.from_bases(
+            return ConstraintStream(
                 2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), zip(array("q", by), array("q", at))
             )
 
@@ -226,25 +213,32 @@ class TestConstraintStream:
             (((0, 1), (0, 2)), (0, 0), (0, 5), "^base ids must number the bases"),
             (((0, 1),), (0, 0), (3, -1), r"^item 1: shift -1 is not a nonnegative int$"),
             (((0, 1),), (0,), (True,), r"^item 0: shift True is not a nonnegative int$"),
+            (((0, 1.5),), (0,), (0,), r"^base 0: \(0, 1.5\) is not a tuple"),
+            (((0, 1), (0, True)), (0, 1), (0, 5), r"^base 1: \(0, True\) is not a tuple"),
         ],
-        ids=["off-zero", "undersized", "repeated", "unordered", "unused", "negative", "bool"],
+        ids=["off-zero", "undersized", "repeated", "unordered", "unused", "negative", "bool",
+             "float-offset", "bool-offset"],
     )
     def test_builders_table_is_checked_once(self, bases, base_ids, shifts, message):
+        # a float or bool offset would reach the manifest as a token the
+        # parser refuses
         with pytest.raises(StreamIntegrityError, match=message):
-            ConstraintStream.from_bases(2, F(1, 2), bases, base_ids, shifts)
+            ConstraintStream(2, F(1, 2), bases, base_ids, shifts)
 
     @pytest.mark.parametrize(
-        "item",
-        [[1, 2, 4], frozenset({1, 2}), (1, 4, 2), (1, 2, 2), (-3, 2), (5,), ()],
+        "base, shift",
+        [([0, 1, 3], 1), (frozenset({0, 1}), 1), ((0, 3, 1), 1), ((0, 1, 1), 1), ((0, 5), -3),
+         ((0,), 5), ((), 0)],
         ids=["list", "frozenset", "unsorted", "repeated", "negative", "undersized", "empty"],
     )
-    def test_non_canonical_item_is_refused_by_index(self, item):
-        # the constructor sorts nothing: an item that is not already a
-        # strictly increasing tuple of nonnegative ints is refused
+    def test_non_canonical_item_is_refused_by_index(self, base, shift):
+        # the constructor sorts nothing: item 1, handed over as its base
+        # and its shift, is refused with the index of the base or the item
         with pytest.raises(StreamIntegrityError) as exc:
-            ConstraintStream(2, F(1, 2), ((0, 1), item, (2, 3)))
+            ConstraintStream(2, F(1, 2), ((0, 1), base), (0, 1, 0), (0, shift, 2))
         assert str(exc.value) == (
-            f"item 1: {item!r} is not a tuple of at least 2 increasing nonnegative positions"
+            f"item 1: shift {shift} is not a nonnegative int" if shift < 0 else
+            f"base 1: {base!r} is not a tuple of at least 2 increasing int positions from 0"
         )
         assert exc.value.witness == (1,)
 
@@ -422,7 +416,7 @@ class TestValidateSparsity:
             scattered = data.draw(st.lists(st.integers(0, 250), max_size=8))
             shifts = [*range(start, start + run), *scattered]
             items += [tuple(s + x for x in base) for s in shifts]
-        s = with_reference(ConstraintStream(2, F(1, 2), tuple(data.draw(st.permutations(items)))))
+        s = with_reference(items_stream(2, F(1, 2), tuple(data.draw(st.permutations(items)))))
         assert sweep_fields(validate_sparsity(s, window)) == naive_sparsity(s, window)
 
     def test_sampled_sweep_matches_naive_recount(self):
@@ -588,6 +582,13 @@ class TestColoringFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_coloring("# stream abcd\n# phases a b\ncoloring 2 0\n01\n")
 
+    @pytest.mark.parametrize("fields, value", [("64 -1", -1), ("-64 1", -64)],
+                             ids=["phase-count", "phase-base"])
+    def test_negative_phases_field_names_its_line(self, fields, value):
+        # refused like a negative bit count
+        with pytest.raises(ParseError, match=f"^line 1: phases field {value} is negative$"):
+            parse_coloring(f"# phases {fields}\ncoloring 2 0\n01\n")
+
     def test_bad_bit_line_names_its_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_coloring("# stream abcd\ncoloring 8 0\n01x1\n0101\n")
@@ -618,7 +619,17 @@ class TestManifestFormat:
         text = format_manifest(s)
         assert "# by 0 at 5" in text
         back = parse_manifest(text)
-        assert back == ConstraintStream(s.M, s.q, s.items, s.provenance)
+        assert back == items_stream(s.M, s.q, s.items, s.provenance)
+
+    def test_each_item_is_checked_once(self, monkeypatch):
+        # the reader checks each item on its line, the constructor each
+        # distinct base; nothing checks an item twice
+        text = format_manifest(gen_sets_stream(0, 50, 512, 3))
+        check, calls = streams.is_canonical, []
+        monkeypatch.setattr(streams, "is_canonical", lambda dom, M: calls.append(dom) or check(dom, M))
+        s = parse_manifest(text)
+        assert len(s) == len(s.bases) == 50
+        assert len(calls) == 100
 
     def test_truncated_rejected(self):
         s = sets_stream([{0, 1, 5}])
@@ -695,10 +706,10 @@ class TestManifestFormat:
     def test_refused_item_is_named_on_its_line(
         self, seed, count, M, with_provenance, fault, data
     ):
-        # the stream constructor refuses the item; the parser names its line
+        # the manifest reader refuses the item on its own line
         items = gen_sets_stream(seed, count, 400, M).items
         provenance = tuple((j, 2 * j) for j in range(count)) if with_provenance else None
-        lines = format_manifest(ConstraintStream(M, F(1, 2), items, provenance)).splitlines()
+        lines = format_manifest(items_stream(M, F(1, 2), items, provenance)).splitlines()
         j = data.draw(st.integers(0, count - 1))
         dom = list(items[j])
         i = data.draw(st.integers(0, len(dom) - 2))
@@ -741,7 +752,7 @@ class TestManifestFormat:
         provenance = data.draw(st.none() | st.lists(
             st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
             min_size=len(items), max_size=len(items)))
-        s = ConstraintStream(4, q, items, provenance)
+        s = items_stream(4, q, items, provenance)
         text = format_manifest(s)
         back = parse_manifest(text)
         assert format_manifest(back) == text
@@ -756,7 +767,7 @@ class TestManifestFormat:
             *(tuple(s + x for x in (0, 1, 3)) for s in range(40)),
             (2, 32), (9, 39), (5,), (7,), (10**6, 10**6 + 2),
         )
-        s = ConstraintStream(1, F(1, 2), items)
+        s = items_stream(1, F(1, 2), items)
         text = "".join(f"item {j} {len(d)} {' '.join(map(str, d))}\n" for j, d in enumerate(items))
         assert format_manifest(s) == "stream sets M 1 q 1/2\n" + text
         assert parse_manifest(format_manifest(s)) == s
@@ -780,7 +791,7 @@ class TestManifestFormat:
         count = (lines - 1) // 2 if provenance else lines - 1
         items = tuple((j, j + 1 + j % 5) for j in range(count))
         by = tuple((j % 7, j) for j in range(count)) if provenance else None
-        s = ConstraintStream(2, F(1, 2), items, by)
+        s = items_stream(2, F(1, 2), items, by)
         # the manifest written out by hand, not by the writer under test
         text = "stream sets M 2 q 1/2\n" + "".join(
             (f"# by {j % 7} at {j}\n" if provenance else "") + f"item {j} 2 {j} {j + 1 + j % 5}\n"
@@ -798,7 +809,7 @@ class TestManifestFormat:
 
     @pytest.mark.parametrize("provenance", [None, ()])
     def test_empty_stream_is_one_block_of_its_header(self, provenance):
-        s = ConstraintStream(3, F(1, 3), (), provenance)
+        s = items_stream(3, F(1, 3), (), provenance)
         blocks = []
         fingerprint = write_manifest(s, blocks.append)
         assert blocks == ["stream sets M 3 q 1/3\n"]
