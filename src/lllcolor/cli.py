@@ -90,8 +90,6 @@ def _resolve_run(args: argparse.Namespace, q: Fraction):
         raise InvalidParameterError(
             f"M={M} is below the least admissible value {least}", least_valid=least
         )
-    if args.horizon < 4 * M:
-        raise InvalidParameterError(f"horizon must be at least 4*M = {4 * M}")
     if args.members < 1:
         raise InvalidParameterError("members must be at least 1")
     # a horizon inside the first window commits only that window, and the

@@ -39,7 +39,7 @@ from .errors import (
 from .lll import default_budget, resample_sets
 from .lll import solve_moser_tardos  # noqa: F401 - unused; perfbench/spans.py wraps it by this name
 from .rng import derive_seed
-from .streams import Coloring, ConstraintStream
+from .streams import Coloring, ConstraintStream, single_color
 
 _ZERO = ord("0")
 
@@ -57,12 +57,13 @@ def committed_length(M: int, horizon: int) -> int:
 
 def _open_sets(
     stream: ConstraintStream, committed: bytearray, ids: Iterable[int], phase: int
-) -> tuple[array, list[tuple[int, ...]], list[int], list[int], list[int]]:
+) -> tuple[array, list[tuple[int, ...]], list[int], array, array]:
     """The sets in ``ids`` the committed bits leave single-colored, as the
     columns :func:`resample_sets` takes: their ids, each set's base and
     shift (the stream's own objects), so that its domain is ``shift + x``
     for x in ``base``, the count ``cut`` of its first positions that are
-    committed, and the color ``head`` they carry, -1 when ``cut`` is 0."""
+    committed, and the color ``head`` they carry, -1 when ``cut`` is 0.  The
+    cuts come back as an ``array("q")`` and the heads as an ``array("b")``."""
     # cuts and heads are small ints, which a list holds without an int
     # object each and appends faster than an array
     open_ids, set_bases, set_shifts, cuts, heads = array("q"), [], [], [], []
@@ -73,7 +74,7 @@ def _open_sets(
         base, shift = bases[base_ids[j]], shifts[j]
         cut = bisect_left(base, prefix - shift)
         # an empty head has one color
-        if cut and not stream.is_violated(j, committed, cut):
+        if cut and not single_color(base[:cut], committed, shift):
             continue
         if cut == len(base):
             raise ConstructionFailureError(

@@ -309,7 +309,7 @@ def build_translate_stream(
         lo, hi = n - stages, n - defined
         return tuple(member_ids[hi - x] for x in reversed(elements) if lo < x <= hi)
 
-    return ConstraintStream(M, q, bases, base_ids, shifts, zip(by, at), locality)
+    return ConstraintStream(M, q, bases, base_ids, shifts, by, at, locality)
 
 
 def build_image_stream(
@@ -491,9 +491,7 @@ def build_image_stream(
             return tuple(sorted(found))
         return tuple(sorted(set(found)))
 
-    return ConstraintStream(
-        M, q, [bases[k] for k in base_id], base_ids, shifts, zip(by, at), locality
-    )
+    return ConstraintStream(M, q, [bases[k] for k in base_id], base_ids, shifts, by, at, locality)
 
 
 def baseline_coloring(a: int, b: int, announce_stage: int, horizon: int) -> str:

@@ -72,23 +72,17 @@ class ConstraintStream(Record):
     its first position is the shift.  Equal offsets and shifts share one
     int object.
 
-    ``ConstraintStream(M, q, bases, base_ids, shifts, provenance,
-    locality_fn)`` takes those three columns, with base ids in order of
-    first use.  It checks each base and each shift once, refusing the first
-    bad one with its index as the witness, and interns them; equal columns
-    give an equal stream and the same manifest, which
-    :func:`write_manifest` writes out.  ``items`` derives every domain at
-    once, for tests; no pipeline stage reads it.
+    ``ConstraintStream(M, q, bases, base_ids, shifts, emitted_by,
+    emitted_at, locality_fn)`` takes exactly its fields, then the oracle,
+    with base ids in order of first use.  It checks each base once and refuses the first bad
+    one with its index as the witness, and it checks the int columns the
+    same way, each entry once.  Equal columns give an equal stream and the
+    same manifest, which :func:`write_manifest` writes out.
 
-    ``provenance``, when given, yields one ``(member, stage)`` pair of
-    nonnegative ints per item; the builders hand over their two columns
-    zipped.  They are copied into two ``array("q")`` columns, ``emitted_by``
-    and ``emitted_at``, and any other entry is refused with its index.  The
-    ``provenance`` property derives the pairs on each read.
-
-    A set is met when its domain receives both colors, and
-    :meth:`is_violated` is the one check of whether the bits on a head of
-    the domain still carry a single color.
+    ``emitted_by`` and ``emitted_at``, both given or both None, hold each
+    item's member and stage; they are copied into two ``array("q")``
+    columns.  A set is met when its domain receives both colors, which
+    :func:`single_color` checks on a base and a shift.
 
     ``locality(m, n)`` lists exactly the indices whose item has size ``m``
     and touches position ``n``.  It asks the procedural oracle a builder
@@ -104,7 +98,10 @@ class ConstraintStream(Record):
     _fields = ("M", "q", "bases", "base_ids", "shifts", "emitted_by", "emitted_at")
     __slots__ = (*_fields, "locality_fn", "_fp")
 
-    def __init__(self, M: int, q, bases, base_ids, shifts, provenance=None, locality_fn=None):
+    def __init__(
+        self, M: int, q, bases, base_ids, shifts, emitted_by=None, emitted_at=None,
+        locality_fn=None,
+    ):
         q = _checked_q(M, q)
         bases, base_ids = tuple(bases), tuple(base_ids)
         for k, base in enumerate(bases):
@@ -119,59 +116,34 @@ class ConstraintStream(Record):
             map(type, base_ids)
         ) <= {int}:
             raise StreamIntegrityError("base ids must number the bases in order of first use")
-        if not set(map(type, shifts)) <= {int} or min(shifts, default=0) < 0:
-            j, s = next((j, s) for j, s in enumerate(shifts) if type(s) is not int or s < 0)
-            raise StreamIntegrityError(
-                f"item {j}: shift {s!r} is not a nonnegative int", witness=(j,)
-            )
+        if len(shifts) != len(base_ids):
+            raise InvalidInputError("one shift per base id required")
+        if (emitted_by is None) != (emitted_at is None):
+            raise InvalidInputError("provenance needs both columns or neither")
+        if emitted_by is not None and not len(emitted_by) == len(emitted_at) == len(shifts):
+            raise InvalidInputError("provenance length must match item count")
+        for name, column in ("shift", shifts), ("member", emitted_by), ("stage", emitted_at):
+            if column is not None:
+                _check_column(name, column)
         # one int object per distinct value, offset or shift
         position = _Positions(int).__getitem__
         bases = tuple(tuple(map(position, base)) for base in bases)
         shifts = tuple(map(position, shifts))
-        if len(shifts) != len(base_ids):
-            raise InvalidInputError("one shift per base id required")
-        emitted_by = emitted_at = None
-        if provenance is not None:
-            emitted_by, emitted_at = _provenance_columns(provenance)
-            if len(emitted_by) != len(shifts):
-                raise InvalidInputError("provenance length must match item count")
+        if emitted_by is not None:
+            emitted_by, emitted_at = array("q", emitted_by), array("q", emitted_at)
         self._set(M, q, bases, base_ids, shifts, emitted_by, emitted_at)
         self.locality_fn, self._fp = locality_fn, None
 
     def __len__(self) -> int:
         return len(self.shifts)
 
-    def base_shift(self, j: int) -> tuple[tuple[int, ...], int]:
-        """Item j's base and shift."""
-        return self.bases[self.base_ids[j]], self.shifts[j]
-
     def dom(self, j: int) -> tuple[int, ...]:
-        base, shift = self.base_shift(j)
-        return tuple(map(shift.__add__, base))
-
-    @property
-    def items(self) -> tuple[tuple[int, ...], ...]:
-        """Every item's domain, derived anew on each read."""
-        return tuple(map(self.dom, range(len(self))))
-
-    @property
-    def provenance(self) -> tuple[tuple[int, int], ...] | None:
-        """Every item's ``(member, stage)`` pair, derived anew on each read,
-        or None for a stream without provenance."""
-        if self.emitted_by is None:
-            return None
-        return tuple(zip(self.emitted_by, self.emitted_at))
+        return tuple(map(self.shifts[j].__add__, self.bases[self.base_ids[j]]))
 
     def locality(self, m: int, n: int) -> tuple[int, ...]:
         if self.locality_fn is None:
             raise InvalidInputError("the stream has no locality oracle")
         return self.locality_fn(m, n)
-
-    def is_violated(self, j: int, bits, cut: int | None = None) -> bool:
-        """True iff the first ``cut`` positions of ``dom(j)`` (all of them
-        when ``cut`` is None) carry a single color in ``bits``, a str, bytes
-        or bytearray of 0/1 by position.  An empty head has one color."""
-        return single_color(self.bases[self.base_ids[j]][:cut], bits, self.shifts[j])
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the sha256 of the manifest text the stream
@@ -182,22 +154,14 @@ class ConstraintStream(Record):
         return self._fp
 
 
-def _provenance_columns(provenance) -> tuple[array, array]:
-    """Each item's member and stage, read pair by pair from ``provenance``
-    into two ``array("q")`` columns.  A pair the manifest could not write
-    as a ``# by`` line the parser reads back is refused with its index."""
-    members, stages = array("q"), array("q")
-    for j, pair in enumerate(provenance):
-        if not (
-            type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
-            and 0 <= pair[0] < 2**63 and 0 <= pair[1] < 2**63
-        ):
-            raise InvalidInputError(
-                f"item {j}: provenance {pair!r} is not a pair of nonnegative ints"
-            )
-        members.append(pair[0])
-        stages.append(pair[1])
-    return members, stages
+def _check_column(name: str, column) -> None:
+    """Refuse the first entry of ``column`` that is not an int in
+    [0, 2**63), the range of an ``array("q")`` column, with its index."""
+    ints = set(map(type, column)) <= {int}
+    if ints and 0 <= min(column, default=0) and max(column, default=0) < 2**63:
+        return
+    j, v = next((j, v) for j, v in enumerate(column) if type(v) is not int or not 0 <= v < 2**63)
+    raise StreamIntegrityError(f"item {j}: {name} {v!r} is not a nonnegative int", witness=(j,))
 
 
 def _split(items) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
@@ -777,11 +741,15 @@ def parse_manifest(text: str) -> ConstraintStream:
     ``text`` itself: verifying a coloring formats nothing."""
     reader = ManifestReader((text,))
     doms: list[tuple[int, ...]] = []
-    prov: list[tuple[int, int] | None] = []
+    members: list[int] = []
+    stages: list[int] = []
     for _, dom, by in reader:
         doms.append(dom)
-        prov.append(by)
-    provenance = tuple(prov) if prov and prov[0] else None
-    stream = ConstraintStream(reader.M, reader.q, *_split(doms), provenance)
+        if by is not None:
+            members.append(by[0])
+            stages.append(by[1])
+    # the reader passes a `# by` pair with every item or with none
+    columns = (members, stages) if members else (None, None)
+    stream = ConstraintStream(reader.M, reader.q, *_split(doms), *columns)
     stream._fp = reader.fingerprint
     return stream

@@ -2,7 +2,8 @@
 
 The solution audit re-derives each member's candidate set from the family,
 re-walks every constraint the stream emitted for it, and judges each one
-with ``ConstraintStream.is_violated``, the check ``lllcolor verify`` runs.
+by its base and shift with ``single_color``, the check ``lllcolor verify``
+runs.
 The probability sanity check is honest Monte Carlo.
 """
 
@@ -23,7 +24,7 @@ from .hindman import (
 )
 from .records import FrozenRecord
 from .rng import u64
-from .streams import Coloring, ConstraintStream, SparsityReport, write_blocks
+from .streams import Coloring, ConstraintStream, SparsityReport, single_color, write_blocks
 
 
 class MemberVerdict(FrozenRecord):
@@ -104,11 +105,12 @@ def audit_solution(
     For each member whose candidate set is defined (translate mode, from its
     first selected stage) or has settled by the final stage (image mode,
     from that settling stage), no emitted set lying fully inside
-    [guard, committed_len) may be violated in the sense of
-    ``stream.is_violated``: each must carry both colors.  Members that never
-    reach their size threshold get a vacuous verdict: they are already
-    smaller than the reported bound.  ``stream`` is the stream the coloring
-    was built against; it must carry emission provenance.
+    [guard, committed_len) may carry a single color, as
+    ``single_color(base, bits, shift)`` judges it on the set's base and
+    shift: each must carry both colors.  Members that never reach their
+    size threshold get a vacuous verdict: they are already smaller than
+    the reported bound.  ``stream`` is the stream the coloring was built
+    against; it must carry emission provenance.
     """
     guard = phase_base(stream.M)
     if guard >= coloring.committed_len:
@@ -126,6 +128,7 @@ def audit_solution(
     if emitted_at is None:
         raise WrongStreamError("audited stream lacks emission provenance")
 
+    bases, base_ids, shifts = stream.bases, stream.base_ids, stream.shifts
     by_member: dict[int, list[int]] = {}
     for j, i in enumerate(stream.emitted_by):
         by_member.setdefault(i, []).append(j)
@@ -149,13 +152,13 @@ def audit_solution(
             stage = emitted_at[j]
             if stage < active_from:
                 continue
-            base, shift = stream.base_shift(j)
+            base, shift = bases[base_ids[j]], shifts[j]
             if first_emission is None or stage < first_emission:
                 first_emission = stage
             if shift < guard or shift + base[-1] >= coloring.committed_len:
                 continue
             checked += 1
-            if stream.is_violated(j, coloring.bits):
+            if single_color(base, coloring.bits, shift):
                 violations.append((stage, stream.dom(j)))
         total_checked += checked
         total_violations += len(violations)

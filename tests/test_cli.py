@@ -24,9 +24,10 @@ from lllcolor.streams import (
     gen_sets_stream,
     parse_coloring,
     parse_manifest,
+    single_color,
     write_manifest,
 )
-from test_streams import items_stream
+from test_streams import items_stream, stream_items, stream_provenance
 
 ARTIFACTS = {
     "audit.json",
@@ -109,14 +110,14 @@ class TestRun:
     ], ids=["comp-sum", "main-absdiff"])
     def test_pipeline_never_derives_every_item(self, tmp_path, monkeypatch, config):
         # every stage reads a stream's items as bases and shifts: none
-        # builds the tuple of all item domains
+        # derives an item's domain, let alone the tuple of all of them
         args = ("run", *config, "--seed", "7", "--horizon", "2048")
         assert run_cli(*args, "--out", tmp_path / "plain") == 0
 
-        def refuse(stream):
-            raise AssertionError("a pipeline stage derived every item")
+        def refuse(stream, j):
+            raise AssertionError("a pipeline stage derived an item's domain")
 
-        monkeypatch.setattr(ConstraintStream, "items", property(refuse))
+        monkeypatch.setattr(ConstraintStream, "dom", refuse)
         assert run_cli(*args, "--out", tmp_path / "based") == 0
         for name in sorted(ARTIFACTS):
             assert (tmp_path / "based" / name).read_bytes() == (
@@ -155,6 +156,20 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "InvalidParameterError",
                        "message": "horizon 64 commits only the first window of 64 bits, "
+                                  "where the audit starts"}
+        assert list(out.iterdir()) == []
+
+    def test_horizon_below_4M_reports_the_first_window(self, tmp_path, capsys):
+        # M = 20 gives a first window of 4M = 80 bits, so a horizon under 4M
+        # breaks the first-window rule, and that rule names it
+        out = tmp_path / "x"
+        out.mkdir()
+        rc = run_cli("run", "--mode", "comp", "--f", "sum", "--M", "20", "--seed", "7",
+                     "--horizon", "70", "--members", "3", "--out", out)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "InvalidParameterError",
+                       "message": "horizon 70 commits only the first window of 80 bits, "
                                   "where the audit starts"}
         assert list(out.iterdir()) == []
 
@@ -377,7 +392,7 @@ def reference_verify(coloring_path, stream_path):
             continue
         stat = per_size.setdefault(len(dom), [0, 0])
         stat[0] += 1
-        if stream.is_violated(j, coloring.bits):
+        if single_color(dom, coloring.bits):
             stat[1] += 1
             violated.append(j)
     for m in sorted(per_size):
@@ -456,7 +471,7 @@ class TestStreamingVerify:
         # streaming verify reports what parsing the whole manifest and then
         # walking the stream reports: exit code, stdout and stderr alike.
         # With two faults that holds too: both report the first faulty line
-        items = gen_sets_stream(seed, count, window, M, spread=2).items
+        items = stream_items(gen_sets_stream(seed, count, window, M, spread=2))
         provenance = tuple((j, 3 * j + 1) for j in range(count)) if with_provenance else None
         lines = format_manifest(items_stream(M, Fraction(1, 2), items, provenance)).splitlines()
         for fault in faults:
@@ -560,7 +575,7 @@ class TestRoundTrips:
         coloring = parse_coloring((out / "coloring.txt").read_text())
         assert coloring.stream_fingerprint == stream.fingerprint()
         assert coloring.committed_len >= 2048
-        assert stream.provenance is not None
+        assert stream_provenance(stream) is not None
 
 
 class TestDemos:

@@ -27,7 +27,7 @@ from lllcolor.lll import Event, default_budget, fair_bit, resample_sets, solve_m
 from lllcolor.rng import derive_seed
 from lllcolor.streams import format_coloring, gen_sets_stream, parse_coloring
 from test_golden import PIPELINES, golden_sets
-from test_streams import items_stream
+from test_streams import items_stream, stream_items
 
 F = Fraction
 
@@ -48,7 +48,7 @@ def restricted_color_prefix(stream, horizon, seed):
     while len(committed) < committed_length(stream.M, horizon):
         window, target, prefix = n0 << k, n0 << (k - 1), len(committed)
         events, pinned = [], {}
-        for j, dom in enumerate(stream.items):
+        for j, dom in enumerate(stream_items(stream)):
             if j in resolved or dom[-1] >= window:
                 continue
             cut = bisect_left(dom, prefix)

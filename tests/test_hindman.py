@@ -39,7 +39,7 @@ from lllcolor.streams import (
     point_bound,
     validate_sparsity,
 )
-from test_streams import items_stream
+from test_streams import items_stream, stream_items, stream_provenance
 
 F = Fraction
 
@@ -326,18 +326,18 @@ class TestBuildTranslateStream:
             (((6, frozenset({0, 2, 5, 1})),),),
         )
         stream = build_translate_stream(fam, 4)
-        assert stream.provenance == tuple((0, s) for s in range(6, 10))
+        assert stream_provenance(stream) == tuple((0, s) for s in range(6, 10))
         assert stream.dom(0) == (6, 7, 8, 11)
 
     def test_sizes_are_member_thresholds(self):
         fam, stream = self.small()
         for j in range(len(stream)):
-            i, s = stream.provenance[j]
+            i, s = stream.emitted_by[j], stream.emitted_at[j]
             assert len(stream.dom(j)) == 4 + i
 
     def test_no_duplicates(self):
         fam, stream = self.small()
-        assert len(set(stream.items)) == len(stream)
+        assert len(set(stream_items(stream))) == len(stream)
 
     def test_translates_share_one_int_per_distinct_position(self):
         # a stream holds a translate as its member's base and a shift, which
@@ -377,7 +377,7 @@ class TestBuildTranslateStream:
         fam = gen_family(seed, len(sizes), stages, "ce", sizes)
         stream = build_translate_stream(fam, M)
         index = {}
-        for j, dom in enumerate(stream.items):
+        for j, dom in enumerate(stream_items(stream)):
             for n in dom:
                 index.setdefault((len(dom), n), []).append(j)
         # sizes no item has, empty cells, and positions past the last stage
@@ -404,7 +404,7 @@ class TestBuildTranslateStream:
             ),
         )
         stream = build_translate_stream(fam, 4)
-        assert all(i == 0 for i, _ in stream.provenance)
+        assert all(i == 0 for i, _ in stream_provenance(stream))
 
     def test_build_holds_no_position_tuples(self):
         # the translate-dense bench config: 23 377 translates of 50 bases.
@@ -457,14 +457,14 @@ class TestBuildImageStream:
     def test_image_sizes_at_least_threshold(self):
         fn, M, fam, stream = self.build("absdiff")
         for j in range(len(stream)):
-            i, s = stream.provenance[j]
+            i, s = stream.emitted_by[j], stream.emitted_at[j]
             assert len(stream.dom(j)) >= M + i
 
     def test_stabilized_members_emit_through_top_half(self):
         fn, M, fam, stream = self.build()
         stages = fam.stage_count
         emitted = {}
-        for i, s in stream.provenance:
+        for i, s in stream_provenance(stream):
             emitted.setdefault(i, set()).add(s)
         for i in range(fam.count):
             missing = [s for s in range(stages // 2, stages) if s not in emitted.get(i, ())]
@@ -477,12 +477,12 @@ class TestBuildImageStream:
 
     def test_no_duplicates(self):
         fn, M, fam, stream = self.build()
-        assert len(set(stream.items)) == len(stream)
+        assert len(set(stream_items(stream))) == len(stream)
 
     def test_min_image_clears_stability_start(self):
         fn, M, fam, stream = self.build()
         for j in range(len(stream)):
-            i, s = stream.provenance[j]
+            i, s = stream.emitted_by[j], stream.emitted_at[j]
             _, since = _selection_timeline(fam, i, fn.mult_bound * (M + i))[s]
             assert min(stream.dom(j)) > since
 
@@ -524,10 +524,10 @@ class TestBuildImageStream:
         )
         stream = build_image_stream(fam, fn, M)
         index = {}
-        for j, dom in enumerate(stream.items):
+        for j, dom in enumerate(stream_items(stream)):
             for n in dom:
                 index.setdefault((len(dom), n), []).append(j)
-        top = max(map(len, stream.items), default=M)
+        top = max(map(len, stream_items(stream)), default=M)
         # sizes no item has, positions no item touches, and positions past
         # the last stage
         for m in range(M - 1, top + 2):
@@ -562,15 +562,15 @@ class TestBuildImageStream:
         )
         stream = build_image_stream(fam, fn, M)
         bases_of = {}
-        for j, (i, _) in enumerate(stream.provenance):
+        for j, (i, _) in enumerate(stream_provenance(stream)):
             bases_of.setdefault(i, set()).add(stream.base_ids[j])
         assert sorted(bases_of) == list(range(members))
         assume(min(map(len, bases_of.values())) >= 2)
         index = {}
-        for j, dom in enumerate(stream.items):
+        for j, dom in enumerate(stream_items(stream)):
             for n in dom:
                 index.setdefault((len(dom), n), []).append(j)
-        top = max(map(len, stream.items))
+        top = max(map(len, stream_items(stream)))
         for m in range(M - 1, top + 2):
             for n in range(2 * stages):
                 assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
@@ -600,8 +600,8 @@ class TestBuildImageStream:
         stream = build_image_stream(fam, fn, M)
         timelines = [_selection_timeline(fam, i, fn.mult_bound * (M + i)) for i in range(3)]
         dropped = 0
-        for j, dom in enumerate(stream.items):
-            i, s = stream.provenance[j]
+        for j, dom in enumerate(stream_items(stream)):
+            i, s = stream.emitted_by[j], stream.emitted_at[j]
             for n in dom:
                 selection = timelines[i][n][0] if n < 512 else ()
                 bound = max(n, max((x + n - 1 for x in selection), default=n)) + 1
@@ -622,16 +622,16 @@ class TestBuildImageStream:
         fam = gen_family(seed, 3, 512, "sigma2", tuple(M + i + 6 for i in range(3)))
         stream = build_image_stream(fam, fn, M)
         stage = {
-            (stream.base_ids[j], stream.shifts[j]): s for j, (_, s) in enumerate(stream.provenance)
+            (stream.base_ids[j], stream.shifts[j]): s for j, s in enumerate(stream.emitted_at)
         }
         assert any(stage.get((b, u + 1), s) < s for (b, u), s in stage.items())
         index = {}
-        for j, dom in enumerate(stream.items):
+        for j, dom in enumerate(stream_items(stream)):
             for n in dom:
                 index.setdefault((len(dom), n), []).append(j)
         dropped = 0
         for (m, n), holders in index.items():
-            kept = tuple(j for j in holders if stream.provenance[j][1] <= n)
+            kept = tuple(j for j in holders if stream.emitted_at[j] <= n)
             dropped += len(holders) - len(kept)
             assert stream.locality(m, n) == kept, (m, n)
         assert dropped > 0
@@ -686,10 +686,10 @@ class TestBuildImageStream:
             ((4 * M, first | {1, 3}),),
         ))
         stream = build_image_stream(fam, fn, M)
-        assert {i for i, _ in stream.provenance} == {0}
-        assert len(set(stream.items)) == len(stream)
+        assert {i for i, _ in stream_provenance(stream)} == {0}
+        assert len(set(stream_items(stream))) == len(stream)
         index = {}
-        for j, dom in enumerate(stream.items):
+        for j, dom in enumerate(stream_items(stream)):
             for n in dom:
                 index.setdefault((len(dom), n), []).append(j)
         assert {m for m, _ in index} == {2 * M}
@@ -774,7 +774,7 @@ class TestBaseForm:
         b = 1 if kind == "translate" else fn.mult_bound
         timelines = [_selection_timeline(fam, i, b * (M + i)) for i in range(fam.count)]
         doms = []
-        for j, (i, s) in enumerate(stream.provenance):
+        for j, (i, s) in enumerate(stream_provenance(stream)):
             timeline = timelines[i]
             if kind == "translate":
                 # E + s, for the member's first selection E
@@ -784,12 +784,13 @@ class TestBaseForm:
             assert stream.dom(j) == expect, (j, i, s)
             doms.append(expect)
         assert len(stream.bases) == len({tuple(n - d[0] for n in d) for d in doms})
-        # the items split anew and the builder's own table, each handed the
-        # pairs, and a parse of the manifest read back the builder's
+        # the items split anew, handed the pairs, the builder's own table,
+        # handed its columns, and a parse of the manifest read back the builder's
         # provenance and give an equal stream
-        again = items_stream(M, F(1, 2), tuple(doms), stream.provenance)
+        again = items_stream(M, F(1, 2), tuple(doms), stream_provenance(stream))
         table = ConstraintStream(
-            M, F(1, 2), stream.bases, stream.base_ids, stream.shifts, stream.provenance
+            M, F(1, 2), stream.bases, stream.base_ids, stream.shifts, stream.emitted_by,
+            stream.emitted_at,
         )
         text = format_manifest(stream)
         others = [again, table]
@@ -798,7 +799,7 @@ class TestBaseForm:
             others.append(parse_manifest(text))
         for other in others:
             assert other == stream
-            assert other.provenance == stream.provenance
+            assert stream_provenance(other) == stream_provenance(stream)
             assert format_manifest(other) == text
 
 

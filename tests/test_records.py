@@ -154,10 +154,16 @@ def test_set_takes_one_value_per_field(values):
 
 
 class TestConstraintStreamRecord:
+    def test_the_constructor_takes_the_fields(self):
+        # the fields, then the oracle, which equality and the repr ignore
+        assert tuple(inspect.signature(ConstraintStream).parameters) == (
+            *ConstraintStream._fields, "locality_fn"
+        )
+
     def test_equality_ignores_the_oracle_and_the_fingerprint(self):
         a = stream()
         b = ConstraintStream(
-            4, F(1, 2), [(0, 1, 2, 3)], [0, 0], [0, 1], [(0, 5), (0, 6)],
+            4, F(1, 2), [(0, 1, 2, 3)], [0, 0], [0, 1], [0, 0], [5, 6],
             locality_fn=lambda m, n: (),
         )
         b.fingerprint()

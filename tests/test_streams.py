@@ -2,7 +2,6 @@
 the text interchange formats (with the header rule every parser shares)."""
 
 import hashlib
-import re
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -31,6 +30,7 @@ from lllcolor.streams import (
     parse_coloring,
     parse_manifest,
     point_bound,
+    single_color,
     validate_sparsity,
     write_coloring,
     write_manifest,
@@ -42,8 +42,25 @@ F = Fraction
 
 def items_stream(M, q, items, provenance=None, locality_fn=None):
     """The stream of ``items``, each a canonical tuple, built from the base
-    table, base ids and shifts the pipeline's own split gives."""
-    return ConstraintStream(M, q, *streams._split(items), provenance, locality_fn)
+    table, base ids and shifts the pipeline's own split gives, with the
+    ``(member, stage)`` pairs of ``provenance`` unzipped into two columns."""
+    columns = (None, None) if provenance is None else (
+        [member for member, _ in provenance], [stage for _, stage in provenance]
+    )
+    return ConstraintStream(M, q, *streams._split(items), *columns, locality_fn)
+
+
+def stream_items(stream):
+    """Every item's domain, each derived through ``dom``."""
+    return tuple(map(stream.dom, range(len(stream))))
+
+
+def stream_provenance(stream):
+    """Every item's ``(member, stage)`` pair read from the two columns, or
+    None for a stream without provenance."""
+    if stream.emitted_by is None:
+        return None
+    return tuple(zip(stream.emitted_by, stream.emitted_at))
 
 
 def sets_stream(items, M=2, q=F(1, 2), locality=None, provenance=None):
@@ -61,8 +78,9 @@ def reference_locality(items):
 
 
 def with_reference(stream):
+    items = stream_items(stream)
     return items_stream(
-        stream.M, stream.q, stream.items, stream.provenance, reference_locality(stream.items)
+        stream.M, stream.q, items, stream_provenance(stream), reference_locality(items)
     )
 
 
@@ -151,11 +169,11 @@ class TestConstraintStream:
         # bases in order of first use, each item a base id and its first position
         assert s.bases == ((0, 2, 6), (0, 3))
         assert (s.base_ids, s.shifts) == ((0, 1, 0), (3, 1, 7))
-        assert s.provenance == provenance
-        assert s.items == items and all(s.dom(j) == items[j] for j in range(3))
-        assert s.base_shift(2) == ((0, 2, 6), 7)
+        assert stream_provenance(s) == provenance
+        assert stream_items(s) == items and all(s.dom(j) == items[j] for j in range(3))
+        assert (s.bases[s.base_ids[2]], s.shifts[2]) == ((0, 2, 6), 7)
         # the same table handed over by hand makes the same stream
-        built = ConstraintStream(2, F(1, 2), s.bases, [0, 1, 0], [3, 1, 7], provenance)
+        built = ConstraintStream(2, F(1, 2), s.bases, [0, 1, 0], [3, 1, 7], [0, 2, 4], [1, 3, 5])
         assert built == s and format_manifest(built) == format_manifest(s)
 
     def test_provenance_is_copied_into_two_columns(self):
@@ -163,45 +181,64 @@ class TestConstraintStream:
         provenance = [(0, 1), (2, 3)]
         s = items_stream(2, F(1, 2), ((0, 1), (2, 3)), provenance)
         provenance.append((9, 9))
-        assert s.provenance == ((0, 1), (2, 3))
+        assert stream_provenance(s) == ((0, 1), (2, 3))
         assert (s.emitted_by, s.emitted_at) == (array("q", [0, 2]), array("q", [1, 3]))
-        # the builders hand over their columns zipped, which are copied too
+        # the builders hand over their own columns, which are copied too
         by, at = array("q", [0, 2]), array("q", [1, 3])
-        built = ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0), (0, 2), zip(by, at))
+        built = ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0), (0, 2), by, at)
         by[0] = 7
-        assert built == s and built.provenance == ((0, 1), (2, 3))
+        assert built == s and stream_provenance(built) == ((0, 1), (2, 3))
         # a stream with provenance differs from one without it
         assert items_stream(2, F(1, 2), ((0, 1), (2, 3))) != s
 
-    # "items" builds through the test helper's split, "bases" from a table
+    @pytest.mark.parametrize("column", ["shift", "member", "stage"])
+    @pytest.mark.parametrize(
+        "entry", [-3, True, 2.0, 2**63], ids=["negative", "bool", "float", "too-big"]
+    )
+    def test_int_column_entry_is_refused_by_index(self, column, entry):
+        # each of these would reach the manifest as a token the parser
+        # refuses, or as a value an array("q") column cannot hold
+        columns = {"shift": [0, 1, 2], "member": [0, 1, 2], "stage": [0, 1, 2]}
+        columns[column][1] = entry
+        with pytest.raises(StreamIntegrityError) as exc:
+            ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0, 0), *columns.values())
+        assert str(exc.value) == f"item 1: {column} {entry!r} is not a nonnegative int"
+        assert exc.value.witness == (1,)
+
+    # "items" hands the pairs to the test helper, which unzips them into the
+    # two columns; "bases" hands the constructor the two columns itself
     @pytest.mark.parametrize("door", ["items", "bases"])
     @pytest.mark.parametrize(
-        "entry",
-        [(5, -3), "ab", (True, 1), (1, 2.0), (1, 2, 3), (1,), None, [1, 2], (0, 2**63)],
-        ids=["negative", "str", "bool", "float", "triple", "single", "none", "list", "too-big"],
+        "entry, refused",
+        [((5, -3), "stage -3"), ((True, 1), "member True"), ((1, 2.0), "stage 2.0"),
+         ((0, 2**63), f"stage {2**63}")],
+        ids=["negative", "bool", "float", "too-big"],
     )
-    def test_provenance_entry_is_refused_by_index(self, door, entry):
-        # each of these would reach the manifest as a `# by` line the parser
-        # refuses, or as none at all
+    def test_provenance_entry_is_refused_by_index(self, door, entry, refused):
+        # each pair lands in its two columns, whose check names the column
         provenance = ((0, 1), entry, (2, 3))
         items = ((0, 1), (1, 2), (2, 3))
-        message = f"^item 1: provenance {re.escape(repr(entry))} is not a pair of nonnegative ints$"
-        with pytest.raises(InvalidInputError, match=message):
+        with pytest.raises(StreamIntegrityError) as exc:
             if door == "items":
                 items_stream(2, F(1, 2), items, provenance)
             else:
-                ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), provenance)
+                by, at = zip(*provenance)
+                ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), by, at)
+        assert str(exc.value) == f"item 1: {refused} is not a nonnegative int"
+        assert exc.value.witness == (1,)
 
-    def test_zipped_columns_are_checked(self):
-        def build(by, at):
-            return ConstraintStream(
-                2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), zip(array("q", by), array("q", at))
-            )
-
-        with pytest.raises(InvalidInputError, match=r"^item 2: provenance \(4, -1\) is not a pair"):
-            build([0, 1, 4], [0, 1, -1])
-        with pytest.raises(InvalidInputError, match="^provenance length must match item count$"):
-            build([0, 1], [0, 1])
+    @pytest.mark.parametrize(
+        "by, at, message",
+        [
+            ([0, 1], [0, 1], "^provenance length must match item count$"),
+            ([0, 1, 2], None, "^provenance needs both columns or neither$"),
+            (None, [0, 1, 2], "^provenance needs both columns or neither$"),
+        ],
+        ids=["short", "members-alone", "stages-alone"],
+    )
+    def test_provenance_columns_come_together(self, by, at, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ConstraintStream(2, F(1, 2), ((0, 1),), (0, 0, 0), (0, 1, 2), by, at)
 
     @pytest.mark.parametrize(
         "bases, base_ids, shifts, message",
@@ -211,13 +248,11 @@ class TestConstraintStream:
             (((0, 1), (0, 1)), (0, 1), (0, 5), "^the base table holds a base twice$"),
             (((0, 1), (0, 2)), (1, 0), (0, 5), "^base ids must number the bases"),
             (((0, 1), (0, 2)), (0, 0), (0, 5), "^base ids must number the bases"),
-            (((0, 1),), (0, 0), (3, -1), r"^item 1: shift -1 is not a nonnegative int$"),
-            (((0, 1),), (0,), (True,), r"^item 0: shift True is not a nonnegative int$"),
             (((0, 1.5),), (0,), (0,), r"^base 0: \(0, 1.5\) is not a tuple"),
             (((0, 1), (0, True)), (0, 1), (0, 5), r"^base 1: \(0, True\) is not a tuple"),
         ],
-        ids=["off-zero", "undersized", "repeated", "unordered", "unused", "negative", "bool",
-             "float-offset", "bool-offset"],
+        ids=["off-zero", "undersized", "repeated", "unordered", "unused", "float-offset",
+             "bool-offset"],
     )
     def test_builders_table_is_checked_once(self, bases, base_ids, shifts, message):
         # a float or bool offset would reach the manifest as a token the
@@ -255,18 +290,18 @@ class TestForbiddenRows:
     of the domain violate it while one of those rows still agrees."""
 
     def test_is_violated_on_a_prefix(self):
-        sets = sets_stream([{0, 1, 2, 3}])
-        assert sets.is_violated(0, b"00", 0)
-        assert sets.is_violated(0, b"00", 2)
-        assert not sets.is_violated(0, b"01", 2)
-        assert sets.is_violated(0, "1111") and not sets.is_violated(0, "1101")
+        head = (0, 1, 2, 3)
+        assert single_color(head[:0], b"00")
+        assert single_color(head[:2], b"00")
+        assert not single_color(head[:2], b"01")
+        assert single_color(head, "1111") and not single_color(head, "1101")
 
     def test_is_violated_matches_direct_scan(self):
-        sets = sets_stream([{0, 2, 4}])
+        head = (0, 2, 4)
         for mask in range(32):
             bits = bytes(48 + ((mask >> n) & 1) for n in range(5))
             constant = len({bits[n] for n in (0, 2, 4)}) == 1
-            assert sets.is_violated(0, bits) == constant
+            assert single_color(head, bits) == constant
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -275,14 +310,16 @@ class TestForbiddenRows:
         st.sampled_from([str, lambda b: b.encode("ascii"), lambda b: bytearray(b, "ascii")]),
     )
     def test_is_violated_iff_a_constant_row_agrees(self, domain, bits, kind):
-        sets = sets_stream([domain], M=1)
+        # the domain as a stream holds it: a base from 0 and a shift
         dom = sorted(domain)
+        shift = dom[0]
+        base = tuple(n - shift for n in dom)
         for cut in range(len(dom) + 1):
             head = [bits[n] for n in dom[:cut]]
             agrees = any(head == [c] * cut for c in "01")
-            assert sets.is_violated(0, kind(bits), cut) == agrees
-        # the whole domain, the last head above, is the default
-        assert sets.is_violated(0, kind(bits)) == agrees
+            assert single_color(base[:cut], kind(bits), shift) == agrees
+        # the whole domain, the last head above, is the whole base
+        assert single_color(base, kind(bits), shift) == agrees
 
 
 class TestPointBound:
@@ -514,13 +551,13 @@ class TestGenSetsStream:
     def test_deterministic(self):
         a = gen_sets_stream(3, 30, 512, 16)
         b = gen_sets_stream(3, 30, 512, 16)
-        assert a.items == b.items
+        assert stream_items(a) == stream_items(b)
 
     def test_more_sets_than_the_window_holds_raises(self):
         # 8 points hold 28 distinct 2-sets: a 29th can never be found
         with pytest.raises(InvalidParameterError, match="fewer than 29 distinct sets"):
             gen_sets_stream(0, 29, 8, 2, spread=0)
-        assert len(set(gen_sets_stream(0, 28, 8, 2, spread=0).items)) == 28
+        assert len(set(stream_items(gen_sets_stream(0, 28, 8, 2, spread=0)))) == 28
 
     def test_meets_hypotheses(self):
         s = gen_sets_stream(3, 200, 4096, 16)
@@ -619,7 +656,7 @@ class TestManifestFormat:
         text = format_manifest(s)
         assert "# by 0 at 5" in text
         back = parse_manifest(text)
-        assert back == items_stream(s.M, s.q, s.items, s.provenance)
+        assert back == items_stream(s.M, s.q, stream_items(s), stream_provenance(s))
 
     def test_each_item_is_checked_once(self, monkeypatch):
         # the reader checks each item on its line, the constructor each
@@ -684,8 +721,8 @@ class TestManifestFormat:
     @pytest.mark.parametrize("value", ["-3", str(2**63)])
     def test_provenance_out_of_range_names_its_item(self, value):
         # a provenance column holds nonnegative signed 8-byte ints
-        message = rf"^item 1: provenance \(5, {value}\) is not a pair of nonnegative ints$"
-        with pytest.raises(InvalidInputError, match=message):
+        message = f"^item 1: stage {value} is not a nonnegative int$"
+        with pytest.raises(StreamIntegrityError, match=message):
             parse_manifest(
                 f"stream sets M 2 q 1/2\n# by 0 at 0\nitem 0 2 0 1\n# by 5 at {value}\nitem 1 2 0 2\n"
             )
@@ -707,7 +744,7 @@ class TestManifestFormat:
         self, seed, count, M, with_provenance, fault, data
     ):
         # the manifest reader refuses the item on its own line
-        items = gen_sets_stream(seed, count, 400, M).items
+        items = stream_items(gen_sets_stream(seed, count, 400, M))
         provenance = tuple((j, 2 * j) for j in range(count)) if with_provenance else None
         lines = format_manifest(items_stream(M, F(1, 2), items, provenance)).splitlines()
         j = data.draw(st.integers(0, count - 1))
@@ -748,7 +785,7 @@ class TestManifestFormat:
         data=st.data(),
     )
     def test_round_trip_is_byte_exact(self, seed, count, window, q, data):
-        items = gen_sets_stream(seed, count, window, 4, q=q).items
+        items = stream_items(gen_sets_stream(seed, count, window, 4, q=q))
         provenance = data.draw(st.none() | st.lists(
             st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
             min_size=len(items), max_size=len(items)))
@@ -906,6 +943,6 @@ def test_record_fault_names_its_line(parse, text, message):
 
 def test_free_form_comments_stay_ignored():
     manifest = "# built by hand\nstream sets M 2 q 1/2\n# bylines follow\nitem 0 2 0 1\n"
-    assert parse_manifest(manifest).items == ((0, 1),)
+    assert stream_items(parse_manifest(manifest)) == ((0, 1),)
     coloring = "# phased in\n# streamed\ncoloring 2 0\n01\n"
     assert parse_coloring(coloring) == Coloring("01", 0, "", 0, 0)

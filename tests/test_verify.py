@@ -30,6 +30,7 @@ from lllcolor.verify import (
     sparsity_counts_csv,
     write_sparsity_csv,
 )
+from test_streams import stream_provenance
 
 F = Fraction
 SUM = builtin_addition_like("sum")
@@ -52,7 +53,7 @@ class TestAuditSolution:
         assert report.bound_rule == "M+i"
         # re-scan independently
         for verdict in report.members:
-            for j, (i, s) in enumerate(stream.provenance):
+            for j, (i, s) in enumerate(stream_provenance(stream)):
                 if i != verdict.member:
                     continue
                 dom = stream.dom(j)
@@ -65,7 +66,7 @@ class TestAuditSolution:
         col = color_prefix(stream, 512, 3)
         timeline = _selection_timeline(fam, 0, 16)
         core = timeline[_first_selected(timeline)][0]
-        emitted = {s for _, s in stream.provenance}
+        emitted = {s for _, s in stream_provenance(stream)}
         translates_ok = 0
         for s in sorted(emitted):
             positions = [x + s for x in core]
@@ -79,7 +80,7 @@ class TestAuditSolution:
         guard = 64  # phase_base(4)
         # the first translate inside [guard, committed_len) emitted at or
         # after its member's first selected stage
-        for j, (i, s) in enumerate(stream.provenance):
+        for j, (i, s) in enumerate(stream_provenance(stream)):
             timeline = _selection_timeline(fam, i, M + i)
             dom = stream.dom(j)
             if s >= _first_selected(timeline) and dom[0] >= guard and dom[-1] < col.committed_len:
@@ -110,7 +111,7 @@ class TestAuditSolution:
         # every constraint the audit checks, and the ones it flags
         audited = set()
         flagged = set()
-        for k, (member, stage) in enumerate(stream.provenance):
+        for k, (member, stage) in enumerate(stream_provenance(stream)):
             verdict = report.members[member]
             positions = stream.dom(k)
             if (not verdict.vacuous and stage >= verdict.stable_since
