@@ -155,6 +155,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not sparsity.ok:
         print(f"sparsity violations: {len(sparsity.violations)}", file=sys.stderr)
         return 1
+    # nothing past the sparsity artifacts reads the report: free it before coloring
+    del sparsity
 
     coloring = color_prefix(stream, args.horizon, derive_seed(args.seed, 2))
     with (out / "coloring.txt").open("w", encoding="utf-8") as file:

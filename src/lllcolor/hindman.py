@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from itertools import pairwise, repeat
+from itertools import islice, pairwise, repeat
 
 from .errors import (
     InvalidInputError,
@@ -76,61 +76,65 @@ def builtin_addition_like(name: str) -> AdditionLike:
     raise InvalidParameterError(f"unknown addition-like function {name!r}")
 
 
-def _check_change(
-    mode: str,
-    stage_count: int,
-    i: int,
-    prev: tuple[int, frozenset[int]] | None,
-    point: tuple[int, frozenset[int]],
+def _toggle(
+    mode: str, stage_count: int, i: int, present: set[int], prev: int, point: tuple
 ) -> None:
-    """Raise unless change point ``point`` may follow ``prev`` (None for
-    the first) in member i's change list."""
-    s, members = point
+    """Flip toggle ``point``'s elements in ``present``, member i's set before
+    it, raising unless the toggle may follow stage ``prev`` (-1 for the
+    first) in member i's toggle list."""
+    s, elements = point
     if not 0 <= s < stage_count:
         raise InvalidInputError(f"member {i}: change stage {s} out of range")
-    if prev is not None and s <= prev[0]:
+    if s <= prev:
         raise InvalidInputError(f"member {i}: change stages must increase")
-    for x in members:
-        if x < 0 or x >= s:
+    last = -1
+    for x in elements:
+        if x in present:
+            if mode == MODE_CE:
+                raise InvalidInputError(f"member {i}: ce families must grow monotonically")
+            present.remove(x)
+        elif 0 <= x < s:
+            present.add(x)
+        else:
             raise StreamIntegrityError(
                 f"member {i}: element {x} present at stage {s} violates x < s",
                 witness=(i, s, x),
             )
-    if mode == MODE_CE and prev is not None and not prev[1] <= members:
-        raise InvalidInputError(f"member {i}: ce families must grow monotonically")
+        if x <= last:
+            raise InvalidInputError(f"member {i}: toggled elements must increase")
+        last = x
 
 
 class StagedFamily(FrozenRecord):
     """Stagewise approximations of ``count`` enumerated sets.
 
-    ``changes[i]`` lists (stage, full set) change points; between change
-    points membership is constant.  Every element obeys the convention
-    x < stage at the stage it appears.  ce mode additionally requires
-    monotone growth.
+    ``toggles[i]`` lists member i's (stage, elements) toggles in increasing
+    stage: ``elements``, increasing, are the values whose membership flips
+    at that stage, and between toggles membership is constant.  An element
+    enters only at a stage past it (x < stage); ce mode never removes one.
     """
 
-    __slots__ = _fields = ("mode", "count", "stage_count", "changes")
+    __slots__ = _fields = ("mode", "count", "stage_count", "toggles")
 
     def __init__(
         self,
         mode: str,
         count: int,
         stage_count: int,
-        changes: tuple[tuple[tuple[int, frozenset[int]], ...], ...],
+        toggles: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
     ):
         if mode not in (MODE_CE, MODE_SIGMA2):
             raise InvalidParameterError(f"unknown family mode {mode!r}")
-        if count != len(changes):
+        if count != len(toggles):
             raise InvalidInputError("one change list per member required")
         if stage_count < 1:
             raise InvalidParameterError("stage_count must be at least 1")
         canon = []
-        for i, points in enumerate(changes):
-            pts = tuple((int(s), frozenset(p)) for s, p in points)
-            prev = None
-            for point in pts:
-                _check_change(mode, stage_count, i, prev, point)
-                prev = point
+        for i, points in enumerate(toggles):
+            pts = tuple((int(s), tuple(xs)) for s, xs in points)
+            present: set[int] = set()
+            for (prev, _), point in zip(((-1, ()), *pts), pts):
+                _toggle(mode, stage_count, i, present, prev, point)
             canon.append(pts)
         self._set(mode, count, stage_count, tuple(canon))
 
@@ -139,9 +143,12 @@ class StagedFamily(FrozenRecord):
             raise InvalidParameterError(f"member {i} out of range")
         if not 0 <= s < self.stage_count:
             raise InvalidParameterError(f"stage {s} out of range")
-        points = self.changes[i]
-        pos = bisect_right(points, s, key=lambda pt: pt[0])
-        return points[pos - 1][1] if pos else frozenset()
+        present: set[int] = set()
+        for stage, elements in self.toggles[i]:
+            if stage > s:
+                break
+            present.symmetric_difference_update(elements)
+        return frozenset(present)
 
 
 def _selection_timeline(
@@ -156,20 +163,17 @@ def _selection_timeline(
     """
     timeline: list[tuple[frozenset[int], int]] = []
     entry: tuple[frozenset[int], int] = (frozenset(), 0)
-    present: frozenset[int] = frozenset()
-    tenure: dict[int, int] = {}
-    for s, incoming in family.changes[i]:
+    # the present elements, keyed in (tenure start, value) order: an element
+    # that enters goes last, and one toggle's elements increase
+    present: dict[int, None] = {}
+    for s, flipped in family.toggles[i]:
         timeline.extend([entry] * (s - len(timeline)))
-        for x in incoming - present:
-            tenure[x] = s
-        for x in present - incoming:
-            del tenure[x]
-        present = incoming
-        if len(present) < k:
-            chosen: frozenset[int] = frozenset()
-        else:
-            ranked = sorted(present, key=lambda x: (tenure[x], x))
-            chosen = frozenset(ranked[:k])
+        for x in flipped:
+            if x in present:
+                del present[x]
+            else:
+                present[x] = None
+        chosen = frozenset(islice(present, k)) if len(present) >= k else frozenset()
         if chosen != entry[0]:
             entry = (chosen, s)
     timeline.extend([entry] * (family.stage_count - len(timeline)))
@@ -604,7 +608,7 @@ def gen_family(
         raise InvalidParameterError(f"unknown family mode {mode!r}")
     unstable = set(unstable_members)
 
-    members: list[tuple[tuple[int, frozenset[int]], ...]] = []
+    members: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
     for i in range(count):
         need = int(target_sizes[i])
         if need < 1:
@@ -621,10 +625,11 @@ def gen_family(
                 seen.add(v)
                 values.append(v)
 
-        timeline: dict[int, list[int]] = {}
+        # timeline[stage]: the values that flip there; two flips at one stage cancel
+        timeline: dict[int, set[int]] = {}
 
         def toggle(stage: int, value: int) -> None:
-            timeline.setdefault(stage, []).append(value)
+            timeline.setdefault(stage, set()).symmetric_difference_update((value,))
 
         if mode == MODE_CE:
             for jx, v in enumerate(values[:need]):
@@ -671,31 +676,24 @@ def gen_family(
                     toggle(leave, victim)
                     toggle(comeback, victim)
 
-        present: set[int] = set()
-        points: list[tuple[int, frozenset[int]]] = []
-        for stage in sorted(timeline):
-            for v in timeline[stage]:
-                if v in present:
-                    present.discard(v)
-                else:
-                    present.add(v)
-            points.append((stage, frozenset(present)))
-        members.append(tuple(points))
+        members.append(tuple((stage, tuple(sorted(timeline[stage]))) for stage in sorted(timeline)))
     return StagedFamily(mode, count, stage_count, tuple(members))
 
 
 def format_family(family: StagedFamily) -> str:
     lines = [f"family {family.mode} {family.count} {family.stage_count}"]
-    for i in range(family.count):
-        for stage, members in family.changes[i]:
-            elems = " ".join(str(x) for x in sorted(members))
-            lines.append(f"at {i} {stage} {elems}".rstrip())
+    for i, points in enumerate(family.toggles):
+        present: set[int] = set()
+        for stage, elements in points:
+            present.symmetric_difference_update(elements)
+            lines.append(f"at {i} {stage} {' '.join(map(str, sorted(present)))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def parse_family(text: str) -> StagedFamily:
     mode = count = stage_count = None
-    per_member: dict[int, list[tuple[int, frozenset[int]]]] = {}
+    # per_member[i]: member i's set after its last toggle, and its toggles
+    per_member: dict[int, tuple[set[int], list[tuple[int, tuple[int, ...]]]]] = {}
     with RecordReader(text) as records:
         for line in records:
             if line[0] == "#":
@@ -710,17 +708,18 @@ def parse_family(text: str) -> StagedFamily:
                 StagedFamily(mode, 0, stage_count, ())  # checks the mode and stage count
             elif toks[0] == "at":
                 i, s = int(toks[1]), int(toks[2])
-                members = frozenset(map(int, toks[3:]))
+                members = set(map(int, toks[3:]))
                 if count is None:
                     raise records.error("at record before the family header")
                 if not 0 <= i < count:
                     raise records.error(f"member {i} outside [0, {count})")
-                points = per_member.setdefault(i, [])
-                _check_change(mode, stage_count, i, points[-1] if points else None, (s, members))
-                points.append((s, members))
+                present, points = per_member.setdefault(i, (set(), []))
+                point = (s, tuple(sorted(members.symmetric_difference(present))))
+                _toggle(mode, stage_count, i, present, points[-1][0] if points else -1, point)
+                points.append(point)
             else:
                 raise records.error(f"unknown record {toks[0]!r}")
     if mode is None:
         raise ParseError("missing family header")
-    changes = tuple(tuple(per_member.get(i, [])) for i in range(count))
-    return StagedFamily(mode, count, stage_count, changes)
+    toggles = tuple(tuple(per_member[i][1]) if i in per_member else () for i in range(count))
+    return StagedFamily(mode, count, stage_count, toggles)

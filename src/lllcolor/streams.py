@@ -692,7 +692,9 @@ class ManifestReader:
                             raise records.error("provenance line before the stream header")
                         if pending is not None:
                             raise records.error("repeated provenance line")
-                        pending = (position(toks[1]), position(toks[3]))
+                        member, stage = pending = (position(toks[1]), position(toks[3]))
+                        if not (0 <= member < 2**63 and 0 <= stage < 2**63):
+                            raise records.error("provenance must lie in [0, 2**63)")
                         pending_line = records.lineno
                     continue
                 toks = line.split()
@@ -713,6 +715,8 @@ class ManifestReader:
                         if k < self.M:
                             raise records.error(f"item {j} has size {k} below the minimum {self.M}")
                         raise records.error("positions must be nonnegative, increasing")
+                    if dom[-1] >= 2**63:
+                        raise records.error("positions must lie below 2**63")
                     yield j, dom, pending
                     count += 1
                     pending = None

@@ -190,11 +190,11 @@ class TestRun:
 
     def test_member_with_no_audited_set_exits_one(self, tmp_path, monkeypatch, capsys):
         import lllcolor.cli as cli
-        from lllcolor.hindman import StagedFamily
+        from test_hindman import staged_family
 
         # the member's elements appear at stage 1000, so none of its
         # translates lies inside the 1024 committed bits
-        fam = StagedFamily("ce", 1, 1024, (((1000, frozenset(range(990, 998))),),))
+        fam = staged_family("ce", 1, 1024, (((1000, frozenset(range(990, 998))),),))
         monkeypatch.setattr(cli, "gen_family", lambda *args: fam)
         out = tmp_path / "x"
         rc = run_cli("run", "--mode", "comp", "--f", "sum", "--M", "8", "--seed", "7",
@@ -489,6 +489,27 @@ class TestStreamingVerify:
         assert streamed == captured(reference_verify, coloring_path, stream_path)
         if streamed[0] == 2:
             assert streamed[1] == ""
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (f"item 0 2 {2**63} {2**63 + 1}", "positions must lie below 2**63"),
+            (f"item 0 2 {2**63 - 2} {2**63}", "positions must lie below 2**63"),
+            (f"# by 0 at {2**63}\nitem 0 2 0 1", "provenance must lie in [0, 2**63)"),
+            ("# by -1 at 3\nitem 0 2 0 1", "provenance must lie in [0, 2**63)"),
+        ],
+        ids=["shift", "last-position", "by-past", "by-negative"],
+    )
+    def test_field_outside_a_column_exits_two_naming_its_line(self, tmp_path, records, message):
+        # verify, which reads past the coloring's last bit as nothing to
+        # check, and parse-then-walk refuse the field alike, on its line
+        (tmp_path / "stream.txt").write_text(f"stream sets M 2 q 1/2\n{records}\n")
+        (tmp_path / "coloring.txt").write_text(format_coloring(Coloring("01" * 32, 0, "", 0, 0)))
+        args = (tmp_path / "coloring.txt", tmp_path / "stream.txt")
+        streamed = captured(main, ["verify", "--coloring", str(args[0]), "--stream", str(args[1])])
+        assert streamed[:2] == (2, "")
+        assert json.loads(streamed[2]) == {"error": "ParseError", "message": f"line 2: {message}"}
+        assert captured(reference_verify, *args) == streamed
 
     def test_undecodable_manifest_is_not_blamed_on_a_record(self, tmp_path, capsys):
         # the file is decoded ahead of the line being read, so a decode

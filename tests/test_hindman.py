@@ -44,6 +44,62 @@ from test_streams import items_stream, stream_items, stream_provenance
 F = Fraction
 
 
+def staged_family(mode, count, stage_count, changes):
+    """The family whose member i passes through the (stage, full set) change
+    points ``changes[i]``: each point becomes the toggle of the elements
+    that differ from the member's previous set."""
+    toggles = []
+    for points in changes:
+        prev, member = frozenset(), []
+        for s, full in points:
+            member.append((s, tuple(sorted(prev ^ full))))
+            prev = frozenset(full)
+        toggles.append(tuple(member))
+    return StagedFamily(mode, count, stage_count, tuple(toggles))
+
+
+@st.composite
+def change_points(draw):
+    """``(mode, stage_count, changes)``: per member, the (stage, full set)
+    change points of a valid family.  A point may repeat the set before it;
+    a sigma2 point may drop and re-add elements."""
+    mode = draw(st.sampled_from(("ce", "sigma2")))
+    stage_count = draw(st.integers(1, 40))
+    changes = []
+    for _ in range(draw(st.integers(1, 3))):
+        full, points = frozenset(), []
+        for s in sorted(draw(st.sets(st.integers(0, stage_count - 1), max_size=8))):
+            flips = draw(st.frozensets(st.integers(0, s - 1), max_size=5)) if s else frozenset()
+            full = full | flips if mode == "ce" else full ^ flips
+            points.append((s, full))
+        changes.append(tuple(points))
+    return mode, stage_count, tuple(changes)
+
+
+def selection_timeline_oracle(stage_count, points, k):
+    """``_selection_timeline`` over (stage, full set) change points, by set
+    differences and a sort per change point."""
+    timeline = []
+    entry = (frozenset(), 0)
+    present = frozenset()
+    tenure = {}
+    for s, incoming in points:
+        timeline.extend([entry] * (s - len(timeline)))
+        for x in incoming - present:
+            tenure[x] = s
+        for x in present - incoming:
+            del tenure[x]
+        present = incoming
+        if len(present) < k:
+            chosen = frozenset()
+        else:
+            chosen = frozenset(sorted(present, key=lambda x: (tenure[x], x))[:k])
+        if chosen != entry[0]:
+            entry = (chosen, s)
+    timeline.extend([entry] * (stage_count - len(timeline)))
+    return timeline
+
+
 class TestBuiltins:
     def test_absdiff_eval(self):
         fn = builtin_addition_like("absdiff")
@@ -93,7 +149,7 @@ class TestBuiltins:
 
 class TestStagedFamily:
     def test_member_at_change_points(self):
-        fam = StagedFamily(
+        fam = staged_family(
             "sigma2", 1, 10,
             (((3, frozenset({1, 2})), (6, frozenset({2})), (8, frozenset({2, 5}))),),
         )
@@ -105,11 +161,11 @@ class TestStagedFamily:
 
     def test_x_less_than_stage_enforced(self):
         with pytest.raises(StreamIntegrityError):
-            StagedFamily("ce", 1, 10, (((3, frozenset({5})),),))
+            staged_family("ce", 1, 10, (((3, frozenset({5})),),))
 
     def test_ce_monotone_enforced(self):
         with pytest.raises(InvalidInputError):
-            StagedFamily(
+            staged_family(
                 "ce", 1, 10,
                 (((3, frozenset({1})), (5, frozenset({2}))),),
             )
@@ -150,11 +206,85 @@ class TestStagedFamily:
         with pytest.raises(ParseError, match=message):
             parse_family(f"family ce 1 10\n{records}\n")
 
+    def test_entering_element_past_its_stage_names_it(self):
+        with pytest.raises(StreamIntegrityError) as exc:
+            StagedFamily("sigma2", 1, 10, (((3, (1,)), (6, (1, 7))),))
+        assert exc.value.witness == (0, 6, 7)
+
+    @pytest.mark.parametrize("elements", [(2, 1), (1, 1)])
+    def test_toggled_elements_must_increase(self, elements):
+        with pytest.raises(InvalidInputError, match="toggled elements must increase"):
+            StagedFamily("sigma2", 1, 10, (((3, elements),),))
+
+    def test_repeated_set_is_an_empty_toggle(self):
+        text = "family sigma2 1 10\nat 0 3 1 2\nat 0 5 1 2\nat 0 7\n"
+        fam = parse_family(text)
+        assert fam.toggles == (((3, (1, 2)), (5, ()), (7, (1, 2))),)
+        assert format_family(fam) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=change_points())
+    def test_member_at_replays_the_change_points(self, points):
+        mode, stage_count, changes = points
+        fam = staged_family(mode, len(changes), stage_count, changes)
+        for i, member in enumerate(changes):
+            for s in range(stage_count):
+                expect = ([frozenset()] + [full for stage, full in member if stage <= s])[-1]
+                assert fam.member_at(i, s) == expect, (i, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=change_points())
+    def test_format_writes_each_change_point_and_parses_back(self, points):
+        # the file format is the change points' full sets, as it was before
+        # the family held toggles
+        mode, stage_count, changes = points
+        fam = staged_family(mode, len(changes), stage_count, changes)
+        lines = [f"family {mode} {len(changes)} {stage_count}"] + [
+            f"at {i} {s} {' '.join(map(str, sorted(full)))}".rstrip()
+            for i, member in enumerate(changes) for s, full in member
+        ]
+        assert format_family(fam) == "\n".join(lines) + "\n"
+        assert parse_family(format_family(fam)) == fam
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(("ce", "sigma2")),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        mind_changes=st.integers(0, 5),
+        slack=st.integers(0, 60),
+    )
+    def test_generated_family_round_trips(self, seed, mode, sizes, mind_changes, slack):
+        # the least stage count gen_family accepts for the largest target
+        span = max(sizes) + 16
+        stages = (span + 1 if mode == "ce" else 4 * span + 18) + slack
+        fam = gen_family(seed, len(sizes), stages, mode, sizes, max_mind_changes=mind_changes,
+                         unstable_members=(0,))
+        assert parse_family(format_family(fam)) == fam
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=change_points(), k=st.integers(1, 6))
+    def test_selection_timeline_matches_set_differences(self, points, k):
+        mode, stage_count, changes = points
+        fam = staged_family(mode, len(changes), stage_count, changes)
+        for i, member in enumerate(changes):
+            assert _selection_timeline(fam, i, k) == selection_timeline_oracle(
+                stage_count, member, k
+            ), i
+
+    def test_ce_family_stores_each_element_once(self):
+        # the translate-dense bench config: 1 830 change points whose full
+        # sets held 45 140 elements; as toggles the family holds the 2 025
+        # elements the targets ask for
+        sizes = tuple(8 + i + 8 for i in range(50))
+        fam = gen_family(derive_seed(7, 1), 50, 512, "ce", sizes)
+        assert sum(len(elements) for member in fam.toggles for _, elements in member) == sum(sizes)
+
 
 class TestCandidateState:
     def fam_ce(self):
         # enumeration order 5, 3, 9, 12 by entry stage
-        return StagedFamily(
+        return staged_family(
             "ce", 1, 16,
             (((6, frozenset({5})), (7, frozenset({5, 3})), (10, frozenset({5, 3, 9})),
               (13, frozenset({5, 3, 9, 12}))),),
@@ -169,7 +299,7 @@ class TestCandidateState:
     def test_sigma2_tenure_ordering(self):
         # x enters at 2 and stays; y enters at 1, leaves at 4, re-enters at 6;
         # z enters at 8; at stage 9 tenure starts are x:2, y:6, z:8
-        fam = StagedFamily(
+        fam = staged_family(
             "sigma2", 1, 12,
             (((1, frozenset({0})), (2, frozenset({0, 1})), (4, frozenset({1})),
               (6, frozenset({1, 0})), (8, frozenset({1, 0, 7}))),),
@@ -179,7 +309,7 @@ class TestCandidateState:
         assert _selection_timeline(fam, 0, 3)[9][0] == {1, 0, 7}
 
     def test_stable_since_tracks_last_change(self):
-        fam = StagedFamily(
+        fam = staged_family(
             "sigma2", 1, 12,
             (((2, frozenset({1})), (5, frozenset({1, 3})),),),
         )
@@ -321,7 +451,7 @@ class TestBuildTranslateStream:
         return fam, build_translate_stream(fam, M)
 
     def test_translates_for_every_stage_past_definition(self):
-        fam = StagedFamily(
+        fam = staged_family(
             "ce", 1, 10,
             (((6, frozenset({0, 2, 5, 1})),),),
         )
@@ -396,7 +526,7 @@ class TestBuildTranslateStream:
         assert arr is not None and max(arr) == 5
 
     def test_member_below_threshold_contributes_nothing(self):
-        fam = StagedFamily(
+        fam = staged_family(
             "ce", 2, 10,
             (
                 ((6, frozenset({0, 2, 5, 1})),),
@@ -681,7 +811,7 @@ class TestBuildImageStream:
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         first = frozenset(range(0, 4 * M, 2))
         stages = 8 * M
-        fam = StagedFamily("sigma2", 2, stages, (
+        fam = staged_family("sigma2", 2, stages, (
             ((4 * M, first),),
             ((4 * M, first | {1, 3}),),
         ))

@@ -38,8 +38,8 @@ SAMPLES = {
         dict(name="sum2", pair=max, growth=min, mult_bound=2),
     ),
     StagedFamily: (
-        dict(mode="ce", count=1, stage_count=8, changes=(((3, frozenset({1, 2})),),)),
-        dict(mode="sigma2", stage_count=9, changes=(((4, frozenset({1, 2})),),)),
+        dict(mode="ce", count=1, stage_count=8, toggles=(((3, (1, 2)),),)),
+        dict(mode="sigma2", stage_count=9, toggles=(((4, (1, 2)),),)),
     ),
     PigeonholeReport: (
         dict(max_s=1, forced_triple_holds=True, forced_counterexamples=(),

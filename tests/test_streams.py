@@ -719,13 +719,21 @@ class TestManifestFormat:
             parse_manifest("stream sets M 2 q 1/2\n" + text)
 
     @pytest.mark.parametrize("value", ["-3", str(2**63)])
-    def test_provenance_out_of_range_names_its_item(self, value):
-        # a provenance column holds nonnegative signed 8-byte ints
-        message = f"^item 1: stage {value} is not a nonnegative int$"
-        with pytest.raises(StreamIntegrityError, match=message):
+    def test_provenance_out_of_range_names_its_line(self, value):
+        # a provenance column holds nonnegative signed 8-byte ints; the reader
+        # refuses any other field on its line, for `lllcolor verify` too
+        message = r"^line 4: provenance must lie in \[0, 2\*\*63\)$"
+        with pytest.raises(ParseError, match=message):
             parse_manifest(
                 f"stream sets M 2 q 1/2\n# by 0 at 0\nitem 0 2 0 1\n# by 5 at {value}\nitem 1 2 0 2\n"
             )
+
+    @pytest.mark.parametrize("dom", [(2**63, 2**63 + 1), (2**63 - 2, 2**63)])
+    def test_position_of_2_63_or_more_names_its_line(self, dom):
+        # as for provenance, the reader refuses the item on its line, so
+        # parse_manifest and `lllcolor verify` report the same fault
+        with pytest.raises(ParseError, match=r"^line 2: positions must lie below 2\*\*63$"):
+            parse_manifest(f"stream sets M 2 q 1/2\nitem 0 2 {dom[0]} {dom[1]}\n")
 
     def test_provenance_before_the_header_names_its_line(self):
         with pytest.raises(ParseError, match="^line 1: provenance line before the stream header$"):

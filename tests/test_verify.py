@@ -13,7 +13,6 @@ from lllcolor.cli import main
 from lllcolor.colorer import color_prefix
 from lllcolor.errors import InvalidParameterError, WrongStreamError
 from lllcolor.hindman import (
-    StagedFamily,
     _first_selected,
     _selection_timeline,
     build_image_stream,
@@ -30,6 +29,7 @@ from lllcolor.verify import (
     sparsity_counts_csv,
     write_sparsity_csv,
 )
+from test_hindman import staged_family
 from test_streams import stream_provenance
 
 F = Fraction
@@ -125,9 +125,7 @@ class TestAuditSolution:
         assert len(flagged) == report.violations_total
 
     def test_vacuous_member_reported(self):
-        from lllcolor.hindman import StagedFamily
-
-        fam = StagedFamily(
+        fam = staged_family(
             "ce", 2, 64,
             (
                 ((10, frozenset({0, 1, 2, 3, 4, 5, 6, 7, 8, 9})),),
@@ -155,7 +153,7 @@ class TestAuditSolution:
     def test_member_with_no_checked_set_fails(self):
         # elements 990..997 appear at stage 1000 of 1024, so the member's
         # every translate starts past the 1024 committed bits
-        fam = StagedFamily("ce", 1, 1024, (((1000, frozenset(range(990, 998))),),))
+        fam = staged_family("ce", 1, 1024, (((1000, frozenset(range(990, 998))),),))
         stream = build_translate_stream(fam, 8)
         col = color_prefix(stream, 1024, 7)
         report = audit_solution(col, fam, SUM, stream=stream)
