@@ -52,8 +52,8 @@ class NonConvergenceError(LLLColorError):
 
 
 class StreamIntegrityError(LLLColorError):
-    """A stream's locality oracle disagrees with its enumeration, or an
-    item violates a structural stream invariant."""
+    """An item was emitted past its stream's stage bound, or it violates a
+    structural stream invariant."""
 
     def __init__(self, message: str, witness: tuple | None = None):
         super().__init__(message)

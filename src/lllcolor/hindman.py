@@ -14,8 +14,9 @@ presence).  From a family the two builders emit constraint streams:
   emitted, provided the image clears the member's stability start and
   every image emitted from earlier, pre-stability stages.
 
-Both builders install a procedural point-locality oracle whose counts stay
-within the sparsity budget checked by ``validate_sparsity``.
+Both builders install the stage bound their construction proves, which
+``validate_sparsity`` checks every item against, and their point counts
+stay within the sparsity budget it checks.
 
 The warm-up demos live here too: the delayed-alternation coloring that
 defeats a single announced difference, and the exhaustive two-member
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from itertools import islice, pairwise, repeat
+from itertools import islice, repeat
 
 from .errors import (
     InvalidInputError,
@@ -89,6 +89,8 @@ def _toggle(
         raise InvalidInputError(f"member {i}: change stages must increase")
     last = -1
     for x in elements:
+        if type(x) is not int:
+            raise InvalidInputError(f"member {i}: element {x!r} at stage {s} is not an int")
         if x in present:
             if mode == MODE_CE:
                 raise InvalidInputError(f"member {i}: ce families must grow monotonically")
@@ -254,11 +256,11 @@ def build_translate_stream(
     Member i contributes once it has enumerated ``M + i`` elements; from its
     defining stage onward every translate prefix+s joins the stream.  The
     stream holds each member's prefix once, as a base, and each translate
-    as that base's id and a shift.  The locality oracle inverts n = x + s
-    over the member's elements, so at most m translates of size m pass
-    through any point.  Diagonal order emits a member's shifts in
-    increasing s, so the oracle finds the id of shift s at
-    ``ids[i][s - defined]`` in that member's array of item ids.
+    as that base's id and a shift.  A point n = x + s fixes s for each of
+    the m elements x, so at most m translates of size m pass through it.
+
+    The stage bound is ``s <= n``: a translate emitted at stage s has the
+    first position ``s + min(E) >= s``.
     """
     if family.mode != MODE_CE:
         raise InvalidInputError("translate streams require a ce-mode family")
@@ -283,8 +285,6 @@ def build_translate_stream(
     shifts: list[int] = []
     # each item's member and stage: the stream's provenance columns
     by, at = array("q"), array("q")
-    # ids[i]: member i's item ids, in increasing shift
-    ids = [array("q") for _ in range(count)]
     # Bases of different members differ in size and the shifts of one base
     # are distinct, so every translate is new.
     for i, s in _diagonal_pairs(count, stages):
@@ -295,25 +295,17 @@ def build_translate_stream(
         if i not in base_id:
             base_id[i] = len(bases)
             bases.append(tuple(map(elements[0].__rsub__, elements)))
-        ids[i].append(len(shifts))
         base_ids.append(base_id[i])
         shifts.append(s + elements[0])
         by.append(i)
         at.append(s)
 
-    def locality(m: int, n: int) -> tuple[int, ...]:
-        i = m - M
-        if i < 0 or i >= count or base[i] is None:
-            return ()
-        elements, defined = base[i]
-        member_ids = ids[i]
-        # x holds n when its shift n - x lies in [defined, stages), and that
-        # shift's id sits at n - defined - x; the largest x gives the least
-        # shift, and so the least id
-        lo, hi = n - stages, n - defined
-        return tuple(member_ids[hi - x] for x in reversed(elements) if lo < x <= hi)
+    return ConstraintStream(M, q, bases, base_ids, shifts, by, at, _translate_bound)
 
-    return ConstraintStream(M, q, bases, base_ids, shifts, by, at, locality)
+
+def _translate_bound(i: int, n: int, s: int) -> bool:
+    """The translate builder's stage bound: no item from stage s starts below s."""
+    return s <= n
 
 
 def build_image_stream(
@@ -327,30 +319,24 @@ def build_image_stream(
     before s0.  The gate reads only member i's own earlier stages, so each
     member's images are computed in one pass and then merged into diagonal
     pairing order.  The gating keeps per-point counts within ``b * m**2``
-    items of size m and makes the locality oracle computable from the
-    growth witness: beyond the stage bound it yields, images are too large
-    to contain the queried point.
+    items of size m.
 
     Each item is stored once, as the id of its base (the image minus its
     least value, held once in a table) and its least value as the shift.
     An image whose values, in selection order, are the member's last
     emitted image's moved by one constant has that image's base, so only
     images of a new shape are sorted and looked up in the table.
-    The oracle keeps, per image size, member and base, the shifts the
-    member emitted with that base, each with its item id and the least
-    stage that emitted it, cut into maximal runs ``[a, z]`` of consecutive
-    shifts whose stages never fall.  The holders of n in a run are the
-    offsets x of the base with ``n - z <= x <= n - a``, found by two
-    bisects.  Images that are not translates of one base give more bases
-    and shorter runs, not a different answer.  A query drops the holders
-    past the stage bound, computed from the member's selection at stage
-    n; in a run they are the last shifts, found by a bisect of its
-    stages.  ``growth`` is an arbitrary callable, so nothing about it is
-    cached or assumed monotone; a query scans its values and stops at the
-    first that reaches the latest stage of the member's holders of n, as
-    then none can be dropped.  Only an item that two members emit can be
-    found twice, so a query dedupes its holders only when two or more
-    members hold the size.
+
+    The stage bound: member i emits at stage s an image whose least value
+    is p only if ``s <= p``, or ``p`` is a stage and ``growth(x, p) >= s``
+    for some x in member i's selection at stage p.  Proof: say s > p.  The
+    freshness gate gives ``s0 < p < s``, and the selection is E from s0
+    through s, so member i's selection at stage p is the item's own E.  If
+    every ``growth(x, p)`` were below s, then every ``pair(x, s)`` would
+    exceed p, which contradicts ``min F = p``.  Selections are held largest
+    element first, where the builtin growth witnesses peak, so the bound
+    stops at its first value for them; ``growth`` is an arbitrary callable,
+    so nothing else about it is assumed.
     """
     if family.mode != MODE_SIGMA2:
         raise InvalidInputError("image streams require a sigma2-mode family")
@@ -410,11 +396,9 @@ def build_image_stream(
     shifts: list[int] = []
     # each item's member and stage: the stream's provenance columns
     by, at = array("q"), array("q")
-    # seen[(k, shift)]: the id of the item with base key k and that shift
-    seen: dict[tuple[int, int], int] = {}
-    # shifts_of[(k, i)][shift]: the id of the item with base key k and that
-    # shift, and the least stage at which member i emitted it
-    shifts_of: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
+    # the (base key, shift) of every item so far: an item two members emit
+    # is listed once, with its first emission's provenance
+    seen: set[tuple[int, int]] = set()
     for _, s, i, k, shift in emitted:
         base = bases[k]
         if len(base) < M + i:
@@ -423,79 +407,22 @@ def build_image_stream(
                 f"multiplicity bound {b} promises at least {M + i}",
                 witness=(i, s),
             )
-        j = seen.setdefault((k, shift), len(shifts))
-        if j == len(shifts):
+        if (k, shift) not in seen:
+            seen.add((k, shift))
             base_ids.append(base_id.setdefault(k, len(base_id)))
             shifts.append(shift)
             by.append(i)
             at.append(s)
-        # a member's stages come in increasing order, so the first is least
-        shifts_of.setdefault((k, i), {}).setdefault(shift, (j, s))
+    stage_count = family.stage_count
 
-    # runs[m][i]: member i's runs with a base of size m, each as
-    # (a, z, base, ids, stages): a maximal run [a, z] of consecutive shifts
-    # whose stages never fall, where ids[t] and stages[t] belong to shift
-    # a + t
-    runs: dict[int, dict[int, list[tuple]]] = {}
-    for (k, i), by_shift in shifts_of.items():
-        base = bases[k]
-        order = sorted(by_shift)
-        # a run ends where the next shift skips a value or has an earlier stage
-        ends = [
-            r for r, (u, v) in enumerate(pairwise(order), 1)
-            if v > u + 1 or by_shift[v][1] < by_shift[u][1]
-        ]
-        for start, stop in zip([0, *ends], [*ends, len(order)]):
-            ids, stages = zip(*map(by_shift.__getitem__, order[start:stop]))
-            runs.setdefault(len(base), {}).setdefault(i, []).append(
-                (order[start], order[stop - 1], base, ids, stages)
-            )
-    # freed before the stream interns its positions
-    del shifts_of
+    def stage_bound(i: int, n: int, s: int) -> bool:
+        return s <= n or (
+            n < stage_count and any(g >= s for g in map(fn.growth, selections[i][n], repeat(n)))
+        )
 
-    def locality(m: int, n: int) -> tuple[int, ...]:
-        found: list[int] = []
-        members = runs.get(m, {})
-        for i, member in members.items():
-            # (n - a, first, end, base, ids, stages) for each of member i's
-            # runs that holds n: x in base[first:end] holds n at t = n - a - x
-            held = []
-            last = 0
-            for a, z, base, ids, stages in member:
-                first = bisect_left(base, n - z)
-                end = bisect_right(base, n - a, first)
-                if first < end:
-                    held.append((n - a, first, end, base, ids, stages))
-                    # the least x gives the largest t, and so the run's
-                    # latest stage among its holders
-                    last = max(last, stages[n - a - base[first]])
-            if not held:
-                continue
-            # the bound drops a holder only if n and every growth value fall
-            # short of the latest stage of a holder, and then it lies inside
-            # the stages
-            if n < last:
-                cut = n
-                for g in map(fn.growth, selections[i][n], repeat(n)):
-                    if g >= last:
-                        break
-                    cut = max(cut, g)
-                else:
-                    # a run's stages up to cut come first: keep the holders
-                    # whose t is below their count
-                    held = [
-                        (na, bisect_left(base, na + 1 - bisect_right(stages, cut), first), end,
-                         base, ids, stages)
-                        for na, first, end, base, ids, stages in held
-                    ]
-            for na, first, end, base, ids, _ in held:
-                found += map(ids.__getitem__, map(na.__sub__, base[first:end]))
-        # one member's holders are distinct; two members may emit one item
-        if len(members) == 1:
-            return tuple(sorted(found))
-        return tuple(sorted(set(found)))
-
-    return ConstraintStream(M, q, [bases[k] for k in base_id], base_ids, shifts, by, at, locality)
+    return ConstraintStream(
+        M, q, [bases[k] for k in base_id], base_ids, shifts, by, at, stage_bound
+    )
 
 
 def baseline_coloring(a: int, b: int, announce_stage: int, horizon: int) -> str:

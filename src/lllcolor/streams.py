@@ -1,6 +1,6 @@
-"""Constraint streams: indexable families of finite sets with a
-point-locality oracle, plus the sparsity validation they must pass before
-coloring.
+"""Constraint streams: indexable families of finite sets with the stage
+bound their builder proves, plus the sparsity validation they must pass
+before coloring.
 
 The sparsity hypothesis is that at most ``2**(q*m)`` constraints of size
 ``m`` pass through any single position, for all ``m >= M``.  That bound is
@@ -15,11 +15,10 @@ import math
 import operator
 import sys
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from itertools import compress, groupby, islice
+from itertools import compress, islice
 from operator import itemgetter
 
 from .errors import (
@@ -33,9 +32,6 @@ from .lll import frac_str
 from .records import FrozenRecord, Record
 from .rng import u64
 
-# validate_sparsity checks up to this many nonzero cells, else samples per size
-_FULL_CHECK_CELLS = 20000
-_SAMPLE_PER_SIZE = 12
 # point counts are packed as unsigned 8-byte coefficients of one big int
 _COUNT_TYPE = "Q"
 _COUNT_WIDTH = array(_COUNT_TYPE).itemsize
@@ -62,7 +58,7 @@ class _Positions(dict):
 
 
 class ConstraintStream(Record):
-    """A finite, indexable family of finite sets with a locality oracle.
+    """A finite, indexable family of finite sets with a stage bound.
 
     Each item is a shift of a base.  ``bases`` holds each distinct base
     once, in order of first use: a tuple of strictly increasing ints that
@@ -73,34 +69,37 @@ class ConstraintStream(Record):
     int object.
 
     ``ConstraintStream(M, q, bases, base_ids, shifts, emitted_by,
-    emitted_at, locality_fn)`` takes exactly its fields, then the oracle,
-    with base ids in order of first use.  It checks each base once and refuses the first bad
-    one with its index as the witness, and it checks the int columns the
-    same way, each entry once.  Equal columns give an equal stream and the
-    same manifest, which :func:`write_manifest` writes out.
+    emitted_at, stage_bound)`` takes exactly its fields, then the bound,
+    with base ids in order of first use.  It checks each base once and
+    refuses the first bad one with its index as the witness, and it checks
+    the int columns the same way, each entry once.  Equal columns give an
+    equal stream and the same manifest, which :func:`write_manifest`
+    writes out.
 
     ``emitted_by`` and ``emitted_at``, both given or both None, hold each
     item's member and stage; they are copied into two ``array("q")``
     columns.  A set is met when its domain receives both colors, which
     :func:`single_color` checks on a base and a shift.
 
-    ``locality(m, n)`` lists exactly the indices whose item has size ``m``
-    and touches position ``n``.  It asks the procedural oracle a builder
-    installs as ``locality_fn``, which :func:`validate_sparsity`
-    cross-checks against the enumeration; a stream without one (generated,
-    parsed or built by hand) raises ``InvalidInputError`` instead of
-    answering from its own items.
+    ``stage_bound(i, n, s)``, installed by a builder, answers whether
+    member i may emit, at stage s, an item whose first position is n.  It
+    is the stream's locality oracle in the form the effective Local Lemma
+    needs: given the enumeration, the sets through a position n are among
+    those each member emits up to the last stage its bound allows at a
+    position up to n.  :func:`validate_sparsity` checks every item's
+    provenance against it.  A generated, parsed or hand-built stream has
+    none.
 
-    Two streams are equal when their fields other than the oracle and the
+    Two streams are equal when their fields other than the bound and the
     cached fingerprint ``_fp`` are; neither shows in the repr.
     """
 
     _fields = ("M", "q", "bases", "base_ids", "shifts", "emitted_by", "emitted_at")
-    __slots__ = (*_fields, "locality_fn", "_fp")
+    __slots__ = (*_fields, "stage_bound", "_fp")
 
     def __init__(
         self, M: int, q, bases, base_ids, shifts, emitted_by=None, emitted_at=None,
-        locality_fn=None,
+        stage_bound=None,
     ):
         q = _checked_q(M, q)
         bases, base_ids = tuple(bases), tuple(base_ids)
@@ -132,18 +131,13 @@ class ConstraintStream(Record):
         if emitted_by is not None:
             emitted_by, emitted_at = array("q", emitted_by), array("q", emitted_at)
         self._set(M, q, bases, base_ids, shifts, emitted_by, emitted_at)
-        self.locality_fn, self._fp = locality_fn, None
+        self.stage_bound, self._fp = stage_bound, None
 
     def __len__(self) -> int:
         return len(self.shifts)
 
     def dom(self, j: int) -> tuple[int, ...]:
         return tuple(map(self.shifts[j].__add__, self.bases[self.base_ids[j]]))
-
-    def locality(self, m: int, n: int) -> tuple[int, ...]:
-        if self.locality_fn is None:
-            raise InvalidInputError("the stream has no locality oracle")
-        return self.locality_fn(m, n)
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the sha256 of the manifest text the stream
@@ -240,12 +234,12 @@ def point_bound(q: Fraction, m: int) -> int:
 
 class SparsityReport(Record):
     """Outcome of a sparsity sweep: exact per-point counts per size, the
-    cells violating or approaching the bound, and how much of the locality
-    oracle was cross-checked against the enumeration."""
+    cells violating or approaching the bound, and whether the stream's
+    stage bound was checked ("held") or there was none to check ("none")."""
 
     __slots__ = _fields = (
-        "window", "M", "q", "counts", "violations", "near", "cross_check",
-        "cells_checked", "max_size_seen", "items_in_window",
+        "window", "M", "q", "counts", "violations", "near", "stage_bound",
+        "max_size_seen", "items_in_window",
     )
 
     def __init__(
@@ -256,14 +250,12 @@ class SparsityReport(Record):
         counts: dict[int, list[int]],
         violations: tuple[tuple[int, int, int, int], ...],
         near: tuple[tuple[int, int, int, int], ...],
-        cross_check: str,
-        cells_checked: int,
+        stage_bound: str,
         max_size_seen: int,
         items_in_window: int,
     ):
         self._set(
-            window, M, q, counts, violations, near, cross_check, cells_checked, max_size_seen,
-            items_in_window,
+            window, M, q, counts, violations, near, stage_bound, max_size_seen, items_in_window
         )
 
     @property
@@ -282,31 +274,9 @@ class SparsityReport(Record):
             "max_size_seen": self.max_size_seen,
             "violations": [list(v) for v in self.violations],
             "near_bound": [list(v) for v in self.near],
-            "cross_check": self.cross_check,
-            "cells_checked": self.cells_checked,
+            "stage_bound": self.stage_bound,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _chosen_cells(
-    counts: dict[int, list[int]], nonzero: dict[int, list[int]], window: int, mode: str
-) -> list[tuple[int, int]]:
-    cells: list[tuple[int, int]] = []
-    for m in sorted(counts):
-        arr = counts[m]
-        hits = nonzero[m]
-        if mode == "full":
-            cells.extend((m, n) for n in hits)
-        else:
-            picks = {hits[0], hits[-1], max(hits, key=lambda n: (arr[n], -n))}
-            stride = max(1, len(hits) // _SAMPLE_PER_SIZE)
-            picks.update(hits[::stride][:_SAMPLE_PER_SIZE])
-            cells.extend((m, n) for n in sorted(picks))
-        for probe in (0, window // 2, window - 1):
-            # every cell past the end of arr counts zero
-            if probe >= len(arr) or arr[probe] == 0:
-                cells.append((m, probe))
-    return sorted(set(cells))
 
 
 def _point_counts(shapes, window: int) -> array:
@@ -359,7 +329,7 @@ def _point_counts(shapes, window: int) -> array:
 
 def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     """Check the point bound ``count <= 2**(q*m)`` over the window and
-    cross-check the stream's locality oracle against the enumeration.
+    every item's stage against the stream's stage bound.
 
     Counts come from every enumerated item, through its base and shift, so
     the bound check is complete for every cell with ``m <= window`` and
@@ -367,14 +337,12 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     ``counts[m]`` covers ``[0, len(counts[m]))``, up to the last position
     an item of size m touches; every cell beyond it is zero, so the
     report's size follows the stream, not the window.
-    The locality cross-check runs on every nonzero cell up to 20 000 of them
-    ("full"), else on a deterministic stratified sample of 12 per size
-    ("sampled"), plus zero-count probes either way.  It checks one size at
-    a time, against the items the enumeration lists for that size's chosen
-    cells, and any disagreement raises ``StreamIntegrityError`` with a
-    ``(j, m, n)`` witness.  A stream without an oracle has nothing to
-    cross-check: the report says "none", with no cell checked, and its
-    counts and verdicts are the same.
+    A stream with provenance and a stage bound has each item's member,
+    first position and stage put to the bound in one pass, window or no
+    window; the first item past it raises ``StreamIntegrityError`` with a
+    ``(j,)`` witness, and the report says "held".  A stream without one or
+    the other has nothing to check: the report says "none", and its counts
+    and verdicts are the same.
     """
     if window < 1:
         raise InvalidParameterError("window must be at least 1")
@@ -411,46 +379,17 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
             elif 2 * c > bound:
                 near.append((m, n, c, bound))
 
-    mode, cells = "none", []
-    if stream.locality_fn is not None:
-        total_nonzero = sum(map(len, nonzero.values()))
-        mode = "full" if total_nonzero <= _FULL_CHECK_CELLS else "sampled"
-        cells = _chosen_cells(counts, nonzero, window, mode)
-        # cells run in (m, n) order: one size's expected lists at a time
-        for m, size_cells in groupby(cells, operator.itemgetter(0)):
-            # want[n]: the items of size m through n, for the chosen cells only
-            want: dict[int, list[int]] = {n: [] for _, n in size_cells}
-            for b, ids in groups[m].items():
-                base = bases[b]
-                if mode == "full":
-                    # every position in the window is a chosen cell: walk
-                    # each item's positions
-                    for j in ids:
-                        shift, cut = shifts[j], base
-                        if shift + base[-1] >= window:
-                            cut = base[: bisect_left(base, window - shift)]
-                        for n in map(shift.__add__, cut):
-                            want[n].append(j)
-                else:
-                    # a few cells: an item holds n iff its shift is n - x
-                    # for an x in its base
-                    by_shift: dict[int, list[int]] = {}
-                    for j in ids:
-                        by_shift.setdefault(shifts[j], []).append(j)
-                    for n, expect in want.items():
-                        for at in filter(None, map(by_shift.get, map(n.__sub__, base))):
-                            expect += at
-            for n, expect in want.items():
-                expect.sort()
-                got = tuple(stream.locality(m, n))
-                if got != tuple(expect):
-                    diff = sorted(set(got).symmetric_difference(expect))
-                    witness_j = diff[0] if diff else -1
-                    raise StreamIntegrityError(
-                        f"locality({m}, {n}) returned {list(got)} but the enumeration "
-                        f"holds {expect}",
-                        witness=(witness_j, m, n),
-                    )
+    held = "none"
+    if stream.emitted_by is not None and stream.stage_bound is not None:
+        by, at = stream.emitted_by, stream.emitted_at
+        for j, allowed in enumerate(map(stream.stage_bound, by, shifts, at)):
+            if not allowed:
+                raise StreamIntegrityError(
+                    f"item {j}: member {by[j]} emitted it at stage {at[j]}, past the "
+                    f"stage bound of its first position {shifts[j]}",
+                    witness=(j,),
+                )
+        held = "held"
 
     return SparsityReport(
         window=window,
@@ -459,8 +398,7 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
         counts=counts,
         violations=tuple(violations),
         near=tuple(near),
-        cross_check=mode,
-        cells_checked=len(cells),
+        stage_bound=held,
         max_size_seen=max(sizes, default=0),
         items_in_window=sum(len(ids) for by_base in groups.values() for ids in by_base.values()),
     )

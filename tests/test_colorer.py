@@ -409,7 +409,8 @@ def test_color_prefix_peak_memory():
 def test_translate_build_and_color_prefix_hold_flat_tables():
     # test_color_prefix_peak_memory's config.  The build held 0.41-0.43 MB
     # under tracemalloc on Python 3.10-3.13 with its provenance as pairs and
-    # its oracle's id lists as lists; as array columns it holds 0.21-0.22 MB.
+    # its oracle's id lists as lists; as array columns it held 0.21-0.22 MB,
+    # and with a stage bound in place of the oracle it holds 0.15 MB.
     # color_prefix peaked at 0.76-0.79 MB with (id, base, shift, cut, head)
     # records and a list of watch slots per position; with columns and
     # array-linked watch lists it peaks at 0.28-0.29 MB

@@ -4,6 +4,11 @@ recorded from a known-good build.
 Reruns of one build are compared byte for byte by the acceptance suite;
 these digests pin the bytes across code changes.  A change that is meant
 to alter artifacts must say why and re-record the digests here.
+
+The three ``sparsity.json`` digests were re-recorded when the sweep's
+locality cross-check gave way to the stage-bound check: the summary's
+``cross_check`` and ``cells_checked`` fields became one ``stage_bound``
+field, and every other byte of every artifact stayed the same.
 """
 
 import hashlib
@@ -23,7 +28,7 @@ PIPELINES = {
             "family.txt": "24bc23af55ae94a587fc4201defc8e326678f1fb94fd58fa4ce0694086f51fd2",
             "stream.txt": "8edd093c6e462d07fdd642442e10104441f14136a4700c7d4368797c7fe82453",
             "sparsity.csv": "05518e87ceb9837cf60362cf481fb354c782b1fdcf7340ba3913c45917ea0823",
-            "sparsity.json": "6627f9cd32ffae121c465d1664ab732951331703659747a8abdd7719b7f5711e",
+            "sparsity.json": "39c3cc29850a660068a92fe2b82defaccae6e4300d2764959f88edf1492a5982",
             "coloring.txt": "6e8894026ffd559f479e1b1ed551c842c7490c0bc779f80fa20ad8efdd2ad5b1",
             "audit.json": "5d251b01c20d43b1410bd928690ef0ef3fdb828e00755a9d193e1620ced7c063",
         },
@@ -36,7 +41,7 @@ PIPELINES = {
             "family.txt": "354d7a4e6fbb8dbb171630380839c56f01a8cca67fa9c3b8ef454090fddd2f69",
             "stream.txt": "589fd55e2c3e54f841b105df71699069864465416093a4725e1d67e9aef62f9d",
             "sparsity.csv": "4cf8c9d9374e91dd0ac3900298f3e78a04e4d2d3067ae04956cd2c45ec6c54e4",
-            "sparsity.json": "6eb51c97951284f91bf10ed59a8c00f5fc3d4c39a04353c8ad7d12311d7e271c",
+            "sparsity.json": "d435e83202607acf54cf5d4fccbc4a466d89cd01ac85cf68b772b376911188b1",
             "coloring.txt": "dcfe5a73f7c3fb31da16d3474979ce89b3b66020ef06a758b35863d7b9fdf332",
             "audit.json": "ae2dbba66672e0e23bb28742c24582a475c3e76b0c68382b3aab4d330db53e07",
         },
@@ -50,7 +55,7 @@ PIPELINES = {
             "family.txt": "7e9d18a2a4ecb69754dec1521ee3df083749eb63a451646f2ac6032a140744d7",
             "stream.txt": "351c5ac104c47f2520ef8163e302271a818396112da0baaa491a8507a48acd5c",
             "sparsity.csv": "44639d4ef3489c44169290bc1f70cc2f1f0d2c6b753e62cb183166c7b030526f",
-            "sparsity.json": "5af6f145696456650df1bd64c1a45a0ffe301cf7e76bb898b13fe3473febe731",
+            "sparsity.json": "d1b22a751ead8be35f01e9153a4d654c954a5957e8ca34d44c13b4ea9ef232ec",
             "coloring.txt": "49491766e90293cdc340d90b46d8bc71daf014c5d63701bd07bb4e8f06ce6294",
             "audit.json": "f3c76d2fa896bfd1229c79542ac966bdfd66afdc48afff7f867c26175f2f4abb",
         },

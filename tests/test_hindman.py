@@ -2,6 +2,7 @@
 stream builders, and the warm-up demonstrations."""
 
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import chain
 
@@ -215,6 +216,15 @@ class TestStagedFamily:
     def test_toggled_elements_must_increase(self, elements):
         with pytest.raises(InvalidInputError, match="toggled elements must increase"):
             StagedFamily("sigma2", 1, 10, (((3, elements),),))
+
+    @pytest.mark.parametrize("mode", ["ce", "sigma2"])
+    @pytest.mark.parametrize("element", [True, 2.0, "2"])
+    def test_element_that_is_not_an_int_is_refused(self, mode, element):
+        # format_family would write a bool or a float as a token that
+        # parse_family refuses
+        message = rf"^member 0: element {element!r} at stage 3 is not an int$"
+        with pytest.raises(InvalidInputError, match=message):
+            StagedFamily(mode, 1, 10, (((3, (1, element)),),))
 
     def test_repeated_set_is_an_empty_toggle(self):
         text = "family sigma2 1 10\nat 0 3 1 2\nat 0 5 1 2\nat 0 7\n"
@@ -483,14 +493,15 @@ class TestBuildTranslateStream:
 
     def test_locality_counts_at_most_m(self):
         fam, stream = self.small()
-        for m in {len(stream.dom(j)) for j in range(len(stream))}:
-            for n in range(0, 200, 7):
-                assert len(stream.locality(m, n)) <= m
+        rep = validate_sparsity(stream, 256)
+        assert rep.counts.keys() == {len(stream.dom(j)) for j in range(len(stream))}
+        for m, arr in rep.counts.items():
+            assert max(arr) <= m
 
     def test_locality_consistent(self):
         fam, stream = self.small()
         rep = validate_sparsity(stream, 256)
-        assert rep.ok and rep.cross_check == "full"
+        assert rep.ok and rep.stage_bound == "held"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -506,15 +517,16 @@ class TestBuildTranslateStream:
         stages = max(sizes) + 17 + slack
         fam = gen_family(seed, len(sizes), stages, "ce", sizes)
         stream = build_translate_stream(fam, M)
-        index = {}
-        for j, dom in enumerate(stream_items(stream)):
-            for n in dom:
-                index.setdefault((len(dom), n), []).append(j)
-        # sizes no item has, empty cells, and positions past the last stage
-        # and past every item
-        for m in range(M - 1, M + len(sizes) + 1):
-            for n in range(2 * stages + 2):
-                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
+        bound = stream.stage_bound
+        for j, (i, s) in enumerate(stream_provenance(stream)):
+            timeline = _selection_timeline(fam, i, M + i)
+            n = stream.shifts[j]
+            # the item starts at s + min(E), and the bound allows exactly
+            # the stages up to its first position
+            assert n == s + min(timeline[_first_selected(timeline)][0])
+            assert bound(i, n, s) and bound(i, n, n) and not bound(i, n, n + 1), j
+        assert locality_from_bound(stream, stages) == item_index(stream)
+        assert validate_sparsity(stream, 2 * stages).stage_bound == "held"
 
     def test_point_counts_reach_size(self):
         # five size-5 translates can stack on one point: within the exact
@@ -542,7 +554,8 @@ class TestBuildTranslateStream:
         # peaked at 10.3 MB under tracemalloc; as bases and shifts it held
         # 3.1 MB (1.5 MB of it the provenance as pairs) and peaked at 4.3 MB.
         # With the provenance and the oracle's item ids as array columns it
-        # holds 0.99 MB and peaks at 2.2 MB
+        # held 0.99 MB and peaked at 2.2 MB; with a stage bound in place of
+        # the oracle it holds 0.78 MB and peaks at 2.0 MB on Python 3.11
         M = 8
         fam = gen_family(derive_seed(7, 1), 50, 512, "ce", tuple(M + i + 8 for i in range(50)))
         tracemalloc.start()
@@ -621,17 +634,20 @@ class TestBuildImageStream:
         ("absdiff", 5, (1,)),
     ])
     def test_locality_matches_brute_force_on_every_cell(self, fname, seed, unstable):
+        # the largest stage the bound allows at (i, n) is the restated
+        # bound, for every member and every position up to twice the
+        # stages, whether or not an item starts there; the items the bound
+        # finds through each cell are an index's
         fn, M, fam, stream = self.build(fname, seed=seed, unstable_members=unstable)
-        index = {}
-        for j in range(len(stream)):
-            for n in stream.dom(j):
-                index.setdefault((len(stream.dom(j)), n), []).append(j)
-        top = max(len(stream.dom(j)) for j in range(len(stream)))
-        # sizes no item has, empty cells, and points past the last stage
-        window = 2 * fam.stage_count
-        for m in range(M - 1, top + 2):
-            for n in range(window):
-                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
+        timelines = [_selection_timeline(fam, i, fn.mult_bound * (M + i)) for i in range(fam.count)]
+        bound = stream.stage_bound
+        for i, timeline in enumerate(timelines):
+            for n in range(2 * fam.stage_count):
+                top = restated_bound(fn, timeline, n)
+                assert bound(i, n, top) and not bound(i, n, top + 1), (i, n)
+        for j, (i, s) in enumerate(stream_provenance(stream)):
+            assert s <= restated_bound(fn, timelines[i], stream.shifts[j]), j
+        assert locality_from_bound(stream, fam.stage_count) == item_index(stream)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -653,16 +669,7 @@ class TestBuildImageStream:
             unstable_members=(unstable,) if unstable < members else (),
         )
         stream = build_image_stream(fam, fn, M)
-        index = {}
-        for j, dom in enumerate(stream_items(stream)):
-            for n in dom:
-                index.setdefault((len(dom), n), []).append(j)
-        top = max(map(len, stream_items(stream)), default=M)
-        # sizes no item has, positions no item touches, and positions past
-        # the last stage
-        for m in range(M - 1, top + 2):
-            for n in range(2 * stages):
-                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
+        assert locality_from_bound(stream, stages) == item_index(stream)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -696,57 +703,54 @@ class TestBuildImageStream:
             bases_of.setdefault(i, set()).add(stream.base_ids[j])
         assert sorted(bases_of) == list(range(members))
         assume(min(map(len, bases_of.values())) >= 2)
-        index = {}
-        for j, dom in enumerate(stream_items(stream)):
-            for n in dom:
-                index.setdefault((len(dom), n), []).append(j)
-        top = max(map(len, stream_items(stream)))
-        for m in range(M - 1, top + 2):
-            for n in range(2 * stages):
-                assert stream.locality(m, n) == tuple(index.get((m, n), ())), (m, n)
-        assert validate_sparsity(stream, 2 * stages).ok
+        timelines = [_selection_timeline(fam, i, fn.mult_bound * (M + i)) for i in range(members)]
+        for j, (i, s) in enumerate(stream_provenance(stream)):
+            n = stream.shifts[j]
+            top = restated_bound(fn, timelines[i], n)
+            assert s <= top and stream.stage_bound(i, n, s), j
+            assert not stream.stage_bound(i, n, top + 1), j
+        assert locality_from_bound(stream, stages) == item_index(stream)
+        rep = validate_sparsity(stream, 2 * stages)
+        assert rep.ok and rep.stage_bound == "held"
 
     def test_oracle_keeps_its_stage_bound(self):
-        # a growth witness that lies: its stage bound for point n is n + 1,
-        # yet absdiff images from later stages still hold n, so an oracle
-        # that honours the bound misses them and the cross-check must say
-        # so; an oracle that scanned every record would pass
+        # a growth witness that lies: its bound at position n is n, yet
+        # absdiff images start below the stage that emits them, so the
+        # first item is already past the bound and the sweep must say so;
+        # a bound that answered true would pass
         fn = AdditionLike("absdiff-lying", lambda x, y: abs(x - y), lambda x, n: n // 2, 2)
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(3))
         stream = build_image_stream(gen_family(3, 3, 512, "sigma2", sizes), fn, M)
+        assert stream.emitted_at[0] > stream.shifts[0]
         with pytest.raises(StreamIntegrityError) as exc:
             validate_sparsity(stream, 1024)
-        assert exc.value.witness == (0, 38, 123)
+        assert exc.value.witness == (0,)
 
     def test_oracle_cuts_exactly_at_its_stage_bound(self):
-        # a witness one short of absdiff's: the oracle must drop exactly
-        # the emissions at or past max(n, growth(x, n) for x) + 1 (capped
-        # at the last stage), which here include real holders of n
+        # a witness one short of absdiff's: absdiff's bound is exact at
+        # every item, max(E) + n, so the short one allows exactly the
+        # stages before each item's own, and refuses the first item
         fn = AdditionLike("absdiff-short", lambda x, y: abs(x - y), lambda x, n: x + n - 1, 2)
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         sizes = tuple(fn.mult_bound * (M + i) + 6 for i in range(3))
         fam = gen_family(3, 3, 512, "sigma2", sizes)
         stream = build_image_stream(fam, fn, M)
-        timelines = [_selection_timeline(fam, i, fn.mult_bound * (M + i)) for i in range(3)]
-        dropped = 0
-        for j, dom in enumerate(stream_items(stream)):
-            i, s = stream.emitted_by[j], stream.emitted_at[j]
-            for n in dom:
-                selection = timelines[i][n][0] if n < 512 else ()
-                bound = max(n, max((x + n - 1 for x in selection), default=n)) + 1
-                kept = s < min(bound, 512)
-                dropped += not kept
-                assert (j in stream.locality(len(dom), n)) == kept, (j, n)
-        assert dropped > 0
+        bound = stream.stage_bound
+        for j, (i, s) in enumerate(stream_provenance(stream)):
+            n = stream.shifts[j]
+            assert bound(i, n, s - 1) and not bound(i, n, s), j
+        with pytest.raises(StreamIntegrityError) as exc:
+            validate_sparsity(stream, 1024)
+        assert exc.value.witness == (0,)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_oracle_cuts_runs_whose_stages_fall(self, seed):
         # x + (y ^ 31) reverses each block of 32 stages, so a member's
-        # consecutive shifts of one base come from falling stages; with a
-        # growth witness of n, the oracle must drop exactly the holders of
-        # n emitted after stage n.  The pair is one-to-one in y, so each
-        # member's items have a size of their own and one emitting stage
+        # consecutive shifts of one base come from falling stages, and y
+        # past n does not put the image past n: a growth witness of n is a
+        # lie.  Its bound refuses exactly the items emitted after their
+        # first position, and the sweep names the first of them
         fn = AdditionLike("sum-reversed", lambda x, y: x + (y ^ 31), lambda x, n: n, 1)
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         fam = gen_family(seed, 3, 512, "sigma2", tuple(M + i + 6 for i in range(3)))
@@ -755,25 +759,27 @@ class TestBuildImageStream:
             (stream.base_ids[j], stream.shifts[j]): s for j, s in enumerate(stream.emitted_at)
         }
         assert any(stage.get((b, u + 1), s) < s for (b, u), s in stage.items())
-        index = {}
-        for j, dom in enumerate(stream_items(stream)):
-            for n in dom:
-                index.setdefault((len(dom), n), []).append(j)
-        dropped = 0
-        for (m, n), holders in index.items():
-            kept = tuple(j for j in holders if stream.emitted_at[j] <= n)
-            dropped += len(holders) - len(kept)
-            assert stream.locality(m, n) == kept, (m, n)
-        assert dropped > 0
+        late = [
+            j for j, (i, s) in enumerate(stream_provenance(stream)) if s > stream.shifts[j]
+        ]
+        refused = [
+            j for j, (i, s) in enumerate(stream_provenance(stream))
+            if not stream.stage_bound(i, stream.shifts[j], s)
+        ]
+        assert refused == late and late
+        with pytest.raises(StreamIntegrityError) as exc:
+            validate_sparsity(stream, 1024)
+        assert exc.value.witness == (late[0],)
 
     def test_stream_holds_each_item_once(self):
         # the image-absdiff bench config: holding each item once as a tuple
         # of positions, the build kept 6.0 MB and peaked at 7.2 MB; a
-        # second copy of every item in the oracle would hold about 29 MB.
-        # As 24 bases and a shift per item, with the oracle's runs of
-        # shifts holding an id and a stage per item, it kept 1.4 MB and
-        # peaked at 3.3 MB; with the provenance as two array columns it
-        # keeps 1.1 MB and peaks at 3.1 MB
+        # second copy of every item in a locality oracle would hold about
+        # 29 MB.  As 24 bases and a shift per item, with the oracle's runs
+        # of shifts holding an id and a stage per item, it kept 1.4 MB and
+        # peaked at 3.3 MB; with the provenance as two array columns, 1.1
+        # and 3.1 MB.  With a stage bound in place of the oracle it keeps
+        # 0.62 MB and peaks at 2.7 MB on Python 3.11
         fn = builtin_addition_like("absdiff")
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         sizes = tuple(fn.mult_bound * (M + i) + 8 for i in range(24))
@@ -805,8 +811,8 @@ class TestBuildImageStream:
         # x + y rounded up to even sends 1 where 0 or 2 goes and 3 where 2
         # or 4 goes, so member 1, selecting member 0's elements plus 1 and
         # 3, has member 0's image at every stage: two members hold size m
-        # and emit the same items, which the stream and the oracle must
-        # each hold once
+        # and emit the same items, which the stream must hold once, with
+        # the provenance of its first emission, which the bound allows
         fn = AdditionLike("even-sum", lambda x, y: x + y + (x + y) % 2, lambda x, n: n, 2)
         M = choose_M(fn.mult_bound, F(1, 2), "main")
         first = frozenset(range(0, 4 * M, 2))
@@ -818,19 +824,73 @@ class TestBuildImageStream:
         stream = build_image_stream(fam, fn, M)
         assert {i for i, _ in stream_provenance(stream)} == {0}
         assert len(set(stream_items(stream))) == len(stream)
-        index = {}
-        for j, dom in enumerate(stream_items(stream)):
-            for n in dom:
-                index.setdefault((len(dom), n), []).append(j)
-        assert {m for m, _ in index} == {2 * M}
-        shared = 0
-        for m in range(M - 1, 2 * M + 2):
-            for n in range(2 * stages):
-                got = stream.locality(m, n)
-                assert got == tuple(index.get((m, n), ())), (m, n)
-                shared += len(got) > 0
-        assert shared > 0
-        assert validate_sparsity(stream, 2 * stages).ok
+        assert {m for m, _ in item_index(stream)} == {2 * M}
+        rep = validate_sparsity(stream, 2 * stages)
+        assert rep.ok and rep.stage_bound == "held"
+
+
+def item_index(stream):
+    """``(m, n) -> ids``: the items of size m through position n, in id
+    order, read from every item's domain."""
+    index = {}
+    for j, dom in enumerate(stream_items(stream)):
+        for n in dom:
+            index.setdefault((len(dom), n), []).append(j)
+    return index
+
+
+def locality_from_bound(stream, stage_count):
+    """The index :func:`item_index` reads, found the way the stage bound
+    lets a reader of the enumeration find it: member i's items through n
+    are those it emits up to ``reach[i][n]``, the largest stage below
+    ``stage_count`` that its bound allows at a first position up to n.
+    Only the items emitted by then are listed, so a bound that falls short
+    of an item's stage loses that item."""
+    bound = stream.stage_bound
+    top = max((dom[-1] for dom in stream_items(stream)), default=-1)
+    reach = {}
+    for i in set(stream.emitted_by):
+        row, last = [], -1
+        for n in range(top + 1):
+            # the bound allows a prefix of the stages: find its last one
+            lo, hi = -1, stage_count - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if bound(i, n, mid) else (lo, mid - 1)
+            last = max(last, lo)
+            row.append(last)
+        reach[i] = row
+    found = {}
+    for j, (i, s) in enumerate(stream_provenance(stream) or ()):
+        dom = stream.dom(j)
+        for n in dom:
+            if s <= reach[i][n]:
+                found.setdefault((len(dom), n), []).append(j)
+    return found
+
+
+def restated_bound(fn, timeline, n):
+    """The largest stage at which a member with this selection timeline may
+    emit an image whose first position is n: n itself, or at a stage n the
+    largest growth value of that stage's selection if it is larger."""
+    if n >= len(timeline):
+        return n
+    return max([n, *(fn.growth(x, n) for x in timeline[n][0])])
+
+
+def past_bound(stream, j, by=1):
+    """``stream`` rebuilt from its fields, bound included, with item j's
+    stage raised to ``by`` stages past the largest its bound allows."""
+    i, n, top = stream.emitted_by[j], stream.shifts[j], stream.emitted_at[j]
+    while stream.stage_bound(i, n, top + 1):
+        top += 1
+        assert top < 1 << 16, "the bound allows every stage"
+    at = array("q", stream.emitted_at)
+    at[j] = top + by
+    return ConstraintStream(
+        stream.M, stream.q, stream.bases, stream.base_ids, stream.shifts, stream.emitted_by, at,
+        stream.stage_bound,
+    )
 
 
 @st.composite
@@ -856,6 +916,63 @@ def built_stream(draw):
     stages = 4 * (sizes[-1] + 16) + 18 + slack
     fam = gen_family(seed, members, stages, "sigma2", sizes, unstable_members=unstable)
     return kind, fn, M, fam, build_image_stream(fam, fn, M)
+
+
+class TestStageBound:
+    """Each builder's stage bound, put to the stream it built."""
+
+    @staticmethod
+    def build(kind):
+        if kind == "translate":
+            return build_translate_stream(gen_family(2, 3, 128, "ce", (10, 11, 12)), 4)
+        return TestBuildImageStream().build(kind, seed=8)[3]
+
+    @pytest.mark.parametrize("kind", ["translate", "absdiff", "sum"])
+    def test_item_one_stage_past_its_bound_is_refused(self, kind):
+        stream = self.build(kind)
+        assert validate_sparsity(stream, 1024).stage_bound == "held"
+        for j in (0, len(stream) // 2, len(stream) - 1):
+            # at its bound the item passes; one stage past it is refused
+            assert validate_sparsity(past_bound(stream, j, by=0), 1024).stage_bound == "held"
+            with pytest.raises(StreamIntegrityError) as exc:
+                validate_sparsity(past_bound(stream, j), 1024)
+            assert exc.value.witness == (j,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(built=built_stream())
+    def test_every_item_lies_within_its_bound_and_some_at_it(self, built):
+        # the bound allows exactly the stages up to the restated one, and
+        # the items exactly at it are those the construction puts there:
+        # every absdiff image (its least value is s - max(E)), and the
+        # translates and sum images of a selection that holds 0 (their
+        # first position is then their stage).  A bound that always
+        # answered true would hold no item at it
+        kind, fn, M, fam, stream = built
+        b = 1 if kind == "translate" else fn.mult_bound
+        timelines = [_selection_timeline(fam, i, b * (M + i)) for i in range(fam.count)]
+        at_bound, expect = [], []
+        for j, (i, s) in enumerate(stream_provenance(stream)):
+            n, timeline = stream.shifts[j], timelines[i]
+            top = n if kind == "translate" else restated_bound(fn, timeline, n)
+            assert s <= top and stream.stage_bound(i, n, s), j
+            assert not stream.stage_bound(i, n, top + 1), j
+            at_bound += [j] * (s == top)
+            selection = timeline[_first_selected(timeline) if kind == "translate" else s][0]
+            expect += [j] * (kind == "absdiff" or 0 in selection)
+        assert at_bound == expect
+        if kind == "absdiff":
+            assert len(at_bound) == len(stream) > 0
+
+    def test_bench_item_lies_at_its_bound(self):
+        # the image-absdiff bench config at seed 7: item 100 is emitted at
+        # stage 205, which is its bound
+        fn = builtin_addition_like("absdiff")
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 8 for i in range(24))
+        stream = build_image_stream(gen_family(derive_seed(7, 1), 24, 512, "sigma2", sizes), fn, M)
+        i, n, s = stream.emitted_by[100], stream.shifts[100], stream.emitted_at[100]
+        assert s == 205
+        assert stream.stage_bound(i, n, 205) and not stream.stage_bound(i, n, 206)
 
 
 class TestBaseForm:

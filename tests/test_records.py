@@ -66,10 +66,9 @@ SAMPLES = {
     ),
     SparsityReport: (
         dict(window=64, M=4, q=F(1, 2), counts={4: [0, 1]}, violations=(), near=(),
-             cross_check="none", cells_checked=0, max_size_seen=4, items_in_window=1),
+             stage_bound="none", max_size_seen=4, items_in_window=1),
         dict(window=128, M=5, q=F(1, 3), counts={}, violations=((4, 0, 5, 4),),
-             near=((4, 0, 4, 4),), cross_check="full", cells_checked=1, max_size_seen=5,
-             items_in_window=2),
+             near=((4, 0, 4, 4),), stage_bound="held", max_size_seen=5, items_in_window=2),
     ),
     Coloring: (
         dict(bits="0110", seed=1, stream_fingerprint="", n0=64, phases=0),
@@ -155,16 +154,17 @@ def test_set_takes_one_value_per_field(values):
 
 class TestConstraintStreamRecord:
     def test_the_constructor_takes_the_fields(self):
-        # the fields, then the oracle, which equality and the repr ignore
+        # the fields, then the oracle, the stage bound, which equality and
+        # the repr ignore
         assert tuple(inspect.signature(ConstraintStream).parameters) == (
-            *ConstraintStream._fields, "locality_fn"
+            *ConstraintStream._fields, "stage_bound"
         )
 
     def test_equality_ignores_the_oracle_and_the_fingerprint(self):
         a = stream()
         b = ConstraintStream(
             4, F(1, 2), [(0, 1, 2, 3)], [0, 0], [0, 1], [0, 0], [5, 6],
-            locality_fn=lambda m, n: (),
+            stage_bound=lambda i, n, s: s <= n,
         )
         b.fingerprint()
         assert a._fp is None and b._fp is not None
@@ -184,15 +184,15 @@ class TestConstraintStreamRecord:
         a = stream()
         with pytest.raises(TypeError):
             hash(a)
-        a.locality_fn = len
-        assert a.locality_fn is len
+        a.stage_bound = max
+        assert a.stage_bound is max
 
     def test_repr_leaves_out_the_oracle_and_the_fingerprint(self):
         a = stream()
         a.fingerprint()
         text = repr(a)
         assert text.startswith("ConstraintStream(M=4, q=Fraction(1, 2), bases=((0, 1, 2, 3),)")
-        assert "locality_fn" not in text and "_fp" not in text
+        assert "stage_bound" not in text and "_fp" not in text
 
 
 def test_cli_imports_no_dataclasses_or_typing():

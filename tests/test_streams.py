@@ -40,14 +40,14 @@ from lllcolor.verify import sparsity_counts_csv
 F = Fraction
 
 
-def items_stream(M, q, items, provenance=None, locality_fn=None):
+def items_stream(M, q, items, provenance=None, stage_bound=None):
     """The stream of ``items``, each a canonical tuple, built from the base
     table, base ids and shifts the pipeline's own split gives, with the
     ``(member, stage)`` pairs of ``provenance`` unzipped into two columns."""
     columns = (None, None) if provenance is None else (
         [member for member, _ in provenance], [stage for _, stage in provenance]
     )
-    return ConstraintStream(M, q, *streams._split(items), *columns, locality_fn)
+    return ConstraintStream(M, q, *streams._split(items), *columns, stage_bound)
 
 
 def stream_items(stream):
@@ -63,32 +63,29 @@ def stream_provenance(stream):
     return tuple(zip(stream.emitted_by, stream.emitted_at))
 
 
-def sets_stream(items, M=2, q=F(1, 2), locality=None, provenance=None):
-    return items_stream(M, q, tuple(tuple(sorted(i)) for i in items), provenance, locality)
+def sets_stream(items, M=2, q=F(1, 2), stage_bound=None, provenance=None):
+    return items_stream(M, q, tuple(tuple(sorted(i)) for i in items), provenance, stage_bound)
 
 
-def reference_locality(items):
-    """The locality of ``items`` read from an index of them: the honest
-    oracle these tests attach to streams that no builder made."""
-    index = {}
-    for j, dom in enumerate(items):
-        for n in dom:
-            index.setdefault((len(dom), n), []).append(j)
-    return lambda m, n: tuple(index.get((m, n), ()))
+def first_position_bound(i, n, s):
+    """The translate builder's stage bound, for streams no builder made:
+    no item from stage s starts below s."""
+    return s <= n
 
 
-def with_reference(stream):
-    items = stream_items(stream)
+def with_bound(stream):
+    """``stream`` with each item's provenance set to member 0 and its first
+    position as the stage, which ``first_position_bound`` holds exactly."""
     return items_stream(
-        stream.M, stream.q, items, stream_provenance(stream), reference_locality(items)
+        stream.M, stream.q, stream_items(stream), [(0, n) for n in stream.shifts],
+        first_position_bound,
     )
 
 
 def naive_sparsity(stream, window):
     """The sparsity sweep restated with plain loops: per-size counts as
-    lists up to the last touched position, the bound verdicts, and the
-    cells a full (every nonzero cell) or sampled (ends, first peak and a
-    stride of 12 per size) cross-check visits, zero probes included."""
+    lists up to the last touched position, the bound verdicts, and whether
+    the stream has a stage bound to check every item against."""
     tally = {}
     items = 0
     for j in range(len(stream)):
@@ -109,25 +106,16 @@ def naive_sparsity(stream, window):
                 violations.append((m, n, c, bound))
             elif 2 * c > bound:
                 near.append((m, n, c, bound))
-    mode = "full" if sum(len(per) for per in tally.values()) <= 20000 else "sampled"
-    cells = set()
-    for m, per in tally.items():
-        hits = sorted(per)
-        if mode == "full":
-            picks = set(hits)
-        else:
-            peak = max(per.values())
-            picks = {hits[0], hits[-1], min(n for n in hits if per[n] == peak)}
-            picks.update(hits[:: max(1, len(hits) // 12)][:12])
-        picks.update(n for n in (0, window // 2, window - 1) if n not in per)
-        cells.update((m, n) for n in picks)
+    held = stream.emitted_by is not None and stream.stage_bound is not None
+    if held:
+        for j in range(len(stream)):
+            assert stream.stage_bound(stream.emitted_by[j], stream.dom(j)[0], stream.emitted_at[j])
     sizes = [len(stream.dom(j)) for j in range(len(stream))]
     return {
         "counts": {m: [per.get(n, 0) for n in range(max(per) + 1)] for m, per in tally.items()},
         "violations": tuple(violations),
         "near": tuple(near),
-        "cross_check": mode,
-        "cells_checked": len(cells),
+        "stage_bound": "held" if held else "none",
         "items_in_window": items,
         "max_size_seen": max(sizes, default=0),
     }
@@ -135,8 +123,7 @@ def naive_sparsity(stream, window):
 
 def sweep_fields(report):
     return {key: getattr(report, key) for key in (
-        "counts", "violations", "near", "cross_check", "cells_checked",
-        "items_in_window", "max_size_seen")}
+        "counts", "violations", "near", "stage_bound", "items_in_window", "max_size_seen")}
 
 
 class TestConstraintStream:
@@ -350,10 +337,10 @@ class TestValidateSparsity:
         assert rep.ok and rep.items_in_window == 0
 
     def test_pass_with_scattered_sets(self):
-        s = with_reference(gen_sets_stream(5, 40, 512, 4))
+        s = with_bound(gen_sets_stream(5, 40, 512, 4))
         rep = validate_sparsity(s, 512)
         assert rep.ok
-        assert rep.cross_check == "full"
+        assert rep.stage_bound == "held"
 
     def test_synthetic_violation_has_witness(self):
         # point 0 lies in three size-2 sets; the bound at m=2, q=1/2 is 2
@@ -363,21 +350,27 @@ class TestValidateSparsity:
         assert (2, 0, 3, 2) in rep.violations
 
     def test_inconsistent_locality_raises(self):
-        def lying(m, n):
-            return ()
-
-        s = sets_stream([{0, 1}], M=2, locality=lying)
-        with pytest.raises(StreamIntegrityError) as exc:
+        # the stage bound is the stream's locality oracle, and item 1, which
+        # starts at 2 but was emitted at stage 3, breaks it
+        s = sets_stream(
+            [{0, 1}, {2, 3}], stage_bound=first_position_bound, provenance=((0, 0), (1, 3))
+        )
+        message = r"^item 1: member 1 emitted it at stage 3, past the stage bound"
+        with pytest.raises(StreamIntegrityError, match=message) as exc:
             validate_sparsity(s, 4)
-        assert exc.value.witness == (0, 2, 0)
+        assert exc.value.witness == (1,)
 
-    def test_overfull_locality_raises(self):
-        def lying(m, n):
-            return (0, 1) if (m, n) == (2, 0) else ()
+    def test_bound_is_put_each_item_s_member_first_position_and_stage(self):
+        asked = []
 
-        s = sets_stream([{0, 1}], M=2, locality=lying)
-        with pytest.raises(StreamIntegrityError):
-            validate_sparsity(s, 4)
+        def bound(i, n, s):
+            asked.append((i, n, s))
+            return True
+
+        provenance = ((4, 0), (2, 9), (4, 7))
+        s = sets_stream([{0, 1}, {2, 3}, {5, 9}], stage_bound=bound, provenance=provenance)
+        assert validate_sparsity(s, 4).stage_bound == "held"
+        assert asked == [(4, 0, 0), (2, 2, 9), (4, 5, 7)]
 
     def test_window_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -396,18 +389,17 @@ class TestValidateSparsity:
         assert all(arr[-1] for arr in large.counts.values())
 
     def test_locality_lie_past_every_touched_position_raises(self):
-        # the probe at window - 1 lies past the end of every trimmed count
-        # list; it must still be checked, and read as zero
-        window = 1024
-        honest = reference_locality(((0, 1, 5), (2, 3)))
-
-        def lying(m, n):
-            return (0,) if n == window - 1 else honest(m, n)
-
-        s = sets_stream([{0, 1, 5}, {2, 3}], locality=lying)
+        # item 2 starts past the window, past every position the sweep
+        # counts, yet it is still put to the bound, and it is the first
+        # item the bound refuses
+        provenance = ((0, 0), (0, 2), (0, 2000), (0, 3000))
+        s = sets_stream(
+            [{0, 1, 5}, {2, 3}, {1500, 1501}, {1600, 1601}], stage_bound=first_position_bound,
+            provenance=provenance,
+        )
         with pytest.raises(StreamIntegrityError) as exc:
-            validate_sparsity(s, window)
-        assert exc.value.witness == (0, 2, window - 1)
+            validate_sparsity(s, 1024)
+        assert exc.value.witness == (2,)
 
     def test_counts_match_direct_recount(self):
         s = gen_sets_stream(9, 25, 256, 4)
@@ -434,7 +426,6 @@ class TestValidateSparsity:
         # windows past every position; the generator's span holds at least
         # 28 sets of each size, so it finds 20 distinct ones
         s = gen_sets_stream(seed, count, max(span, 4 * (M + spread)), M, spread=spread)
-        s = with_reference(s)
         assert sweep_fields(validate_sparsity(s, window)) == naive_sparsity(s, window)
 
     @settings(max_examples=60, deadline=None)
@@ -453,37 +444,41 @@ class TestValidateSparsity:
             scattered = data.draw(st.lists(st.integers(0, 250), max_size=8))
             shifts = [*range(start, start + run), *scattered]
             items += [tuple(s + x for x in base) for s in shifts]
-        s = with_reference(items_stream(2, F(1, 2), tuple(data.draw(st.permutations(items)))))
+        s = items_stream(2, F(1, 2), tuple(data.draw(st.permutations(items))))
+        if data.draw(st.booleans()):
+            s = with_bound(s)
         assert sweep_fields(validate_sparsity(s, window)) == naive_sparsity(s, window)
 
-    def test_sampled_sweep_matches_naive_recount(self):
+    def test_large_sweep_matches_naive_recount(self):
         # more than 20 000 nonzero cells at both windows; 3600 cuts domains
-        s = with_reference(gen_sets_stream(1, 3500, 4096, 8))
+        s = with_bound(gen_sets_stream(1, 3500, 4096, 8))
         for window in (4096, 3600):
             rep = validate_sparsity(s, window)
-            assert rep.cross_check == "sampled"
+            assert rep.stage_bound == "held"
             assert sweep_fields(rep) == naive_sparsity(s, window)
 
     @pytest.mark.parametrize("window", [16, 512, 3600])
     def test_without_an_oracle_nothing_is_cross_checked(self, window):
-        # the same sweep as with the honest reference attached, but no
-        # cell is asked of an oracle the stream does not have
+        # the same sweep as with a bound attached; a stream with no bound,
+        # or with a bound but no provenance to put to it, reads "none"
         s = gen_sets_stream(1, 3500, 4096, 8)
-        bare, checked = validate_sparsity(s, window), validate_sparsity(with_reference(s), window)
-        assert (bare.cross_check, bare.cells_checked) == ("none", 0)
-        assert checked.cross_check in ("full", "sampled") and checked.cells_checked > 0
-        for key in ("counts", "violations", "near", "items_in_window", "max_size_seen"):
-            assert getattr(bare, key) == getattr(checked, key), key
-        with pytest.raises(InvalidInputError, match="no locality oracle"):
-            s.locality(8, s.dom(0)[0])
+        unprovenanced = ConstraintStream(
+            s.M, s.q, s.bases, s.base_ids, s.shifts, stage_bound=first_position_bound
+        )
+        checked = validate_sparsity(with_bound(s), window)
+        assert checked.stage_bound == "held"
+        for bare in validate_sparsity(s, window), validate_sparsity(unprovenanced, window):
+            assert bare.stage_bound == "none"
+            for key in ("counts", "violations", "near", "items_in_window", "max_size_seen"):
+                assert getattr(bare, key) == getattr(checked, key), key
 
     def test_cross_check_holds_one_size_at_a_time(self):
         # comp/sum translates, M = 8, 50 members over 4096, seed 7: 4 177
-        # sets in 50 sizes, every one of their 6 483 nonzero cells checked.
-        # A slice of every item and every size's expected lists, built
-        # before any was checked, peaked at 3.07 MB under tracemalloc; ids
-        # per size and one size's lists at a time peak at 1.37 MB on Python
-        # 3.10-3.13, 0.6 MB of it the report
+        # sets in 50 sizes, 6 333 nonzero cells.  With a locality
+        # cross-check of every cell, ids per size and one size's expected
+        # lists at a time peaked at 1.37 MB under tracemalloc on Python
+        # 3.10-3.13, 0.6 MB of it the report; the stage bound adds nothing
+        # that outlives one item
         from lllcolor.hindman import build_translate_stream, gen_family
         from lllcolor.rng import derive_seed
 
@@ -496,8 +491,8 @@ class TestValidateSparsity:
         finally:
             tracemalloc.stop()
         assert (len(stream), len(rep.counts)) == (4177, 50)
-        assert (rep.cross_check, rep.cells_checked) == ("full", 6483)
-        assert rep.ok
+        assert sum(len(arr) - arr.count(0) for arr in rep.counts.values()) == 6333
+        assert rep.ok and rep.stage_bound == "held"
         assert peak < 2_000_000
 
     def test_both_builders_install_an_oracle(self):
@@ -514,37 +509,13 @@ class TestValidateSparsity:
             build_translate_stream(ce, 4),
             build_image_stream(sigma2, builtin_addition_like("absdiff"), 19),
         ):
-            assert stream.locality_fn is not None
-            # a window no item fits in still reports the oracle's mode
-            assert validate_sparsity(stream, 64).cross_check == "full"
-            rep = validate_sparsity(stream, 1024)
-            assert rep.cross_check in ("full", "sampled") and rep.cells_checked > 0
-
-    @pytest.mark.parametrize("kind", ["translate", "absdiff"])
-    def test_sampled_cross_check_asks_the_builders_oracles(self, monkeypatch, kind):
-        # with the full-check threshold below a small stream's nonzero
-        # cells, the builder's own oracle answers the sampled cells, and
-        # the counts and verdicts are the full sweep's
-        from lllcolor.hindman import (
-            build_image_stream,
-            build_translate_stream,
-            builtin_addition_like,
-            gen_family,
-        )
-
-        if kind == "translate":
-            stream = build_translate_stream(gen_family(2, 3, 128, "ce", (10, 11, 12)), 4)
-        else:
-            sigma2 = gen_family(3, 3, 512, "sigma2", tuple(2 * (19 + i) + 6 for i in range(3)))
-            stream = build_image_stream(sigma2, builtin_addition_like(kind), 19)
-        full = validate_sparsity(stream, 1024)
-        assert full.cross_check == "full"
-        monkeypatch.setattr(streams, "_FULL_CHECK_CELLS", 10)
-        sampled = validate_sparsity(stream, 1024)
-        assert sampled.cross_check == "sampled"
-        assert 0 < sampled.cells_checked < full.cells_checked
-        for key in ("counts", "violations", "near", "items_in_window", "max_size_seen"):
-            assert getattr(sampled, key) == getattr(full, key), key
+            assert stream.stage_bound is not None
+            # a window no item fits in still checks every item's stage
+            assert validate_sparsity(stream, 64).stage_bound == "held"
+            assert validate_sparsity(stream, 1024).stage_bound == "held"
+            # a parse of the manifest carries no bound
+            parsed = parse_manifest(format_manifest(stream))
+            assert validate_sparsity(parsed, 1024).stage_bound == "none"
 
 
 class TestGenSetsStream:

@@ -296,7 +296,7 @@ def test_sparsity_csv_is_written_in_blocks(tmp_path):
     from lllcolor.streams import _BLOCK_LINES, SparsityReport
 
     counts = {m: [1 + (n * m) % 7 for n in range(4096)] for m in range(8, 58)}
-    rep = SparsityReport(4096, 8, F(1, 2), counts, (), (), "none", 0, 57, 0)
+    rep = SparsityReport(4096, 8, F(1, 2), counts, (), (), "none", 57, 0)
     # the rows written out by hand, not by the writer under test
     text = "m,n,count\n" + "".join(
         f"{m},{n},{c}\n" for m in sorted(counts) for n, c in enumerate(counts[m])
