@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, pairwise, repeat
+from operator import itemgetter
 
 from .errors import (
     InvalidInputError,
@@ -83,6 +85,8 @@ def _toggle(
     it, raising unless the toggle may follow stage ``prev`` (-1 for the
     first) in member i's toggle list."""
     s, elements = point
+    if type(s) is not int:
+        raise InvalidInputError(f"member {i}: change stage {s!r} is not an int")
     if not 0 <= s < stage_count:
         raise InvalidInputError(f"member {i}: change stage {s} out of range")
     if s <= prev:
@@ -127,13 +131,17 @@ class StagedFamily(FrozenRecord):
     ):
         if mode not in (MODE_CE, MODE_SIGMA2):
             raise InvalidParameterError(f"unknown family mode {mode!r}")
+        if type(count) is not int:
+            raise InvalidInputError(f"member count {count!r} is not an int")
         if count != len(toggles):
             raise InvalidInputError("one change list per member required")
+        if type(stage_count) is not int:
+            raise InvalidParameterError(f"stage_count {stage_count!r} is not an int")
         if stage_count < 1:
             raise InvalidParameterError("stage_count must be at least 1")
         canon = []
         for i, points in enumerate(toggles):
-            pts = tuple((int(s), tuple(xs)) for s, xs in points)
+            pts = tuple((s, tuple(xs)) for s, xs in points)
             present: set[int] = set()
             for (prev, _), point in zip(((-1, ()), *pts), pts):
                 _toggle(mode, stage_count, i, present, prev, point)
@@ -153,38 +161,30 @@ class StagedFamily(FrozenRecord):
         return frozenset(present)
 
 
-def _selection_timeline(
-    family: StagedFamily, i: int, k: int
-) -> list[tuple[frozenset[int], int]]:
-    """Member i's ``(selection, since)`` at every stage, indexed by stage.
+def _selections(family: StagedFamily, i: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Member i's selection where it changes: ``(stage, selection)`` pairs in
+    increasing stage, starting with ``(0, ())``; each selection, an
+    increasing tuple, holds from its stage up to the next pair's.
 
     The selection keeps the k longest-tenured present elements (none while
     fewer are present), ordering by (tenure start, value); tenure resets
-    when an element leaves and re-enters.  ``since`` is the stage the
-    selection last changed; stages between change points share one entry.
+    when an element leaves and re-enters.  A ce member's elements never
+    leave, so its selection, once made, never changes.
     """
-    timeline: list[tuple[frozenset[int], int]] = []
-    entry: tuple[frozenset[int], int] = (frozenset(), 0)
+    changes: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     # the present elements, keyed in (tenure start, value) order: an element
     # that enters goes last, and one toggle's elements increase
     present: dict[int, None] = {}
     for s, flipped in family.toggles[i]:
-        timeline.extend([entry] * (s - len(timeline)))
         for x in flipped:
             if x in present:
                 del present[x]
             else:
                 present[x] = None
-        chosen = frozenset(islice(present, k)) if len(present) >= k else frozenset()
-        if chosen != entry[0]:
-            entry = (chosen, s)
-    timeline.extend([entry] * (family.stage_count - len(timeline)))
-    return timeline
-
-
-def _first_selected(timeline: list[tuple[frozenset[int], int]]) -> int | None:
-    """The first stage with a nonempty selection, or None."""
-    return next((s for s, (selection, _) in enumerate(timeline) if selection), None)
+        chosen = tuple(sorted(islice(present, k))) if len(present) >= k else ()
+        if chosen != changes[-1][1]:
+            changes.append((s, chosen))
+    return changes
 
 
 def _least(pred: Callable[[int], bool], lo: int) -> int:
@@ -272,11 +272,9 @@ def build_translate_stream(
             least_valid=least,
         )
     count, stages = family.count, family.stage_count
-    base: list[tuple[tuple[int, ...], int] | None] = []
-    for i in range(count):
-        timeline = _selection_timeline(family, i, M + i)
-        s = _first_selected(timeline)
-        base.append(None if s is None else (tuple(sorted(timeline[s][0])), s))
+    # made[i]: member i's last (stage, selection) pair; a nonempty selection
+    # is the member's base, made at that stage and never changed after it
+    made = [_selections(family, i, M + i)[-1] for i in range(count)]
 
     bases: list[tuple[int, ...]] = []
     # base_id[i]: the id of member i's base, numbered in order of first use
@@ -288,10 +286,9 @@ def build_translate_stream(
     # Bases of different members differ in size and the shifts of one base
     # are distinct, so every translate is new.
     for i, s in _diagonal_pairs(count, stages):
-        got = base[i]
-        if got is None or s < got[1]:
+        s0, elements = made[i]
+        if not elements or s < s0:
             continue
-        elements = got[0]
         if i not in base_id:
             base_id[i] = len(bases)
             bases.append(tuple(map(elements[0].__rsub__, elements)))
@@ -323,9 +320,10 @@ def build_image_stream(
 
     Each item is stored once, as the id of its base (the image minus its
     least value, held once in a table) and its least value as the shift.
-    An image whose values, in selection order, are the member's last
-    emitted image's moved by one constant has that image's base, so only
-    images of a new shape are sorted and looked up in the table.
+    An image whose values, taken over the increasing selection, are the
+    member's last emitted image's moved by one constant has that image's
+    base, so only images of a new shape are sorted and looked up in the
+    table.
 
     The stage bound: member i emits at stage s an image whose least value
     is p only if ``s <= p``, or ``p`` is a stage and ``growth(x, p) >= s``
@@ -333,10 +331,11 @@ def build_image_stream(
     freshness gate gives ``s0 < p < s``, and the selection is E from s0
     through s, so member i's selection at stage p is the item's own E.  If
     every ``growth(x, p)`` were below s, then every ``pair(x, s)`` would
-    exceed p, which contradicts ``min F = p``.  Selections are held largest
-    element first, where the builtin growth witnesses peak, so the bound
-    stops at its first value for them; ``growth`` is an arbitrary callable,
-    so nothing else about it is assumed.
+    exceed p, which contradicts ``min F = p``.  The bound keeps only each
+    member's selection change points; it finds the selection at stage p by
+    bisection and reads it largest element first, where the builtin growth
+    witnesses peak, so it stops at its first value for them.  ``growth`` is
+    an arbitrary callable, so nothing else about it is assumed.
     """
     if family.mode != MODE_SIGMA2:
         raise InvalidInputError("image streams require a sigma2-mode family")
@@ -349,21 +348,19 @@ def build_image_stream(
             least_valid=least,
         )
     b = fn.mult_bound
-    count = family.count
+    count, stage_count = family.count, family.stage_count
 
-    # selections[i][s]: member i's selection at stage s, largest element
-    # first, where the builtin growth witnesses peak; stages with one
-    # selection share one tuple
-    selections: list[list[tuple[int, ...]]] = []
+    # selections[i]: member i's selection change points, all the stage
+    # bound keeps
+    selections: list[list[tuple[int, tuple[int, ...]]]] = []
     # (i + s, s, i, base key, shift): sorting gives the diagonal pairing
     # order, and (i + s, s) is unique, so nothing after it is compared
     emitted: list[tuple[int, int, int, int, int]] = []
     # key[base]: a key per distinct image base, in order of computation
     key: dict[tuple[int, ...], int] = {}
     for i in range(count):
-        timeline = _selection_timeline(family, i, b * (M + i))
-        ordered = {e: tuple(sorted(e, reverse=True)) for e, _ in dict.fromkeys(timeline)}
-        selections.append([ordered[e] for e, _ in timeline])
+        changes = _selections(family, i, b * (M + i))
+        selections.append(changes)
         # run: the largest image value over the stages so far; prior: run
         # before s0, the stage where the current selection began
         run: int | None = None
@@ -371,10 +368,11 @@ def build_image_stream(
         # the last emitted image's values, least value and base key
         last: list[int] = []
         last_lo = last_k = 0
-        for s, (selection, s0) in enumerate(timeline):
-            if s == s0:
-                prior = run
-            if selection:
+        for (s0, selection), (s1, _) in pairwise(chain(changes, [(stage_count, ())])):
+            prior = run
+            if not selection:
+                continue
+            for s in range(s0, s1):
                 values = list(map(fn.pair, selection, repeat(s)))
                 lo = min(values)
                 if lo > s0 and (prior is None or lo > prior):
@@ -413,12 +411,13 @@ def build_image_stream(
             shifts.append(shift)
             by.append(i)
             at.append(s)
-    stage_count = family.stage_count
 
     def stage_bound(i: int, n: int, s: int) -> bool:
-        return s <= n or (
-            n < stage_count and any(g >= s for g in map(fn.growth, selections[i][n], repeat(n)))
-        )
+        if s <= n or n >= stage_count:
+            return s <= n
+        changes = selections[i]
+        _, selection = changes[bisect_right(changes, n, key=itemgetter(0)) - 1]
+        return any(g >= s for g in map(fn.growth, reversed(selection), repeat(n)))
 
     return ConstraintStream(
         M, q, [bases[k] for k in base_id], base_ids, shifts, by, at, stage_bound

@@ -170,6 +170,8 @@ def _split(items) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
 
 def _checked_q(M: int, q) -> Fraction:
     """``q`` as a Fraction, once ``M`` and ``q`` are checked as a stream's."""
+    if type(M) is not int:
+        raise InvalidParameterError(f"M {M!r} is not an int")
     if M < 1:
         raise InvalidParameterError("M must be at least 1")
     q = Fraction(q)
@@ -445,7 +447,9 @@ class Coloring(FrozenRecord):
     """A committed prefix of an infinite 2-coloring.
 
     ``bits`` holds exactly the committed prefix; re-running the producer
-    with a larger horizon reproduces these bits verbatim.
+    with a larger horizon reproduces these bits verbatim.  ``seed``, ``n0``
+    and ``phases`` are ints, the last two nonnegative, as
+    :func:`parse_coloring` reads them back.
     """
 
     __slots__ = _fields = ("bits", "seed", "stream_fingerprint", "n0", "phases")
@@ -453,6 +457,11 @@ class Coloring(FrozenRecord):
     def __init__(self, bits: str, seed: int, stream_fingerprint: str, n0: int, phases: int):
         if bits.strip("01"):
             raise InvalidInputError("coloring bits must be 0/1 characters")
+        for name, value in ("seed", seed), ("n0", n0), ("phases", phases):
+            if type(value) is not int:
+                raise InvalidInputError(f"coloring {name} {value!r} is not an int")
+            if value < 0 and name != "seed":
+                raise InvalidInputError(f"coloring {name} {value} is negative")
         self._set(bits, seed, stream_fingerprint, n0, phases)
 
     @property

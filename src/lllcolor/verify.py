@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from .colorer import phase_base
 from .errors import InvalidParameterError, WrongStreamError
-from .hindman import (
-    MODE_CE,
-    AdditionLike,
-    StagedFamily,
-    _first_selected,
-    _selection_timeline,
-)
+from .hindman import MODE_CE, AdditionLike, StagedFamily, _selections
 from .records import FrozenRecord
 from .rng import u64
 from .streams import Coloring, ConstraintStream, SparsityReport, single_color, write_blocks
@@ -138,13 +132,13 @@ def audit_solution(
     total_violations = 0
     for i in range(family.count):
         k = b * (stream.M + i)
-        timeline = _selection_timeline(family, i, k)
-        final_sel, final_since = timeline[-1]
+        # a ce member's one nonempty selection is its last, so both modes
+        # audit from the stage the final selection was made
+        active_from, final_sel = _selections(family, i, k)[-1]
         if not final_sel:
             verdicts.append(
                 MemberVerdict(i, k, False, True, (), None, None, 0, ()))
             continue
-        active_from = _first_selected(timeline) if mode == "comp" else final_since
         checked = 0
         violations: list[tuple[int, tuple[int, ...]]] = []
         first_emission = None
@@ -168,7 +162,7 @@ def audit_solution(
                 k,
                 True,
                 False,
-                tuple(sorted(final_sel)),
+                final_sel,
                 active_from,
                 first_emission,
                 checked,

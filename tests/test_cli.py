@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from lllcolor.cli import _emit_error, main
 from lllcolor.errors import LLLColorError, ParseError
+from lllcolor.hindman import builtin_addition_like, parse_family
 from lllcolor.streams import (
     Coloring,
     ConstraintStream,
@@ -27,6 +28,7 @@ from lllcolor.streams import (
     single_color,
     write_manifest,
 )
+from lllcolor.verify import audit_solution
 from test_streams import items_stream, stream_items, stream_provenance
 
 ARTIFACTS = {
@@ -597,6 +599,25 @@ class TestRoundTrips:
         assert coloring.stream_fingerprint == stream.fingerprint()
         assert coloring.committed_len >= 2048
         assert stream_provenance(stream) is not None
+
+
+    @pytest.mark.parametrize("mode, f, members", [
+        ("comp", "sum", 12), ("main", "absdiff", 6), ("main", "sum", 6),
+    ], ids=["comp-sum", "main-absdiff", "main-sum"])
+    def test_audit_recomputes_from_the_artifacts(self, tmp_path, mode, f, members):
+        # the three smoke configs: the audit of the run's coloring against
+        # its family and stream, read back from their files, is the run's
+        # audit.json byte for byte
+        out = tmp_path / "run"
+        assert run_cli("run", "--mode", mode, "--f", f, "--seed", "7", "--horizon", "2048",
+                       "--members", members, "--out", out) == 0
+        audit = audit_solution(
+            parse_coloring((out / "coloring.txt").read_text()),
+            parse_family((out / "family.txt").read_text()),
+            builtin_addition_like(f),
+            stream=parse_manifest((out / "stream.txt").read_text()),
+        )
+        assert audit.to_json().encode() == (out / "audit.json").read_bytes()
 
 
 class TestDemos:

@@ -20,8 +20,7 @@ from lllcolor.hindman import (
     AdditionLike,
     StagedFamily,
     _diagonal_pairs,
-    _first_selected,
-    _selection_timeline,
+    _selections,
     baseline_coloring,
     build_image_stream,
     build_translate_stream,
@@ -60,11 +59,11 @@ def staged_family(mode, count, stage_count, changes):
 
 
 @st.composite
-def change_points(draw):
+def change_points(draw, modes=("ce", "sigma2")):
     """``(mode, stage_count, changes)``: per member, the (stage, full set)
-    change points of a valid family.  A point may repeat the set before it;
-    a sigma2 point may drop and re-add elements."""
-    mode = draw(st.sampled_from(("ce", "sigma2")))
+    change points of a valid family in one of ``modes``.  A point may
+    repeat the set before it; a sigma2 point may drop and re-add elements."""
+    mode = draw(st.sampled_from(modes))
     stage_count = draw(st.integers(1, 40))
     changes = []
     for _ in range(draw(st.integers(1, 3))):
@@ -77,28 +76,32 @@ def change_points(draw):
     return mode, stage_count, tuple(changes)
 
 
-def selection_timeline_oracle(stage_count, points, k):
-    """``_selection_timeline`` over (stage, full set) change points, by set
+def selection_timeline_oracle(points, k):
+    """``_selections`` over (stage, full set) change points, by set
     differences and a sort per change point."""
-    timeline = []
-    entry = (frozenset(), 0)
+    changes = [(0, ())]
     present = frozenset()
     tenure = {}
     for s, incoming in points:
-        timeline.extend([entry] * (s - len(timeline)))
         for x in incoming - present:
             tenure[x] = s
         for x in present - incoming:
             del tenure[x]
         present = incoming
         if len(present) < k:
-            chosen = frozenset()
+            chosen = ()
         else:
-            chosen = frozenset(sorted(present, key=lambda x: (tenure[x], x))[:k])
-        if chosen != entry[0]:
-            entry = (chosen, s)
-    timeline.extend([entry] * (stage_count - len(timeline)))
-    return timeline
+            chosen = tuple(sorted(sorted(present, key=lambda x: (tenure[x], x))[:k]))
+        if chosen != changes[-1][1]:
+            changes.append((s, chosen))
+    return changes
+
+
+def selection_at(changes, s):
+    """The ``(since, selection)`` pair of ``_selections``' change points
+    ``changes`` in force at stage s: the selection and the stage it was
+    made."""
+    return next(point for point in reversed(changes) if point[0] <= s)
 
 
 class TestBuiltins:
@@ -278,9 +281,19 @@ class TestStagedFamily:
         mode, stage_count, changes = points
         fam = staged_family(mode, len(changes), stage_count, changes)
         for i, member in enumerate(changes):
-            assert _selection_timeline(fam, i, k) == selection_timeline_oracle(
-                stage_count, member, k
-            ), i
+            assert _selections(fam, i, k) == selection_timeline_oracle(member, k), i
+
+    @settings(max_examples=100, deadline=None)
+    @given(points=change_points(modes=("ce",)), k=st.integers(1, 6))
+    def test_ce_selection_is_made_once(self, points, k):
+        # the translate builder takes a ce member's last selection as its
+        # base, and the comp audit audits from its stage: a ce member makes
+        # at most one nonempty selection, and never drops it
+        mode, stage_count, changes = points
+        fam = staged_family(mode, len(changes), stage_count, changes)
+        for i in range(len(changes)):
+            made = _selections(fam, i, k)[1:]
+            assert len(made) <= 1 and all(selection for _, selection in made), i
 
     def test_ce_family_stores_each_element_once(self):
         # the translate-dense bench config: 1 830 change points whose full
@@ -301,10 +314,10 @@ class TestCandidateState:
         )
 
     def test_ce_first_k_in_enumeration_order(self):
-        assert _selection_timeline(self.fam_ce(), 0, 3)[12][0] == {5, 3, 9}
+        assert selection_at(_selections(self.fam_ce(), 0, 3), 12)[1] == (3, 5, 9)
 
     def test_ce_below_threshold_empty(self):
-        assert _selection_timeline(self.fam_ce(), 0, 3)[7][0] == frozenset()
+        assert selection_at(_selections(self.fam_ce(), 0, 3), 7)[1] == ()
 
     def test_sigma2_tenure_ordering(self):
         # x enters at 2 and stays; y enters at 1, leaves at 4, re-enters at 6;
@@ -315,16 +328,16 @@ class TestCandidateState:
               (6, frozenset({1, 0})), (8, frozenset({1, 0, 7}))),),
         )
         # k=2: keep the 2 longest-tenured of {x=1, y=0, z=7}
-        assert _selection_timeline(fam, 0, 2)[9][0] == {1, 0}
-        assert _selection_timeline(fam, 0, 3)[9][0] == {1, 0, 7}
+        assert selection_at(_selections(fam, 0, 2), 9)[1] == (0, 1)
+        assert selection_at(_selections(fam, 0, 3), 9)[1] == (0, 1, 7)
 
     def test_stable_since_tracks_last_change(self):
         fam = staged_family(
             "sigma2", 1, 12,
             (((2, frozenset({1})), (5, frozenset({1, 3})),),),
         )
-        selection, since = _selection_timeline(fam, 0, 2)[9]
-        assert selection == {1, 3}
+        since, selection = selection_at(_selections(fam, 0, 2), 9)
+        assert selection == (1, 3)
         assert since == 5
 
 
@@ -519,11 +532,10 @@ class TestBuildTranslateStream:
         stream = build_translate_stream(fam, M)
         bound = stream.stage_bound
         for j, (i, s) in enumerate(stream_provenance(stream)):
-            timeline = _selection_timeline(fam, i, M + i)
             n = stream.shifts[j]
             # the item starts at s + min(E), and the bound allows exactly
             # the stages up to its first position
-            assert n == s + min(timeline[_first_selected(timeline)][0])
+            assert n == s + min(selection_at(_selections(fam, i, M + i), s)[1])
             assert bound(i, n, s) and bound(i, n, n) and not bound(i, n, n + 1), j
         assert locality_from_bound(stream, stages) == item_index(stream)
         assert validate_sparsity(stream, 2 * stages).stage_bound == "held"
@@ -626,7 +638,7 @@ class TestBuildImageStream:
         fn, M, fam, stream = self.build()
         for j in range(len(stream)):
             i, s = stream.emitted_by[j], stream.emitted_at[j]
-            _, since = _selection_timeline(fam, i, fn.mult_bound * (M + i))[s]
+            since, _ = selection_at(_selections(fam, i, fn.mult_bound * (M + i)), s)
             assert min(stream.dom(j)) > since
 
     @pytest.mark.parametrize("fname, seed, unstable", [
@@ -639,14 +651,15 @@ class TestBuildImageStream:
         # stages, whether or not an item starts there; the items the bound
         # finds through each cell are an index's
         fn, M, fam, stream = self.build(fname, seed=seed, unstable_members=unstable)
-        timelines = [_selection_timeline(fam, i, fn.mult_bound * (M + i)) for i in range(fam.count)]
+        stages = fam.stage_count
+        timelines = [_selections(fam, i, fn.mult_bound * (M + i)) for i in range(fam.count)]
         bound = stream.stage_bound
         for i, timeline in enumerate(timelines):
-            for n in range(2 * fam.stage_count):
-                top = restated_bound(fn, timeline, n)
+            for n in range(2 * stages):
+                top = restated_bound(fn, timeline, n, stages)
                 assert bound(i, n, top) and not bound(i, n, top + 1), (i, n)
         for j, (i, s) in enumerate(stream_provenance(stream)):
-            assert s <= restated_bound(fn, timelines[i], stream.shifts[j]), j
+            assert s <= restated_bound(fn, timelines[i], stream.shifts[j], stages), j
         assert locality_from_bound(stream, fam.stage_count) == item_index(stream)
 
     @settings(max_examples=25, deadline=None)
@@ -703,10 +716,10 @@ class TestBuildImageStream:
             bases_of.setdefault(i, set()).add(stream.base_ids[j])
         assert sorted(bases_of) == list(range(members))
         assume(min(map(len, bases_of.values())) >= 2)
-        timelines = [_selection_timeline(fam, i, fn.mult_bound * (M + i)) for i in range(members)]
+        timelines = [_selections(fam, i, fn.mult_bound * (M + i)) for i in range(members)]
         for j, (i, s) in enumerate(stream_provenance(stream)):
             n = stream.shifts[j]
-            top = restated_bound(fn, timelines[i], n)
+            top = restated_bound(fn, timelines[i], n, stages)
             assert s <= top and stream.stage_bound(i, n, s), j
             assert not stream.stage_bound(i, n, top + 1), j
         assert locality_from_bound(stream, stages) == item_index(stream)
@@ -794,6 +807,27 @@ class TestBuildImageStream:
         assert held < 2_000_000
         assert peak < 4_500_000
 
+    def test_stage_bound_keeps_only_change_points(self):
+        # the image-absdiff bench config: what the stream holds less once
+        # its bound is dropped.  Holding each member's selection at every
+        # stage, the bound kept 0.130 MB under tracemalloc; holding only
+        # the change points it keeps 0.032 MB on Python 3.11.  The bound
+        # sits between the two
+        fn = builtin_addition_like("absdiff")
+        M = choose_M(fn.mult_bound, F(1, 2), "main")
+        sizes = tuple(fn.mult_bound * (M + i) + 8 for i in range(24))
+        fam = gen_family(derive_seed(7, 1), 24, 512, "sigma2", sizes)
+        tracemalloc.start()
+        try:
+            stream = build_image_stream(fam, fn, M)
+            held = tracemalloc.get_traced_memory()[0]
+            stream.stage_bound = None
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 7284
+        assert kept < 80_000
+
     def test_m_validated(self):
         fn = builtin_addition_like("absdiff")
         fam = gen_family(2, 1, 512, "sigma2", (40,))
@@ -869,13 +903,14 @@ def locality_from_bound(stream, stage_count):
     return found
 
 
-def restated_bound(fn, timeline, n):
-    """The largest stage at which a member with this selection timeline may
-    emit an image whose first position is n: n itself, or at a stage n the
-    largest growth value of that stage's selection if it is larger."""
-    if n >= len(timeline):
+def restated_bound(fn, timeline, n, stages):
+    """The largest stage at which a member with this selection timeline, of
+    ``stages`` stages, may emit an image whose first position is n: n
+    itself, or at a stage n the largest growth value of that stage's
+    selection if it is larger."""
+    if n >= stages:
         return n
-    return max([n, *(fn.growth(x, n) for x in timeline[n][0])])
+    return max([n, *(fn.growth(x, n) for x in selection_at(timeline, n)[1])])
 
 
 def past_bound(stream, j, by=1):
@@ -949,15 +984,16 @@ class TestStageBound:
         # answered true would hold no item at it
         kind, fn, M, fam, stream = built
         b = 1 if kind == "translate" else fn.mult_bound
-        timelines = [_selection_timeline(fam, i, b * (M + i)) for i in range(fam.count)]
+        timelines = [_selections(fam, i, b * (M + i)) for i in range(fam.count)]
         at_bound, expect = [], []
         for j, (i, s) in enumerate(stream_provenance(stream)):
             n, timeline = stream.shifts[j], timelines[i]
-            top = n if kind == "translate" else restated_bound(fn, timeline, n)
+            top = n if kind == "translate" else restated_bound(fn, timeline, n, fam.stage_count)
             assert s <= top and stream.stage_bound(i, n, s), j
             assert not stream.stage_bound(i, n, top + 1), j
             at_bound += [j] * (s == top)
-            selection = timeline[_first_selected(timeline) if kind == "translate" else s][0]
+            # a translate's selection, made once, is still in force at s
+            _, selection = selection_at(timeline, s)
             expect += [j] * (kind == "absdiff" or 0 in selection)
         assert at_bound == expect
         if kind == "absdiff":
@@ -1019,15 +1055,15 @@ class TestBaseForm:
     @staticmethod
     def check_domains(kind, fn, M, fam, stream):
         b = 1 if kind == "translate" else fn.mult_bound
-        timelines = [_selection_timeline(fam, i, b * (M + i)) for i in range(fam.count)]
+        timelines = [_selections(fam, i, b * (M + i)) for i in range(fam.count)]
         doms = []
         for j, (i, s) in enumerate(stream_provenance(stream)):
-            timeline = timelines[i]
+            _, selection = selection_at(timelines[i], s)
             if kind == "translate":
-                # E + s, for the member's first selection E
-                expect = tuple(x + s for x in sorted(timeline[_first_selected(timeline)][0]))
+                # E + s, for the member's selection E, made once
+                expect = tuple(x + s for x in selection)
             else:
-                expect = tuple(sorted({fn.pair(x, s) for x in timeline[s][0]}))
+                expect = tuple(sorted({fn.pair(x, s) for x in selection}))
             assert stream.dom(j) == expect, (j, i, s)
             doms.append(expect)
         assert len(stream.bases) == len({tuple(n - d[0] for n in d) for d in doms})

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from lllcolor.errors import InvalidInputError, InvalidParameterError
 from lllcolor.hindman import AdditionLike, PigeonholeReport, StagedFamily
 from lllcolor.lll import Assignment, ConditionRefusal, Event, LLLCertificate, VarSpec
 from lllcolor.streams import Coloring, ConstraintStream, SparsityReport
@@ -193,6 +194,43 @@ class TestConstraintStreamRecord:
         text = repr(a)
         assert text.startswith("ConstraintStream(M=4, q=Fraction(1, 2), bases=((0, 1, 2, 3),)")
         assert "stage_bound" not in text and "_fp" not in text
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: StagedFamily("ce", 1, 10, (((3.7, (1,)),),)), InvalidInputError,
+         "member 0: change stage 3.7 is not an int"),
+        (lambda: StagedFamily("ce", 1, 10, (((True, (0,)),),)), InvalidInputError,
+         "member 0: change stage True is not an int"),
+        (lambda: StagedFamily("ce", 1, 10.5, ((),)), InvalidParameterError,
+         "stage_count 10.5 is not an int"),
+        (lambda: StagedFamily("ce", True, 10, ((),)), InvalidInputError,
+         "member count True is not an int"),
+        (lambda: ConstraintStream(2.5, "1/2", [(0, 1, 2)], [0], [0]), InvalidParameterError,
+         "M 2.5 is not an int"),
+        (lambda: ConstraintStream(True, "1/2", [(0, 1)], [0], [0]), InvalidParameterError,
+         "M True is not an int"),
+        (lambda: Coloring("01", 1.5, "", 64, 1), InvalidInputError,
+         "coloring seed 1.5 is not an int"),
+        (lambda: Coloring("01", 1, "", 64.0, 1), InvalidInputError,
+         "coloring n0 64.0 is not an int"),
+        (lambda: Coloring("01", 1, "", -64, 1), InvalidInputError,
+         "coloring n0 -64 is negative"),
+        (lambda: Coloring("01", 1, "", 64, -1), InvalidInputError,
+         "coloring phases -1 is negative"),
+    ],
+    ids=[
+        "family-stage-float", "family-stage-bool", "family-stage-count", "family-count",
+        "stream-M-float", "stream-M-bool", "coloring-seed", "coloring-n0-float",
+        "coloring-n0-negative", "coloring-phases-negative",
+    ],
+)
+def test_header_value_its_parser_refuses_is_refused(make, error, message):
+    # each value would be stored as another int, or written as a header
+    # token that the record's own parser refuses
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
 
 
 def test_cli_imports_no_dataclasses_or_typing():

@@ -13,8 +13,7 @@ from lllcolor.cli import main
 from lllcolor.colorer import color_prefix
 from lllcolor.errors import InvalidParameterError, WrongStreamError
 from lllcolor.hindman import (
-    _first_selected,
-    _selection_timeline,
+    _selections,
     build_image_stream,
     build_translate_stream,
     builtin_addition_like,
@@ -29,7 +28,7 @@ from lllcolor.verify import (
     sparsity_counts_csv,
     write_sparsity_csv,
 )
-from test_hindman import staged_family
+from test_hindman import selection_at, staged_family
 from test_streams import stream_provenance
 
 F = Fraction
@@ -64,8 +63,7 @@ class TestAuditSolution:
         fam = gen_family(4, 1, 128, "ce", (20,))
         stream = build_translate_stream(fam, 16)
         col = color_prefix(stream, 512, 3)
-        timeline = _selection_timeline(fam, 0, 16)
-        core = timeline[_first_selected(timeline)][0]
+        _, core = selection_at(_selections(fam, 0, 16), fam.stage_count - 1)
         emitted = {s for _, s in stream_provenance(stream)}
         translates_ok = 0
         for s in sorted(emitted):
@@ -78,12 +76,12 @@ class TestAuditSolution:
     def test_planted_violation_agrees_with_verify(self, tmp_path, capsys):
         fam, stream, col, M = self.comp_setup()
         guard = 64  # phase_base(4)
-        # the first translate inside [guard, committed_len) emitted at or
-        # after its member's first selected stage
+        # the first translate inside [guard, committed_len) emitted while
+        # its member's selection is made
         for j, (i, s) in enumerate(stream_provenance(stream)):
-            timeline = _selection_timeline(fam, i, M + i)
+            _, selection = selection_at(_selections(fam, i, M + i), s)
             dom = stream.dom(j)
-            if s >= _first_selected(timeline) and dom[0] >= guard and dom[-1] < col.committed_len:
+            if selection and dom[0] >= guard and dom[-1] < col.committed_len:
                 break
         bits = list(col.bits)
         for n in dom:
