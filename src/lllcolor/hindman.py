@@ -536,7 +536,9 @@ def gen_family(
 
     members: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
     for i in range(count):
-        need = int(target_sizes[i])
+        need = target_sizes[i]
+        if type(need) is not int:
+            raise InvalidParameterError(f"member {i}: target size {need!r} is not an int")
         if need < 1:
             raise InvalidParameterError(f"member {i}: target size must be positive")
         span = need + 16

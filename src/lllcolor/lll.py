@@ -184,21 +184,35 @@ def _instance_table(events: Sequence[Event], variables: Sequence[VarSpec]) -> di
 
 def event_probability(event: Event, variables: Sequence[VarSpec]) -> Fraction:
     """Exact product-measure of the event's forbidden set."""
-    return _probability(event, _instance_table((event,), variables))
+    table = _instance_table((event,), variables)
+    return Fraction(*_probability(event, table, _weight_pairs(table)))
 
 
-def _probability(event: Event, table: dict[int, VarSpec]) -> Fraction:
+def _weight_pairs(table: dict[int, VarSpec]) -> dict[int, tuple[tuple[int, int], ...]]:
+    # each weight as an integer (numerator, denominator) pair, read once per
+    # distinct weight vector: VarSpec records share one weights tuple per
+    # vector through _read_weights' cache, so the tuple's id is the key
+    pairs: dict[int, tuple[tuple[int, int], ...]] = {}
+    for v in table.values():
+        if id(v.weights) not in pairs:
+            pairs[id(v.weights)] = tuple((w.numerator, w.denominator) for w in v.weights)
+    return pairs
+
+
+def _probability(
+    event: Event, table: dict[int, VarSpec], pairs: dict[int, tuple[tuple[int, int], ...]]
+) -> tuple[int, int]:
+    """The event's probability as one unreduced integer ratio ``(pn, pd)``."""
     # pure arithmetic: _instance_table has checked every index and value used here
-    total = Fraction(0)
+    pn, pd = 0, 1
     for row in event.forbidden:
-        # a row's weight as one integer numerator and denominator, reduced once
         num = den = 1
         for n, val in zip(event.vbl, row):
-            w = table[n].weights[val]
-            num *= w.numerator
-            den *= w.denominator
-        total += Fraction(num, den)
-    return total
+            a, b = pairs[id(table[n].weights)][val]
+            num *= a
+            den *= b
+        pn, pd = pn * den + num * pd, pd * den
+    return pn, pd
 
 
 def dependency_neighbors(events: Sequence[Event]) -> dict[int, frozenset[int]]:
@@ -227,39 +241,49 @@ def check_condition(
 
     Evaluated in exact rationals for every event; ``q = 1`` is the plain
     asymmetric condition, ``q < 1`` the strengthened effective one.  Each
-    event's product is one integer power per distinct ``r`` among its
-    neighbours.
+    event costs integer operations and one reduction: its probability is
+    one unreduced ratio ``pn/pd``, its bound ``num/den`` is one integer
+    power per distinct ``r`` among its neighbours, the verdict follows the
+    sign of ``top = pn*den - num*pd``, and the margin is ``top/(pd*den)``,
+    reduced once.  When ``r`` holds one value, an event's neighbours are
+    counted by the size of its neighbourhood.
     """
     q = Fraction(q)
-    rs = tuple(Fraction(x) for x in r)
+    # a Fraction r is kept as given: rebuilding an equal one costs about 2 us an event
+    rs = tuple(x if type(x) is Fraction else Fraction(x) for x in r)
     if len(rs) != len(events):
         raise InvalidParameterError(f"need one r per event, got {len(rs)} for {len(events)}")
     if not 0 < q <= 1:
         raise InvalidParameterError(f"q must lie in (0, 1], got {q}")
-    if any(not 0 < x < 1 for x in rs):
+    # slot k stands for the k-th distinct r as its integer pair; neighbours
+    # are counted per slot, so no Fraction is hashed or multiplied per neighbour
+    slot_of: dict[tuple[int, int], int] = {}
+    slots = [slot_of.setdefault((x.numerator, x.denominator), len(slot_of)) for x in rs]
+    if any(not 0 < n < d for n, d in slot_of):
         raise InvalidParameterError("every r_j must lie in (0, 1)")
     table = _instance_table(events, variables)
+    pairs = _weight_pairs(table)
     neighbors = dependency_neighbors(events)
-    # slot k stands for the k-th distinct r; neighbours are counted per slot,
-    # so no Fraction is hashed or multiplied per neighbour
-    slot_of: dict[Fraction, int] = {}
-    slots = [slot_of.setdefault(x, len(slot_of)) for x in rs]
-    factors = [(x.denominator - x.numerator, x.denominator) for x in slot_of]
+    factors = [(d - n, d) for n, d in slot_of]
     slot_by_id = dict(zip((e.id for e in events), slots)).__getitem__
     margins: list[Fraction] = []
     first: int | None = None
     for pos, e in enumerate(events):
-        prob = _probability(e, table)
-        counts = Counter(map(slot_by_id, neighbors[e.id]))
-        counts[slots[pos]] -= 1  # the event itself is not its own neighbour
+        pn, pd = _probability(e, table, pairs)
+        if len(factors) == 1:
+            # one r: every neighbour but the event itself is in slot 0
+            counts = {0: len(neighbors[e.id]) - 1}
+        else:
+            counts = Counter(map(slot_by_id, neighbors[e.id]))
+            counts[slots[pos]] -= 1  # the event itself is not its own neighbour
         num = q.numerator * rs[pos].numerator
         den = q.denominator * rs[pos].denominator
         for k, c in counts.items():
             num *= factors[k][0] ** c
             den *= factors[k][1] ** c
-        margin = prob - Fraction(num, den)
-        margins.append(margin)
-        if margin > 0 and first is None:
+        top = pn * den - num * pd
+        margins.append(Fraction(top, pd * den))
+        if top > 0 and first is None:
             first = e.id
     if first is None:
         return LLLCertificate(rs, q, tuple(margins))

@@ -448,7 +448,8 @@ class Coloring(FrozenRecord):
 
     ``bits`` holds exactly the committed prefix; re-running the producer
     with a larger horizon reproduces these bits verbatim.  ``seed``, ``n0``
-    and ``phases`` are ints, the last two nonnegative, as
+    and ``phases`` are ints, the last two nonnegative, and
+    ``stream_fingerprint`` is a str with no whitespace, as
     :func:`parse_coloring` reads them back.
     """
 
@@ -457,6 +458,9 @@ class Coloring(FrozenRecord):
     def __init__(self, bits: str, seed: int, stream_fingerprint: str, n0: int, phases: int):
         if bits.strip("01"):
             raise InvalidInputError("coloring bits must be 0/1 characters")
+        fp = stream_fingerprint
+        if type(fp) is not str or fp and fp.split() != [fp]:
+            raise InvalidInputError(f"coloring fingerprint {fp!r} is not a whitespace-free str")
         for name, value in ("seed", seed), ("n0", n0), ("phases", phases):
             if type(value) is not int:
                 raise InvalidInputError(f"coloring {name} {value!r} is not an int")

@@ -64,6 +64,10 @@ PIPELINES = {
 
 EXPANDED_SETS_BITS = "fcdce5371e7c9b804fbfd151a53f9efe9259602e96a6eb8a4ac27fe2927f24b4"
 
+# the whole stdout of `lllcolor demo lll-cert`: both verdicts and every
+# margin, as p/q
+LLL_CERT_DEMO = "dde63f7b0ee11e17d04bc8cde7e5e8aef255d2a3effb0d47930ade9c2bac4326"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -88,3 +92,8 @@ def test_pipeline_artifacts(name, tmp_path):
 def test_expanded_sets_coloring():
     col = color_prefix(golden_sets(), 512, 7)
     assert sha256(col.bits.encode("ascii")) == EXPANDED_SETS_BITS
+
+
+def test_lll_cert_demo_stdout(capsys):
+    assert main(["demo", "lll-cert"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == LLL_CERT_DEMO

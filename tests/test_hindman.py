@@ -466,6 +466,13 @@ class TestGenFamily:
         with pytest.raises(InvalidParameterError):
             gen_family(1, 1, 40, "sigma2", (30,))
 
+    @pytest.mark.parametrize("size", [5.9, True, "7"], ids=["float", "bool", "str"])
+    def test_target_size_not_an_int_rejected(self, size):
+        # each was once read as another int: 5.9 as 5, True as 1, "7" as 7
+        with pytest.raises(InvalidParameterError,
+                           match=f"^member 1: target size {size!r} is not an int$"):
+            gen_family(1, 2, 64, "ce", (4, size))
+
 
 class TestBuildTranslateStream:
     def small(self, members=3, stages=128, M=4, seed=2):

@@ -3,6 +3,7 @@ deterministic resampler, checked against independent brute-force oracles."""
 
 import itertools
 import math
+import random
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
@@ -290,6 +291,33 @@ class TestCheckCondition:
             assert got.first_violation == first
         assert got.margins == margins
         assert (got.r, got.q) == (tuple(r), q)
+
+    def test_matches_naive_oracle_at_workload_degree(self):
+        # the finite benchmark's shape, scaled down: one-row events on eight
+        # of 160 fair and ternary variables, so each event has tens of
+        # neighbours where the hypothesis draws above have at most seven
+        rng = random.Random(34)
+        ternaries = [(F(1, 2), F(1, 3), F(1, 6)), (F(1, 4), F(1, 4), F(1, 2)),
+                     (F(2, 5), F(2, 5), F(1, 5))]
+        variables = [fair_bit(n) if rng.random() < 0.5 else VarSpec(n, 3, rng.choice(ternaries))
+                     for n in range(160)]
+        events = []
+        for eid in rng.sample(range(1000), 120):
+            sup = tuple(sorted(rng.sample(range(160), 8)))
+            events.append(Event(eid, sup, [tuple(rng.randrange(variables[n].range_size)
+                                                 for n in sup)]))
+        assert max(map(len, dependency_neighbors(events).values())) > 40
+        verdicts = set()
+        for pool in ([F(1, 64)], [F(1, 64), F(1, 48), F(3, 200)]):
+            r = [pool[j % len(pool)] for j in range(len(events))]
+            for q in (F(1), F(1, 6)):
+                got = check_condition(events, variables, r, q)
+                first, margins = naive_condition(events, variables, r, q)
+                assert isinstance(got, LLLCertificate) == (first is None)
+                assert getattr(got, "first_violation", None) == first
+                assert got.margins == margins
+                verdicts.add(type(got))
+        assert verdicts == {LLLCertificate, ConditionRefusal}
 
     def test_report_json_round(self):
         evs, variables = three_event_fixture()

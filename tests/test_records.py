@@ -219,11 +219,18 @@ class TestConstraintStreamRecord:
          "coloring n0 -64 is negative"),
         (lambda: Coloring("01", 1, "", 64, -1), InvalidInputError,
          "coloring phases -1 is negative"),
+        (lambda: Coloring("01", 0, "ab cd", 64, 1), InvalidInputError,
+         "coloring fingerprint 'ab cd' is not a whitespace-free str"),
+        (lambda: Coloring("01", 0, "ab\n", 64, 1), InvalidInputError,
+         r"coloring fingerprint 'ab\\n' is not a whitespace-free str"),
+        (lambda: Coloring("01", 0, 7, 64, 1), InvalidInputError,
+         "coloring fingerprint 7 is not a whitespace-free str"),
     ],
     ids=[
         "family-stage-float", "family-stage-bool", "family-stage-count", "family-count",
         "stream-M-float", "stream-M-bool", "coloring-seed", "coloring-n0-float",
-        "coloring-n0-negative", "coloring-phases-negative",
+        "coloring-n0-negative", "coloring-phases-negative", "coloring-fingerprint-space",
+        "coloring-fingerprint-newline", "coloring-fingerprint-int",
     ],
 )
 def test_header_value_its_parser_refuses_is_refused(make, error, message):
