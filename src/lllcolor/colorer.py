@@ -111,6 +111,8 @@ def color_prefix(stream: ConstraintStream, horizon: int, seed: int) -> Coloring:
     Deterministic in (stream, seed); callers are expected to have passed
     validate_sparsity over the horizon window first.
     """
+    if type(horizon) is not int:
+        raise InvalidParameterError(f"horizon {horizon!r} is not an int")
     if horizon < 1:
         raise InvalidParameterError("horizon must be at least 1")
     return _run_phases(stream, bytearray(), 1, horizon, seed)
@@ -186,6 +188,8 @@ def extend_coloring(
             f"{length} bits in {phases} phases from base {n0} are not a phase schedule "
             f"of this stream"
         )
+    if type(new_horizon) is not int:
+        raise InvalidParameterError(f"new horizon {new_horizon!r} is not an int")
     if new_horizon <= length:
         raise InvalidParameterError("new horizon must exceed the committed length")
     committed = bytearray(coloring.bits, "ascii")

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .records import FrozenRecord
 from .rng import u64, u64_from
-from .streams import ConstraintStream
+from .streams import ConstraintStream, _least
 
 MODE_CE = "ce"
 MODE_SIGMA2 = "sigma2"
@@ -185,20 +185,6 @@ def _selections(family: StagedFamily, i: int, k: int) -> list[tuple[int, tuple[i
         if chosen != changes[-1][1]:
             changes.append((s, chosen))
     return changes
-
-
-def _least(pred: Callable[[int], bool], lo: int) -> int:
-    """The least m >= lo with pred(m), for a pred that once true stays true."""
-    hi = lo
-    while not pred(hi):
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def choose_M(b: int, q: Fraction, mode: str) -> int:
@@ -526,6 +512,8 @@ def gen_family(
     draw finished from it with ``u64_from``, which gives the words of the
     whole keys.
     """
+    if type(count) is not int:
+        raise InvalidParameterError(f"member count {count!r} is not an int")
     if count < 1 or stage_count < 1:
         raise InvalidParameterError("count and stage_count must be at least 1")
     if len(target_sizes) != count:

@@ -8,6 +8,9 @@ drawn from a counter-based stream keyed by (seed, variable, resample count),
 so identical inputs replay byte-for-byte.  The colorer's sets go through
 :func:`resample_sets`, the same resampler on fair bits for sets that must
 carry both colors, which skips committed positions and builds no events.
+Both doors run one loop, :func:`_resample`: each supplies how an item is
+met and how it is resampled, and the loop keeps the order, the budget and
+the ``NonConvergenceError``.
 
 Variables may have any finite range; all downstream users of this package
 happen to be binary, but nothing here assumes it.
@@ -21,7 +24,7 @@ import math
 import operator
 from array import array
 from collections import Counter, defaultdict, deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
@@ -324,6 +327,41 @@ def _sample(cums: list[tuple[int, int]], u: int) -> int:
     return len(cums)
 
 
+def _resample(
+    ids: Sequence[int],
+    met: Callable[[int], bool],
+    resample: Callable[[int], Iterator[int]],
+    budget: int,
+) -> None:
+    """The Moser-Tardos loop of both doors, over items indexed in
+    increasing id ``ids[i]``: while some item is unmet, the unmet item of
+    least index is passed to ``resample``, which redraws its variables and
+    yields each item a changed value may have left unmet.  Past ``budget``
+    resamplings, an unmet item raises ``NonConvergenceError`` with the
+    resamplings, the last 64 resampled ids and the unmet ids in index
+    order.  A budget below 1 is refused before ``met`` is first asked."""
+    if budget < 1:
+        raise InvalidParameterError("budget must be at least 1")
+    # an entry for every unmet item, and stale entries skipped on pop, so
+    # the least entry that still holds is the least unmet index
+    heap = [i for i in range(len(ids)) if not met(i)]
+    resamplings = 0
+    trace: deque[int] = deque(maxlen=64)
+    while heap:
+        i = heapq.heappop(heap)
+        if met(i):
+            continue
+        if resamplings >= budget:
+            stuck = [ids[j] for j in range(len(ids)) if not met(j)]
+            raise NonConvergenceError(resamplings, list(trace), stuck)
+        resamplings += 1
+        trace.append(ids[i])
+        for j in resample(i):
+            heapq.heappush(heap, j)
+        if not met(i):
+            heapq.heappush(heap, i)
+
+
 def solve_moser_tardos(
     events: Sequence[Event],
     variables: Sequence[VarSpec],
@@ -338,13 +376,11 @@ def solve_moser_tardos(
     on a variable whose value changed, and the resampled event itself, are
     checked again.  Quiescence returns the assignment; exceeding ``budget``
     total resamplings raises ``NonConvergenceError`` carrying the
-    resampled-event trace.
+    resampled-event trace.  The loop is the one :func:`resample_sets` runs.
     """
     table = _instance_table(events, variables)
     if budget is None:
         budget = default_budget(len(events))
-    if budget < 1:
-        raise InvalidParameterError("budget must be at least 1")
     for e in events:
         cube = 1
         for n in e.vbl:
@@ -357,40 +393,27 @@ def solve_moser_tardos(
     cums = {v.index: _thresholds(v) for v in variables}
     counters = {v.index: 0 for v in variables}
     current = {v.index: _sample(cums[v.index], u64(seed, v.index, 0)) for v in variables}
-
-    def violated(e: Event) -> bool:
-        return tuple(current[n] for n in e.vbl) in e.forbidden
-
-    by_id = {e.id: e for e in events}
-    on: defaultdict[int, list[Event]] = defaultdict(list)  # the events on each variable
-    for e in events:
+    order = sorted(events, key=operator.attrgetter("id"))
+    on: defaultdict[int, list[int]] = defaultdict(list)  # the event indices on each variable
+    for i, e in enumerate(order):
         for n in e.vbl:
-            on[n].append(e)
-    # an entry for every violated event, and stale entries skipped on pop, so
-    # the least entry that still holds is the least violated id
-    heap = sorted(e.id for e in events if violated(e))
-    resamplings = 0
-    trace: deque[int] = deque(maxlen=64)
-    while heap:
-        e = by_id[heapq.heappop(heap)]
-        if not violated(e):
-            continue
-        if resamplings >= budget:
-            raise NonConvergenceError(
-                resamplings, list(trace), sorted(f.id for f in events if violated(f))
-            )
-        resamplings += 1
-        trace.append(e.id)
-        for n in e.vbl:
+            on[n].append(i)
+
+    def met(i: int) -> bool:
+        e = order[i]
+        return tuple(current[n] for n in e.vbl) not in e.forbidden
+
+    def resample(i: int) -> Iterator[int]:
+        for n in order[i].vbl:
             counters[n] += 1
             new = _sample(cums[n], u64(seed, n, counters[n]))
             if new != current[n]:
                 current[n] = new
-                for f in on[n]:
-                    if violated(f):
-                        heapq.heappush(heap, f.id)
-        if violated(e):
-            heapq.heappush(heap, e.id)
+                for j in on[n]:
+                    if not met(j):
+                        yield j
+
+    _resample([e.id for e in order], met, resample, budget)
     return Assignment(dict(sorted(current.items())))
 
 
@@ -411,10 +434,11 @@ def resample_sets(
     the one color ``heads[i]`` (-1 when the cut is 0), and the rest are
     free.  Sets that share a base should share one base object, which
     gets one mask.  Each free position ``n`` draws
-    ``u64(seed, n, counter) >> 63``, with its own counter.  Order, budget
-    and ``NonConvergenceError`` are those of :func:`solve_moser_tardos`,
-    which draws the same free bits when each committed position is a
-    variable fixed to its bit.  Returns the bit of every free position.
+    ``u64(seed, n, counter) >> 63``, with its own counter.  The loop is
+    the one :func:`solve_moser_tardos` runs, so order, budget and
+    ``NonConvergenceError`` are its own, and that door draws the same free
+    bits when each committed position is a variable fixed to its bit.
+    Returns the bit of every free position.
     """
     # the free positions as the bits of one int: a set's tail is its base's
     # mask cut below the first free offset and moved by the shift, and
@@ -464,18 +488,7 @@ def resample_sets(
                     return False
         return True
 
-    heap = [i for i in range(len(ids)) if not settle(i)]
-    resamplings = 0
-    trace: deque[int] = deque(maxlen=64)
-    while heap:
-        i = heapq.heappop(heap)
-        if settle(i):
-            continue
-        if resamplings >= budget:
-            stuck = [ids[j] for j in range(len(ids)) if not settle(j)]
-            raise NonConvergenceError(resamplings, list(trace), stuck)
-        resamplings += 1
-        trace.append(ids[i])
+    def resample(i: int) -> Iterator[int]:
         shift = shifts[i]
         for x in bases[i][cuts[i] :]:
             n = shift + x
@@ -489,10 +502,10 @@ def resample_sets(
                     next_slot = after[slot]
                     watch[slot] = -1
                     if not settle(slot >> 1):
-                        heapq.heappush(heap, slot >> 1)
+                        yield slot >> 1
                     slot = next_slot
-        if not settle(i):
-            heapq.heappush(heap, i)
+
+    _resample(ids, settle, resample, budget)
     return bit
 
 

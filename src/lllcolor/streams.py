@@ -207,31 +207,27 @@ def _gather(offsets: tuple[int, ...]) -> Callable:
     return itemgetter(*offsets)
 
 
-def _int_nth_root(x: int, d: int) -> int:
-    """Largest r with r**d <= x, exact for arbitrarily large x."""
-    if x < 0 or d < 1:
-        raise InvalidParameterError("nth root needs x >= 0 and d >= 1")
-    if d == 1 or x < 2:
-        return x
-    if d == 2:
-        return math.isqrt(x)
-    r = 1 << -(-x.bit_length() // d)
-    while True:
-        nr = ((d - 1) * r + x // r ** (d - 1)) // d
-        if nr >= r:
-            break
-        r = nr
-    while r**d > x:
-        r -= 1
-    while (r + 1) ** d <= x:
-        r += 1
-    return r
+def _least(pred: Callable[[int], bool], lo: int) -> int:
+    """The least m >= lo with pred(m), for a pred that once true stays
+    true, found by doubling and bisection; ``lo`` must be at least 1."""
+    hi = lo
+    while not pred(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def point_bound(q: Fraction, m: int) -> int:
-    """Largest integer count with ``count <= 2**(q*m)``, decided exactly."""
+    """Largest integer count with ``count <= 2**(q*m)``, decided exactly:
+    with ``q = a/d``, the largest c with ``c**d <= 2**(a*m)``."""
     q = Fraction(q)
-    return _int_nth_root(1 << (q.numerator * m), q.denominator)
+    d, power = q.denominator, 1 << (q.numerator * m)
+    return _least(lambda c: c**d > power, 1) - 1
 
 
 class SparsityReport(Record):
@@ -346,6 +342,8 @@ def validate_sparsity(stream: ConstraintStream, window: int) -> SparsityReport:
     the other has nothing to check: the report says "none", and its counts
     and verdicts are the same.
     """
+    if type(window) is not int:
+        raise InvalidParameterError(f"window {window!r} is not an int")
     if window < 1:
         raise InvalidParameterError("window must be at least 1")
     bases, shifts = stream.bases, stream.shifts

@@ -2,6 +2,7 @@
 prefix stability, determinism, and honest failure modes."""
 
 import math
+import re
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
@@ -25,7 +26,7 @@ from lllcolor.errors import (
 from lllcolor.hindman import build_translate_stream, gen_family
 from lllcolor.lll import Event, default_budget, fair_bit, resample_sets, solve_moser_tardos
 from lllcolor.rng import derive_seed
-from lllcolor.streams import format_coloring, gen_sets_stream, parse_coloring
+from lllcolor.streams import format_coloring, gen_sets_stream, parse_coloring, validate_sparsity
 from test_golden import PIPELINES, golden_sets
 from test_streams import items_stream, stream_items
 
@@ -163,6 +164,20 @@ class TestColorPrefix:
     def test_horizon_validation(self):
         with pytest.raises(InvalidParameterError):
             color_prefix(empty_stream(), 0, 0)
+
+    @pytest.mark.parametrize("door", ["color_prefix", "extend_coloring", "validate_sparsity"])
+    @pytest.mark.parametrize("length", [1000.0, True, "1000"], ids=["float", "bool", "str"])
+    def test_length_not_an_int_rejected(self, door, length):
+        # a float once reached int.bit_length or a slice, a bool was read as 1
+        stream = gen_sets_stream(2, 20, 512, 16)
+        call = {
+            "color_prefix": lambda: color_prefix(stream, length, 0),
+            "extend_coloring": lambda: extend_coloring(color_prefix(stream, 64, 0), stream, length),
+            "validate_sparsity": lambda: validate_sparsity(stream, length),
+        }[door]
+        message = f"{re.escape(repr(length))} is not an int$"
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
 
 
 class TestPrefixStability:

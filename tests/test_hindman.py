@@ -473,6 +473,12 @@ class TestGenFamily:
                            match=f"^member 1: target size {size!r} is not an int$"):
             gen_family(1, 2, 64, "ce", (4, size))
 
+    @pytest.mark.parametrize("count", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_member_count_not_an_int_rejected(self, count):
+        # 2.0 once reached range() as a bare TypeError, True was read as 1
+        with pytest.raises(InvalidParameterError, match=f"^member count {count!r} is not an int$"):
+            gen_family(0, count, 64, "ce", (5, 6))
+
 
 class TestBuildTranslateStream:
     def small(self, members=3, stages=128, M=4, seed=2):

@@ -715,6 +715,20 @@ def test_door_rejects_inconsistent_instance(door, case):
         DOORS[door](events, variables)
 
 
+@pytest.mark.parametrize("door", ["solve_moser_tardos", "resample_sets"])
+def test_door_rejects_budget_below_one(door):
+    # both doors run one loop, which refuses the budget: resample_sets once
+    # drew its bits and ran out after 0 resamplings
+    call = {
+        "solve_moser_tardos": lambda: solve_moser_tardos([Event(0, (0,), [(0,)])], bits(1), 0, 0),
+        "resample_sets": lambda: resample_sets(
+            array("q", [0]), [(0, 1)], [0], array("q", [0]), array("b", [-1]), 0, 0
+        ),
+    }[door]
+    with pytest.raises(InvalidParameterError, match="^budget must be at least 1$"):
+        call()
+
+
 def test_default_budget_grows():
     assert default_budget(0) == 1
     assert default_budget(1) == 2000

@@ -323,9 +323,9 @@ class TestPointBound:
 
     def test_bound_is_tight(self):
         # b = point_bound(q, m) is the exact threshold: b**d <= 2**(a*m) < (b+1)**d
-        for q in (F(1, 2), F(1, 3), F(2, 5), F(3, 7)):
+        for q in (F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(13, 17), F(999, 1000)):
             a, d = q.numerator, q.denominator
-            for m in range(1, 60):
+            for m in range(0, 60):
                 b = point_bound(q, m)
                 assert b**d <= 2 ** (a * m) < (b + 1) ** d
 
